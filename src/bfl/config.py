@@ -1,6 +1,7 @@
 """Experiment configuration: dataclasses, JSON loading, validation.
 
-The JSON config mirrors `ExperimentConfig` field for field.  Loading is
+The JSON config mirrors `ExperimentConfig` field for field: the dataclasses
+are the schema, and each default is stated once, in its field.  Loading is
 strict: unknown keys, wrong types, and out-of-range values all raise
 `ConfigError` with the dotted path of the offending field, which the CLI
 turns into an exit code of 2.
@@ -8,9 +9,11 @@ turns into an exit code of 2.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from types import NoneType
+from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .aggregators import AggregatorConfig
 from .attacks import AttackConfig
@@ -33,6 +36,18 @@ class ToyDatasetSpec:
 
     kind = "toy"
 
+    def __post_init__(self) -> None:
+        if self.num_classes < 2:
+            raise ValueError("num_classes must be >= 2")
+        if self.per_class < 1:
+            raise ValueError("per_class must be >= 1")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError("test_fraction must be in (0, 1)")
+        if self.radius <= 0.0 or self.spread <= 0.0:
+            raise ValueError("radius and spread must be positive")
+        if self.dims < 2:
+            raise ValueError("dims must be >= 2")
+
 
 @dataclass
 class IdxDatasetSpec:
@@ -44,10 +59,18 @@ class IdxDatasetSpec:
     kind = "idx"
 
 
+DATASET_KINDS = {"toy": ToyDatasetSpec, "idx": IdxDatasetSpec}
+DatasetSpec = Union[ToyDatasetSpec, IdxDatasetSpec]  # picked by the "kind" key
+
+
 @dataclass
 class PartitionSpec:
     alpha: float = 100.0
     seed: Optional[int] = None  # derived from the master seed when omitted
+
+    def __post_init__(self) -> None:
+        if self.alpha <= 0.0:
+            raise ValueError("alpha must be positive")
 
 
 @dataclass
@@ -60,7 +83,7 @@ class ExperimentConfig:
     batch: int = 128
     hidden_dims: Tuple[int, ...] = (16, 16)
     sgd: SgdConfig = field(default_factory=SgdConfig)
-    dataset: Any = field(default_factory=ToyDatasetSpec)
+    dataset: DatasetSpec = field(default_factory=ToyDatasetSpec)
     partition: PartitionSpec = field(default_factory=PartitionSpec)
     attack: AttackConfig = field(default_factory=AttackConfig)
     aggregator: AggregatorConfig = field(default_factory=AggregatorConfig)
@@ -81,185 +104,63 @@ class ExperimentConfig:
             raise ConfigError("hidden_dims: need positive layer widths")
 
 
-def _check_keys(obj: Dict[str, Any], allowed: Tuple[str, ...], path: str) -> None:
+@functools.lru_cache(maxsize=None)
+def _schema(cls: type) -> Dict[str, Tuple[Any, bool]]:
+    """Field name -> (resolved type hint, required) for a config dataclass."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def _build(cls: type, obj: Dict[str, Any], prefix: str) -> Any:
+    """Construct `cls` from a JSON object; unset fields keep their defaults."""
+    schema = _schema(cls)
     for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}{key}: unknown field")
-
-
-def _get(obj, key, kind, path, default=None, required=False, optional=False):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{path}{key}: required field is missing")
-        return default
-    value = obj[key]
-    if value is None and optional:
-        return None
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"{path}{key}: expected int, got bool")
-    if not isinstance(value, kind):
-        raise ConfigError(f"{path}{key}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _parse_sgd(obj: Dict[str, Any], path: str) -> SgdConfig:
-    _check_keys(obj, ("learning_rate", "momentum", "weight_decay"), path)
+        if key not in schema:
+            raise ConfigError(f"{prefix}{key}: unknown field")
+    kwargs = {}
+    for name, (hint, required) in schema.items():
+        if name in obj:
+            kwargs[name] = _parse(hint, obj[name], prefix + name)
+        elif required:
+            raise ConfigError(f"{prefix}{name}: required field is missing")
     try:
-        return SgdConfig(
-            learning_rate=_get(obj, "learning_rate", float, path, 0.01),
-            momentum=_get(obj, "momentum", float, path, 0.9),
-            weight_decay=_get(obj, "weight_decay", float, path, 1e-4),
-        )
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path.rstrip('.')}: {exc}") from exc
+        raise ConfigError(f"{prefix.rstrip('.')}: {exc}") from exc
 
 
-def _parse_dataset(obj: Dict[str, Any], path: str):
-    kind = _get(obj, "kind", str, path, "toy")
-    if kind == "toy":
-        _check_keys(
-            obj,
-            ("kind", "num_classes", "per_class", "radius", "spread", "dims", "test_fraction"),
-            path,
-        )
-        spec = ToyDatasetSpec(
-            num_classes=_get(obj, "num_classes", int, path, 3),
-            per_class=_get(obj, "per_class", int, path, 300),
-            radius=_get(obj, "radius", float, path, 3.0),
-            spread=_get(obj, "spread", float, path, 0.6),
-            dims=_get(obj, "dims", int, path, 2),
-            test_fraction=_get(obj, "test_fraction", float, path, 1.0 / 3.0),
-        )
-        if spec.num_classes < 2:
-            raise ConfigError(f"{path}num_classes: must be >= 2")
-        if spec.per_class < 1:
-            raise ConfigError(f"{path}per_class: must be >= 1")
-        if not 0.0 < spec.test_fraction < 1.0:
-            raise ConfigError(f"{path}test_fraction: must be in (0, 1)")
-        if spec.radius <= 0.0 or spec.spread <= 0.0:
-            raise ConfigError(f"{path}radius/spread: must be positive")
-        if spec.dims < 2:
-            raise ConfigError(f"{path}dims: must be >= 2")
-        return spec
-    if kind == "idx":
-        _check_keys(obj, ("kind", "train_images", "train_labels", "test_images", "test_labels"), path)
-        return IdxDatasetSpec(
-            train_images=_get(obj, "train_images", str, path, required=True),
-            train_labels=_get(obj, "train_labels", str, path, required=True),
-            test_images=_get(obj, "test_images", str, path, required=True),
-            test_labels=_get(obj, "test_labels", str, path, required=True),
-        )
-    raise ConfigError(f"{path}kind: expected 'toy' or 'idx', got {kind!r}")
-
-
-def _parse_partition(obj: Dict[str, Any], path: str, clients: int) -> PartitionSpec:
-    _check_keys(obj, ("alpha", "seed", "num_clients"), path)
-    num_clients = _get(obj, "num_clients", int, path)
-    if num_clients is not None and num_clients != clients:
-        raise ConfigError(f"{path}num_clients: must match clients ({clients})")
-    alpha = _get(obj, "alpha", float, path, 100.0)
-    if alpha <= 0.0:
-        raise ConfigError(f"{path}alpha: must be positive")
-    return PartitionSpec(alpha=alpha, seed=_get(obj, "seed", int, path, optional=True))
-
-
-def _parse_attack(obj: Dict[str, Any], path: str) -> AttackConfig:
-    _check_keys(
-        obj, ("kind", "epsilon", "sigma", "gamma", "gamma_grid", "ipm_objective"), path
-    )
-    grid = _get(obj, "gamma_grid", list, path)
-    if grid is not None:
-        for i, g in enumerate(grid):
-            if isinstance(g, bool) or not isinstance(g, (int, float)):
-                raise ConfigError(f"{path}gamma_grid[{i}]: expected number")
-    try:
-        return AttackConfig(
-            kind=_get(obj, "kind", str, path, "none"),
-            epsilon=_get(obj, "epsilon", float, path, 0.0),
-            sigma=_get(obj, "sigma", float, path, 0.5),
-            gamma=_get(obj, "gamma", float, path, optional=True),
-            gamma_grid=tuple(float(g) for g in grid) if grid is not None else AttackConfig().gamma_grid,
-            ipm_objective=_get(obj, "ipm_objective", str, path, "surrogate_loss"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path.rstrip('.')}: {exc}") from exc
-
-
-def _parse_aggregator(obj: Dict[str, Any], path: str) -> AggregatorConfig:
-    _check_keys(obj, ("kind", "beta", "weiszfeld_tol", "weiszfeld_max_iter"), path)
-    try:
-        return AggregatorConfig(
-            kind=_get(obj, "kind", str, path, "fedavg"),
-            beta=_get(obj, "beta", float, path, 0.1),
-            weiszfeld_tol=_get(obj, "weiszfeld_tol", float, path, 1e-9),
-            weiszfeld_max_iter=_get(obj, "weiszfeld_max_iter", int, path, 1000),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path.rstrip('.')}: {exc}") from exc
-
-
-def _parse_defense(obj: Dict[str, Any], path: str) -> DefenseConfig:
-    _check_keys(
-        obj,
-        (
-            "noise_dim", "q", "filter", "tau", "metric", "gen_lr", "gen_max_iter",
-            "early_stop_loss", "early_stop_patience", "warm_start",
-        ),
-        path,
-    )
-    try:
-        return DefenseConfig(
-            noise_dim=_get(obj, "noise_dim", int, path, 16),
-            q=_get(obj, "q", int, path, 64),
-            filter=_get(obj, "filter", str, path, "adaptive"),
-            tau=_get(obj, "tau", float, path, 0.5),
-            metric=_get(obj, "metric", str, path, "accuracy"),
-            gen_lr=_get(obj, "gen_lr", float, path, 0.01),
-            gen_max_iter=_get(obj, "gen_max_iter", int, path, 2000),
-            early_stop_loss=_get(obj, "early_stop_loss", float, path, 0.1),
-            early_stop_patience=_get(obj, "early_stop_patience", int, path, 50),
-            warm_start=_get(obj, "warm_start", bool, path, False),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path.rstrip('.')}: {exc}") from exc
-
-
-TOP_LEVEL_KEYS = (
-    "seed", "rounds", "clients", "sampled_per_round", "local_epochs", "batch",
-    "hidden_dims", "sgd", "dataset", "partition", "attack", "aggregator", "defense",
-)
+def _parse(hint: Any, value: Any, path: str, or_null: str = "") -> Any:
+    """Check one JSON value against a type hint: objects become dataclasses,
+    lists tuples, ints widen to floats, bools are never numbers."""
+    if hint in (bool, int, float, str):
+        if isinstance(value, bool) == (hint is bool) and isinstance(
+            value, (int, float) if hint is float else hint
+        ):
+            return float(value) if hint is float else value
+        raise ConfigError(f"{path}: expected {hint.__name__}{or_null}, got {type(value).__name__}")
+    origin, args = get_origin(hint), get_args(hint)
+    if NoneType in args:  # Optional[X]: JSON null means None
+        return None if value is None else _parse(args[0], value, path, " or null")
+    if isinstance(value, dict) and hint == DatasetSpec:
+        kind = value.get("kind", ToyDatasetSpec.kind)
+        if not isinstance(kind, str) or kind not in DATASET_KINDS:
+            expected = " or ".join(map(repr, DATASET_KINDS))
+            raise ConfigError(f"{path}.kind: expected {expected}, got {kind!r}")
+        rest = {k: v for k, v in value.items() if k != "kind"}
+        return _build(DATASET_KINDS[kind], rest, path + ".")
+    if isinstance(value, dict) and is_dataclass(hint):
+        return _build(hint, value, path + ".")
+    if isinstance(value, list) and origin is tuple:
+        return tuple(_parse(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    expected = "list" if origin is tuple else "object"
+    raise ConfigError(f"{path}: expected {expected}{or_null}, got {type(value).__name__}")
 
 
 def config_from_dict(obj: Dict[str, Any]) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("top level: expected a JSON object")
-    _check_keys(obj, TOP_LEVEL_KEYS, "")
-    clients = _get(obj, "clients", int, "", 20)
-    hidden = _get(obj, "hidden_dims", list, "", None)
-    if hidden is not None:
-        for i, h in enumerate(hidden):
-            if isinstance(h, bool) or not isinstance(h, int):
-                raise ConfigError(f"hidden_dims[{i}]: expected int")
-    defense_obj = obj.get("defense")
-    if defense_obj is not None and not isinstance(defense_obj, dict):
-        raise ConfigError("defense: expected object or null")
-    return ExperimentConfig(
-        seed=_get(obj, "seed", int, "", 0),
-        rounds=_get(obj, "rounds", int, "", 30),
-        clients=clients,
-        sampled_per_round=_get(obj, "sampled_per_round", int, "", 10),
-        local_epochs=_get(obj, "local_epochs", int, "", 10),
-        batch=_get(obj, "batch", int, "", 128),
-        hidden_dims=tuple(hidden) if hidden is not None else (16, 16),
-        sgd=_parse_sgd(_get(obj, "sgd", dict, "", {}), "sgd."),
-        dataset=_parse_dataset(_get(obj, "dataset", dict, "", {}), "dataset."),
-        partition=_parse_partition(_get(obj, "partition", dict, "", {}), "partition.", clients),
-        attack=_parse_attack(_get(obj, "attack", dict, "", {}), "attack."),
-        aggregator=_parse_aggregator(_get(obj, "aggregator", dict, "", {}), "aggregator."),
-        defense=_parse_defense(defense_obj, "defense.") if defense_obj is not None else None,
-    )
+    return _build(ExperimentConfig, obj, "")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -274,68 +175,9 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(obj)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
-    """Plain-dict mirror of the config, suitable for the report echo."""
-    if isinstance(cfg.dataset, ToyDatasetSpec):
-        dataset = {
-            "kind": "toy",
-            "num_classes": cfg.dataset.num_classes,
-            "per_class": cfg.dataset.per_class,
-            "radius": cfg.dataset.radius,
-            "spread": cfg.dataset.spread,
-            "dims": cfg.dataset.dims,
-            "test_fraction": cfg.dataset.test_fraction,
-        }
-    else:
-        dataset = {
-            "kind": "idx",
-            "train_images": cfg.dataset.train_images,
-            "train_labels": cfg.dataset.train_labels,
-            "test_images": cfg.dataset.test_images,
-            "test_labels": cfg.dataset.test_labels,
-        }
-    out: Dict[str, Any] = {
-        "seed": cfg.seed,
-        "rounds": cfg.rounds,
-        "clients": cfg.clients,
-        "sampled_per_round": cfg.sampled_per_round,
-        "local_epochs": cfg.local_epochs,
-        "batch": cfg.batch,
-        "hidden_dims": list(cfg.hidden_dims),
-        "sgd": {
-            "learning_rate": cfg.sgd.learning_rate,
-            "momentum": cfg.sgd.momentum,
-            "weight_decay": cfg.sgd.weight_decay,
-        },
-        "dataset": dataset,
-        "partition": {"alpha": cfg.partition.alpha, "seed": cfg.partition.seed},
-        "attack": {
-            "kind": cfg.attack.kind,
-            "epsilon": cfg.attack.epsilon,
-            "sigma": cfg.attack.sigma,
-            "gamma": cfg.attack.gamma,
-            "gamma_grid": list(cfg.attack.gamma_grid),
-            "ipm_objective": cfg.attack.ipm_objective,
-        },
-        "aggregator": {
-            "kind": cfg.aggregator.kind,
-            "beta": cfg.aggregator.beta,
-            "weiszfeld_tol": cfg.aggregator.weiszfeld_tol,
-            "weiszfeld_max_iter": cfg.aggregator.weiszfeld_max_iter,
-        },
-        "defense": None,
-    }
-    if cfg.defense is not None:
-        out["defense"] = {
-            "noise_dim": cfg.defense.noise_dim,
-            "q": cfg.defense.q,
-            "filter": cfg.defense.filter,
-            "tau": cfg.defense.tau,
-            "metric": cfg.defense.metric,
-            "gen_lr": cfg.defense.gen_lr,
-            "gen_max_iter": cfg.defense.gen_max_iter,
-            "early_stop_loss": cfg.defense.early_stop_loss,
-            "early_stop_patience": cfg.defense.early_stop_patience,
-            "warm_start": cfg.defense.warm_start,
-        }
-    return out
+def config_to_dict(cfg: Any) -> Any:
+    """Plain-JSON mirror of a config (or any part of one) for the report echo."""
+    if is_dataclass(cfg):
+        head = {"kind": cfg.kind} if isinstance(cfg, DatasetSpec) else {}
+        return {**head, **{f.name: config_to_dict(getattr(cfg, f.name)) for f in fields(cfg)}}
+    return [config_to_dict(v) for v in cfg] if isinstance(cfg, tuple) else cfg

@@ -7,7 +7,6 @@ parent dataset so partitions can be checked for disjointness exactly.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -277,11 +276,3 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     num_classes = int(labels.max()) + 1 if labels.size else 1
     return Dataset(images, labels, num_classes)
 
-
-def export_csv(dataset: Dataset, path: str) -> None:
-    """Write the dataset as x1,...,xd,label rows (LF line endings)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{i + 1}" for i in range(dataset.dim)] + ["label"])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [int(label)])

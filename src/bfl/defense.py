@@ -45,7 +45,6 @@ class DefenseConfig:
     gen_max_iter: int = 2000
     early_stop_loss: float = 0.1
     early_stop_patience: int = 50
-    warm_start: bool = False  # reuse last round's generator as the starting point
 
     def __post_init__(self) -> None:
         if self.noise_dim < 1 or self.q < 1:
@@ -114,7 +113,6 @@ def train_generator(
     round_index: int,
     out_lo: np.ndarray,
     out_hi: np.ndarray,
-    warm_model: GeneratorModel | None = None,
 ) -> Tuple[GeneratorModel, int]:
     """Fit the generator against the frozen classifier; return it and the
     number of iterations consumed.
@@ -129,16 +127,7 @@ def train_generator(
     """
     init_rng = substream(master_seed, GEN_INIT, round_index)
     train_rng = substream(master_seed, GEN_TRAIN, round_index)
-    if warm_model is not None and cfg.warm_start:
-        gen = GeneratorModel(
-            nn.clone_model(warm_model.backbone),
-            warm_model.noise_dim,
-            warm_model.num_classes,
-            out_lo,
-            out_hi,
-        )
-    else:
-        gen = new_generator(classifier, cfg, init_rng, out_lo, out_hi)
+    gen = new_generator(classifier, cfg, init_rng, out_lo, out_hi)
     num_classes = classifier.output_dim
     sgd = nn.SgdConfig(learning_rate=cfg.gen_lr, momentum=0.9, weight_decay=0.0)
     state = nn.init_momentum(gen.backbone)

@@ -97,12 +97,6 @@ def init_mlp(
     return MlpModel(layers)
 
 
-def clone_model(model: MlpModel) -> MlpModel:
-    return MlpModel(
-        [DenseLayer(l.weight.copy(), l.bias.copy(), l.activation) for l in model.layers]
-    )
-
-
 def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)

@@ -9,8 +9,8 @@ weights forward.
 
 Reports are pure functions of (config, master seed): every random draw comes
 from a purpose-keyed stream, so reruns match byte for byte.  Measured round
-timings are logged but deliberately left out of the emitted artifacts (the
-wall_ms column is written as 0) to keep them byte-stable.
+timings are logged but deliberately left out of the emitted artifacts to
+keep them byte-stable.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class RoundRecord:
     rejected: List[int]
     malicious_sampled: List[int]
     gan_iters: int
-    wall_ms: float
 
 
 @dataclass
@@ -247,7 +246,6 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
             cfg.clients, cfg.attack.epsilon, rng.substream(cfg.seed, rng.ATTACK)
         )
     report = RunReport(config=config_to_dict(cfg))
-    warm: Optional[defense.GeneratorModel] = None
     for t in range(1, cfg.rounds + 1):
         started = time.perf_counter()
         sample_rng = rng.substream(cfg.seed, rng.SAMPLING, t)
@@ -280,9 +278,8 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
         if cfg.defense is not None:
             classifier = nn.unflatten_params(template, global_vector)
             gen, gan_iters = defense.train_generator(
-                classifier, cfg.defense, cfg.seed, t, lo, hi, warm
+                classifier, cfg.defense, cfg.seed, t, lo, hi
             )
-            warm = gen
             probe = defense.synthesize(gen, cfg.defense.q, cfg.seed, t)
             entries = defense.score_updates(
                 sorted(candidates.items()), template, probe, cfg.defense.metric
@@ -308,7 +305,6 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
             rejected=sorted(set(sampled) - accepted),
             malicious_sampled=bad_sampled,
             gan_iters=gan_iters,
-            wall_ms=wall_ms,
         )
         report.rounds.append(record)
         log.info(
@@ -326,7 +322,7 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
-CSV_COLUMNS = ("round", "acc", "tpr", "tnr", "accepted", "rejected", "gan_iters", "wall_ms")
+CSV_COLUMNS = ("round", "acc", "tpr", "tnr", "accepted", "rejected", "gan_iters")
 
 
 def _real(x: float) -> str:
@@ -338,7 +334,7 @@ def emit_report(report: RunReport, out_dir: str, name: str) -> Tuple[str, str]:
 
     Reals carry 17 significant digits with '.' decimal points, id lists are
     ';'-joined, and lines end with LF, so identical (config, seed) pairs
-    produce identical bytes.  wall_ms is emitted as 0 (see module docstring).
+    produce identical bytes.  Round timings stay out (see module docstring).
     """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{name}.csv")
@@ -356,7 +352,6 @@ def emit_report(report: RunReport, out_dir: str, name: str) -> Tuple[str, str]:
                     ";".join(str(i) for i in r.accepted),
                     ";".join(str(i) for i in r.rejected),
                     r.gan_iters,
-                    _real(0.0),
                 ]
             )
     payload = {
@@ -371,7 +366,6 @@ def emit_report(report: RunReport, out_dir: str, name: str) -> Tuple[str, str]:
                 "rejected": r.rejected,
                 "malicious_sampled": r.malicious_sampled,
                 "gan_iters": r.gan_iters,
-                "wall_ms": 0.0,
             }
             for r in report.rounds
         ],

@@ -1,16 +1,27 @@
+import dataclasses
 import json
+import re
+import typing
+from pathlib import Path
 
 import pytest
 
+from bfl.aggregators import AggregatorConfig
+from bfl.attacks import AttackConfig
 from bfl.config import (
     ConfigError,
     ExperimentConfig,
     IdxDatasetSpec,
+    PartitionSpec,
     ToyDatasetSpec,
     config_from_dict,
     config_to_dict,
     load_config,
 )
+from bfl.defense import DefenseConfig
+from bfl.nn import SgdConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_empty_object_gives_defaults():
@@ -96,6 +107,15 @@ def test_int_promotes_to_float():
     assert cfg.sgd.learning_rate == 1.0
 
 
+def test_ints_widen_to_floats_in_the_echo():
+    cfg = config_from_dict({"sgd": {"learning_rate": 1},
+                            "attack": {"gamma": 2, "gamma_grid": [1, 2]}})
+    echoed = config_to_dict(cfg)
+    assert type(echoed["sgd"]["learning_rate"]) is float
+    assert type(echoed["attack"]["gamma"]) is float
+    assert [type(g) for g in echoed["attack"]["gamma_grid"]] == [float, float]
+
+
 def test_sampled_must_fit_in_clients():
     with pytest.raises(ConfigError, match="sampled_per_round"):
         config_from_dict({"clients": 4, "sampled_per_round": 5})
@@ -127,9 +147,9 @@ def test_idx_dataset_requires_all_paths():
     assert isinstance(cfg.dataset, IdxDatasetSpec)
 
 
-def test_partition_num_clients_must_match():
-    with pytest.raises(ConfigError, match="num_clients"):
-        config_from_dict({"clients": 10, "partition": {"num_clients": 12}})
+def test_partition_num_clients_is_unknown():
+    with pytest.raises(ConfigError, match=r"partition\.num_clients: unknown field"):
+        config_from_dict({"clients": 10, "partition": {"num_clients": 10}})
 
 
 def test_partition_alpha_positive():
@@ -183,3 +203,50 @@ def test_direct_construction_validates():
         ExperimentConfig(rounds=-1)
     with pytest.raises(ConfigError, match="local_epochs"):
         ExperimentConfig(local_epochs=0)
+
+
+def test_specs_validate_when_built_directly():
+    with pytest.raises(ValueError, match="dims"):
+        ToyDatasetSpec(dims=1)
+    with pytest.raises(ValueError, match="alpha"):
+        PartitionSpec(alpha=0.0)
+
+
+SECTIONS = {
+    "": ExperimentConfig,
+    "sgd": SgdConfig,
+    "dataset": ToyDatasetSpec,
+    "partition": PartitionSpec,
+    "attack": AttackConfig,
+    "aggregator": AggregatorConfig,
+    "defense": DefenseConfig,
+}
+
+
+def _numeric(hint) -> bool:
+    return hint in (int, float) or any(_numeric(arg) for arg in typing.get_args(hint))
+
+
+@pytest.mark.parametrize(
+    "section,name",
+    [(s, f.name) for s, cls in SECTIONS.items() for f in dataclasses.fields(cls)],
+)
+def test_every_field_rejects_typos_and_strings_for_numbers(section, name):
+    def nest(obj):
+        return {section: obj} if section else obj
+
+    path = f"{section}.{name}" if section else name
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}x: unknown field$"):
+        config_from_dict(nest({name + "x": 1}))
+    if _numeric(typing.get_type_hints(SECTIONS[section])[name]):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: expected .*, got str$"):
+            config_from_dict(nest({name: "7"}))
+
+
+def test_readme_config_block_matches_the_defaults():
+    text = README.read_text()
+    section = text.split("## Config", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    assert json.loads(block) == config_to_dict(ExperimentConfig())
+    inline = re.search(r"`(\{\"noise_dim\".*?\})`", section, re.DOTALL).group(1)
+    assert json.loads(inline) == config_to_dict(config_from_dict({"defense": {}}))["defense"]

@@ -203,12 +203,3 @@ def test_load_idx_count_mismatch(tmp_path):
     with pytest.raises(data.IdxCountMismatchError):
         data.load_idx(str(ip), str(lp))
 
-
-def test_export_csv_golden(tmp_path):
-    ds = data.Dataset(
-        np.array([[0.5, -1.25], [2.0, 3.5]]), np.array([1, 0]), 2
-    )
-    path = tmp_path / "out.csv"
-    data.export_csv(ds, str(path))
-    text = path.read_bytes().decode()
-    assert text == "x1,x2,label\n0.5,-1.25,1\n2,3.5,0\n"

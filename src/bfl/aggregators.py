@@ -126,12 +126,32 @@ def _krum_cap(n: int, beta: float) -> int:
     return int(math.ceil(beta * n))
 
 
+def _krum_peers(n: int, beta: float) -> int:
+    """Peers each multi-krum score sums over: n - M - 2."""
+    return n - _krum_cap(n, beta) - 2
+
+
+def min_updates(cfg: AggregatorConfig) -> int:
+    """Fewest updates the configured rule can aggregate.
+
+    The krum rules (nnm_krum ends in multi-krum) need at least one peer per
+    score.  Every other rule takes any non-empty set: trimming
+    floor(beta * n) < n / 2 per side always leaves an update.  The peer count
+    never falls as n grows, so every larger set is aggregable too.
+    """
+    if cfg.kind not in ("multi_krum", "nnm_krum"):
+        return 1
+    n = 1
+    while _krum_peers(n, cfg.beta) < 1:
+        n += 1
+    return n
+
+
 def multi_krum_scores(updates: Sequence[ClientUpdate], beta: float) -> List[float]:
     """Per-update sum of squared distances to its n - M - 2 nearest peers."""
     mat = _stack(updates)
     n = mat.shape[0]
-    m_cap = _krum_cap(n, beta)
-    closest = n - m_cap - 2
+    closest = _krum_peers(n, beta)
     if closest < 1:
         raise ValueError(f"n={n}, beta={beta} leaves no peers to score against")
     diffs = mat[:, None, :] - mat[None, :, :]

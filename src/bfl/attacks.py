@@ -137,7 +137,7 @@ def ipm_line_search(
     losses = []
     for gamma in gamma_grid:
         agg = simulated_aggregate_delta(benign_estimate, gamma, n_sampled, n_malicious)
-        candidate = nn.unflatten_params(template, global_vector + agg)
+        candidate = template.with_params(global_vector + agg)
         loss, _ = nn.softmax_cross_entropy(
             nn.forward(candidate, proxy.features), proxy.labels
         )

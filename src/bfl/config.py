@@ -15,8 +15,9 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import NoneType
 from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
-from .aggregators import AggregatorConfig
+from .aggregators import AggregatorConfig, min_updates
 from .attacks import AttackConfig
+from .data import stratified_test_count
 from .defense import DefenseConfig
 from .nn import SgdConfig
 
@@ -47,6 +48,12 @@ class ToyDatasetSpec:
             raise ValueError("radius and spread must be positive")
         if self.dims < 2:
             raise ValueError("dims must be >= 2")
+
+    @property
+    def train_size(self) -> int:
+        """Training rows after the stratified split."""
+        test = stratified_test_count(self.per_class, self.test_fraction)
+        return self.num_classes * (self.per_class - test)
 
 
 @dataclass
@@ -102,6 +109,17 @@ class ExperimentConfig:
             raise ConfigError("batch: must be >= 1")
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
             raise ConfigError("hidden_dims: need positive layer widths")
+        if isinstance(self.dataset, ToyDatasetSpec) and self.clients > self.dataset.train_size:
+            raise ConfigError(
+                f"clients: {self.clients} clients but the toy dataset has only "
+                f"{self.dataset.train_size} training samples"
+            )
+        need = min_updates(self.aggregator)
+        if self.sampled_per_round < need:
+            raise ConfigError(
+                f"sampled_per_round: {self.aggregator.kind} at beta={self.aggregator.beta} "
+                f"needs at least {need} updates per round, got {self.sampled_per_round}"
+            )
 
 
 @functools.lru_cache(maxsize=None)

@@ -150,6 +150,11 @@ def make_toy_blobs(
     return Dataset(np.vstack(feats), np.concatenate(labels), num_classes)
 
 
+def stratified_test_count(class_size: int, test_fraction: float) -> int:
+    """Rows of one class that `train_test_split` puts in the test set."""
+    return int(round(test_fraction * class_size))
+
+
 def train_test_split(
     dataset: Dataset, test_fraction: float, seed: int
 ) -> Tuple[Dataset, Dataset]:
@@ -162,7 +167,7 @@ def train_test_split(
     for c in range(dataset.num_classes):
         idx = np.flatnonzero(dataset.labels == c)
         idx = rng.permutation(idx)
-        n_test = int(round(test_fraction * idx.size))
+        n_test = stratified_test_count(idx.size, test_fraction)
         test_idx.append(idx[:n_test])
         train_idx.append(idx[n_test:])
     train = np.sort(np.concatenate(train_idx))

@@ -10,16 +10,17 @@ the synthesized samples hug the decision boundaries and expose updates that
 warp them.
 
 Sampling the trained generator with a balanced label schedule yields the
-synthetic validation set.  Every candidate update is rebuilt into a full model
-and scored on that set; fixed-threshold, population-mean, or two-cluster
-policies then decide which clients' updates survive to aggregation.
+synthetic validation set.  Every candidate vector is read as a full model
+(the template's layout over it, without a copy) and scored on that set;
+fixed-threshold, population-mean, or two-cluster policies then decide which
+clients' updates survive to aggregation.
 """
 
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class GeneratorModel:
     """Conditional generator: (noise, onehot label) -> synthetic input.
 
     The backbone ends in tanh; `out_lo`/`out_hi` rescale its [-1, 1] range
-    onto the classifier's input domain per feature.
+    onto the classifier's input domain per feature, with slope `half`.
     """
 
     backbone: nn.MlpModel
@@ -72,6 +73,7 @@ class GeneratorModel:
     num_classes: int
     out_lo: np.ndarray
     out_hi: np.ndarray
+    half: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.out_lo = np.asarray(self.out_lo, dtype=np.float64)
@@ -80,20 +82,29 @@ class GeneratorModel:
             raise ValueError("backbone input must be noise_dim + num_classes")
         if self.out_lo.shape != self.out_hi.shape or np.any(self.out_hi <= self.out_lo):
             raise ValueError("need out_lo < out_hi per feature")
+        self.half = 0.5 * (self.out_hi - self.out_lo)
 
     def generate(self, noise: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Map a noise batch plus labels to inputs inside [out_lo, out_hi]."""
         raw = nn.forward(self.backbone, self._condition(noise, labels))
         return self._scale(raw)
 
-    def _condition(self, noise: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        onehot = np.zeros((len(labels), self.num_classes))
-        onehot[np.arange(len(labels)), labels] = 1.0
-        return np.hstack([noise, onehot])
+    def _condition(
+        self, noise: np.ndarray, labels: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """[noise, onehot(labels)] per row, written into `out` when given."""
+        if out is None:
+            out = np.empty((len(labels), self.noise_dim + self.num_classes))
+        out[:, : self.noise_dim] = noise
+        out[:, self.noise_dim :] = 0.0
+        out[np.arange(len(labels)), self.noise_dim + labels] = 1.0
+        return out
 
-    def _scale(self, raw: np.ndarray) -> np.ndarray:
-        half = 0.5 * (self.out_hi - self.out_lo)
-        return self.out_lo + half * (raw + 1.0)
+    def _scale(self, raw: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """out_lo + half * (raw + 1.0), written into `out` when given."""
+        out = np.add(raw, 1.0, out=out)
+        np.multiply(self.half, out, out=out)
+        return np.add(self.out_lo, out, out=out)
 
 
 def new_generator(
@@ -124,6 +135,12 @@ def train_generator(
     `early_stop_loss`, or at `gen_max_iter`.  The iteration count is the
     per-round effort signal: a crisp, stable classifier is quick to imitate,
     a drifting one is not.
+
+    The step reuses one set of buffers for every iteration and updates the
+    generator's parameter vector in place.  Only the gradient with respect
+    to the classifier's input is propagated through it: the classifier's
+    parameter gradients are never formed, and neither is the gradient with
+    respect to the generator's own input.
     """
     init_rng = substream(master_seed, GEN_INIT, round_index)
     train_rng = substream(master_seed, GEN_TRAIN, round_index)
@@ -132,19 +149,23 @@ def train_generator(
     sgd = nn.SgdConfig(learning_rate=cfg.gen_lr, momentum=0.9, weight_decay=0.0)
     state = nn.init_momentum(gen.backbone)
     window: collections.deque = collections.deque(maxlen=cfg.early_stop_patience)
-    half = 0.5 * (gen.out_hi - gen.out_lo)
+    noise = np.empty((GEN_BATCH, cfg.noise_dim))
+    cond = np.empty((GEN_BATCH, cfg.noise_dim + num_classes))
+    synth = np.empty((GEN_BATCH, classifier.input_dim))
+    gen_trace = cls_trace = None
     iterations = 0
     for iterations in range(1, cfg.gen_max_iter + 1):
-        noise = train_rng.standard_normal((GEN_BATCH, cfg.noise_dim))
+        train_rng.standard_normal(out=noise)
         labels = train_rng.integers(0, num_classes, size=GEN_BATCH)
-        cond = gen._condition(noise, labels)
-        raw, gen_caches = nn.forward_cached(gen.backbone, cond)
-        synth = gen._scale(raw)
-        logits, cls_caches = nn.forward_cached(classifier, synth)
+        gen._condition(noise, labels, out=cond)
+        raw, gen_trace = nn.forward_cached(gen.backbone, cond, gen_trace)
+        gen._scale(raw, out=synth)
+        logits, cls_trace = nn.forward_cached(classifier, synth, cls_trace)
         loss, dlogits = nn.softmax_cross_entropy(logits, labels)
-        _, dsynth = nn.backprop_through(classifier, cls_caches, dlogits)
-        gen_grads, _ = nn.backprop_through(gen.backbone, gen_caches, dsynth * half)
-        gen.backbone = nn.sgd_step(gen.backbone, gen_grads, sgd, state)
+        _, dsynth = nn.backprop_through(classifier, cls_trace, dlogits, param_grads=False)
+        np.multiply(dsynth, gen.half, out=dsynth)
+        grads, _ = nn.backprop_through(gen.backbone, gen_trace, dsynth, input_grad=False)
+        nn.sgd_step(gen.backbone, grads, sgd, state)
         window.append(loss)
         if (
             len(window) == cfg.early_stop_patience
@@ -189,9 +210,9 @@ class ScoreEntry:
 def eval_update(
     params: np.ndarray, template: nn.MlpModel, probe: Dataset, metric: str
 ) -> float:
-    """Score one rebuilt candidate model on the synthetic probe set."""
-    model = nn.unflatten_params(template, params)
-    logits = nn.forward(model, probe.features)
+    """Score one candidate vector, read in the template's layout, on the
+    synthetic probe set."""
+    logits = nn.forward(template.with_params(params), probe.features)
     if metric == "accuracy":
         return float((logits.argmax(axis=1) == probe.labels).mean())
     if metric == "loss":

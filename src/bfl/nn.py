@@ -1,22 +1,37 @@
 """Small dense networks with hand-written forward and backward passes.
 
-Everything runs in float64 on plain numpy arrays.  A model is a list of dense
-layers; layer ``l`` stores its weight as an (out, in) matrix and its bias as a
-length-out vector, and applies ``act(x @ W.T + b)``.  The flattened parameter
-vector enumerates layer 0's weight in row-major order, then layer 0's bias,
-then layer 1, and so on; `flatten_params` / `unflatten_params` round-trip
-bit-exactly.
+Everything runs in float64 on plain numpy arrays.  A model is one contiguous
+parameter vector plus a fixed layout over it: layer ``l`` reads its weight as
+an (out, in) matrix and its bias as a length-out vector, and applies
+``act(x @ W.T + b)``.  The vector enumerates layer 0's weight in row-major
+order, then layer 0's bias, then layer 1, and so on.  Parameter gradients and
+momentum buffers are vectors with the same layout, so an update, a delta or
+an aggregate is just a vector, and any such vector becomes a model again with
+`MlpModel.with_params`.
 
 Gradients are of the mean cross-entropy over the batch, so duplicating every
-row of a batch leaves them unchanged.  All functions are pure: they never
-mutate their model argument.  Momentum buffers are the one piece of mutable
-state and are owned by the caller (one buffer list per client).
+row of a batch leaves them unchanged.
+
+Aliasing.  Nothing here copies a parameter vector:
+
+* `MlpModel(...)` and `with_params` wrap the given vector; `layers[l].weight`
+  and `.bias` are views into it.
+* `forward_cached` writes every activation into a `Trace` and returns the
+  last one, a view into that trace; pass the trace back in to reuse its
+  buffers for the next batch of the same size.
+* `backprop_through` writes the parameter gradient into `trace.grads` and the
+  input gradient into the trace's buffers, and returns views of both.
+* `sgd_step` updates the model's parameter vector and the momentum state in
+  place, and adds weight decay into the gradient vector it is given.
+
+`forward`, `backward` and `softmax_cross_entropy` allocate fresh outputs and
+mutate nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,51 +40,72 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 
 @dataclass
 class DenseLayer:
-    """One fully connected layer: act(x @ weight.T + bias)."""
+    """One fully connected layer, act(x @ weight.T + bias), as views."""
 
     weight: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray  # (out_dim,)
-    activation: str = "identity"
-
-    def __post_init__(self) -> None:
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.weight.ndim != 2 or self.bias.ndim != 1:
-            raise ValueError("weight must be 2-D and bias 1-D")
-        if self.weight.shape[0] != self.bias.shape[0]:
-            raise ValueError("weight rows must match bias length")
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
+    activation: str
 
 
-@dataclass
+def _spans(dims: Sequence[int]) -> List[Tuple[slice, slice]]:
+    """Per layer, the slices of its weight and its bias in the flat vector."""
+    spans, pos = [], 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        end = pos + fan_out * fan_in
+        spans.append((slice(pos, end), slice(end, end + fan_out)))
+        pos = end + fan_out
+    return spans
+
+
+def _views(model: "MlpModel", vector: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per layer, (weight, bias) views into a vector in the model's layout."""
+    dims = model.dims
+    return [
+        (vector[w].reshape(fan_out, fan_in), vector[b])
+        for (w, b), fan_in, fan_out in zip(model.spans, dims, dims[1:])
+    ]
+
+
 class MlpModel:
-    """A stack of dense layers whose dimensions chain."""
+    """A stack of dense layers over one flat float64 parameter vector.
 
-    layers: List[DenseLayer] = field(default_factory=list)
+    `dims` lists the widths [in, h1, ..., out] and `activations` one
+    activation per layer.  The model wraps `params` without copying it;
+    `spans[l]` holds the (weight, bias) slices of layer l in that vector.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.layers:
-            raise ValueError("model needs at least one layer")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise ValueError(
-                    f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
-                )
+    def __init__(
+        self, dims: Sequence[int], activations: Sequence[str], params: np.ndarray
+    ) -> None:
+        dims, activations = tuple(dims), tuple(activations)
+        if len(dims) < 2 or len(activations) != len(dims) - 1:
+            raise ValueError("need one activation per pair of adjacent dims")
+        if any(d < 1 for d in dims):
+            raise ValueError("layer widths must be positive")
+        for act in activations:
+            if act not in ACTIVATIONS:
+                raise ValueError(f"unknown activation {act!r}")
+        params = np.asarray(params, dtype=np.float64)
+        self.dims, self.activations, self.params = dims, activations, params
+        self.spans = _spans(dims)
+        size = self.spans[-1][1].stop
+        if params.shape != (size,):
+            raise ValueError(f"params shape {params.shape} does not match layout ({size},)")
+        self.layers = tuple(
+            DenseLayer(w, b, act) for (w, b), act in zip(_views(self, params), activations)
+        )
+
+    def with_params(self, params: np.ndarray) -> "MlpModel":
+        """The same layout over another vector, without copying it."""
+        return MlpModel(self.dims, self.activations, params)
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self.dims[0]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1].out_dim
+        return self.dims[-1]
 
 
 def init_mlp(
@@ -87,30 +123,48 @@ def init_mlp(
         raise ValueError("need at least input and output dims")
     if any(d < 1 for d in dims):
         raise ValueError("layer widths must be positive")
-    layers = []
     last = len(dims) - 2
-    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+    acts = [out_activation if i == last else hidden_activation for i in range(last + 1)]
+    size = _spans(dims)[-1][1].stop  # the last bias ends the vector
+    model = MlpModel(dims, acts, np.zeros(size))
+    for i, layer in enumerate(model.layers):
+        fan_in = dims[i]
         scale = np.sqrt(1.0 / fan_in) if i == last else np.sqrt(2.0 / fan_in)
-        weight = rng.standard_normal((fan_out, fan_in)) * scale
-        act = out_activation if i == last else hidden_activation
-        layers.append(DenseLayer(weight, np.zeros(fan_out), act))
-    return MlpModel(layers)
+        rng.standard_normal(out=layer.weight)
+        layer.weight *= scale
+    return model
 
 
-def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "tanh":
-        return np.tanh(z)
-    return z
+class Trace:
+    """Buffers of one pass of a `rows`-row batch through one model layout.
 
+    `z[l]` and `a[l]` hold layer l's pre-activation and activation (the same
+    array for identity layers); `batch` is the input of the last forward
+    pass.  The backward buffers are allocated on the first backward pass:
+    `grads`, the flat parameter gradient; `dz[l]`, the gradient at layer l's
+    pre-activation; `da[l]`, the gradient at layer l's input.
+    """
 
-def _activation_grad(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    if kind == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
+    def __init__(self, model: MlpModel, rows: int) -> None:
+        self.rows = rows
+        self.batch: Optional[np.ndarray] = None
+        self.z = [np.empty((rows, out)) for out in model.dims[1:]]
+        self.a = [z if act == "identity" else np.empty_like(z)
+                  for z, act in zip(self.z, model.activations)]
+        self.grads: Optional[np.ndarray] = None
+        self.grad_layers: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.dz: List[Optional[np.ndarray]] = []
+        self.da: List[np.ndarray] = []
+
+    def layer_input(self, index: int) -> np.ndarray:
+        return self.batch if index == 0 else self.a[index - 1]
+
+    def _allocate_backward(self, model: MlpModel) -> None:
+        self.grads = np.empty_like(model.params)
+        self.grad_layers = _views(model, self.grads)
+        self.dz = [None if act == "identity" else np.empty_like(z)
+                   for z, act in zip(self.z, model.activations)]
+        self.da = [np.empty((self.rows, d)) for d in model.dims[:-1]]
 
 
 def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
@@ -120,12 +174,14 @@ def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 
 
 def forward_cached(
-    model: MlpModel, batch: np.ndarray
-) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Forward pass that keeps (input, pre-activation, activation) per layer.
+    model: MlpModel, batch: np.ndarray, trace: Optional[Trace] = None
+) -> Tuple[np.ndarray, Trace]:
+    """Forward pass that keeps every layer's pre-activation and activation.
 
-    The cache list feeds `backprop_through`; callers that only need outputs
-    should use `forward`.
+    Writes into `trace` when it was built for a batch of this many rows, and
+    into a new trace otherwise; returns (output, trace), where the output is
+    the trace's last activation buffer.  The trace feeds `backprop_through`;
+    callers that only need outputs should use `forward`.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
@@ -134,14 +190,19 @@ def forward_cached(
         raise ValueError(
             f"batch dim {batch.shape[1]} does not match model input {model.input_dim}"
         )
-    caches = []
+    if trace is None or trace.rows != batch.shape[0]:
+        trace = Trace(model, batch.shape[0])
+    trace.batch = batch
     a = batch
-    for layer in model.layers:
-        z = a @ layer.weight.T + layer.bias
-        a_next = _apply_activation(layer.activation, z)
-        caches.append((a, z, a_next))
-        a = a_next
-    return a, caches
+    for layer, z, out in zip(model.layers, trace.z, trace.a):
+        np.matmul(a, layer.weight.T, out=z)
+        z += layer.bias
+        if layer.activation == "relu":
+            np.maximum(z, 0.0, out=out)
+        elif layer.activation == "tanh":
+            np.tanh(z, out=out)
+        a = out
+    return a, trace
 
 
 def softmax_cross_entropy(
@@ -158,48 +219,67 @@ def softmax_cross_entropy(
     n = logits.shape[0]
     if labels.shape != (n,):
         raise ValueError("labels must be (n,)")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    # The reductions are called as ufunc methods: the same arithmetic as
+    # .max / .sum / .mean without their Python-level wrappers.
+    rows = np.arange(n)
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
     log_probs = shifted - log_z
-    loss = -float(log_probs[np.arange(n), labels].mean())
+    loss = -float(np.add.reduce(log_probs[rows, labels]) / n)
     dlogits = np.exp(log_probs)
-    dlogits[np.arange(n), labels] -= 1.0
+    dlogits[rows, labels] -= 1.0
     dlogits /= n
     return loss, dlogits
 
 
-GradList = List[Tuple[np.ndarray, np.ndarray]]
-
-
 def backprop_through(
     model: MlpModel,
-    caches: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    trace: Trace,
     dout: np.ndarray,
-) -> Tuple[GradList, np.ndarray]:
-    """Push an upstream gradient back through cached layers.
+    param_grads: bool = True,
+    input_grad: bool = True,
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Push an upstream gradient back through the traced forward pass.
 
-    Returns per-layer (dweight, dbias) plus the gradient w.r.t. the model's
-    input batch, which lets a second network (the sample generator) sit in
-    front of this one.
+    Returns (flat parameter gradient, gradient w.r.t. the model's input
+    batch); the input gradient lets a second network (the sample generator)
+    sit in front of this one.  Either can be skipped, and is then returned as
+    None: a frozen network needs no parameter gradient, and the first
+    network of a chain no input gradient.  Both results live in `trace`.
     """
-    grads: GradList = [None] * len(model.layers)  # type: ignore[list-item]
+    if trace.grads is None:
+        trace._allocate_backward(model)
     da = dout
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
-        a_in, z, a_out = caches[i]
-        dz = da * _activation_grad(layer.activation, z, a_out)
-        grads[i] = (dz.T @ a_in, dz.sum(axis=0))
-        da = dz @ layer.weight
-    return grads, da
+        dz = trace.dz[i]
+        if layer.activation == "relu":
+            np.greater(trace.z[i], 0.0, out=dz)
+            np.multiply(da, dz, out=dz)
+        elif layer.activation == "tanh":
+            np.multiply(trace.a[i], trace.a[i], out=dz)
+            np.subtract(1.0, dz, out=dz)
+            np.multiply(da, dz, out=dz)
+        else:
+            dz = da
+        if param_grads:
+            gw, gb = trace.grad_layers[i]
+            np.matmul(dz.T, trace.layer_input(i), out=gw)
+            np.add.reduce(dz, axis=0, out=gb)
+        if i == 0 and not input_grad:
+            da = None
+            break
+        da = np.matmul(dz, layer.weight, out=trace.da[i])
+    return (trace.grads if param_grads else None), da
 
 
 def backward(
     model: MlpModel, batch: np.ndarray, labels: np.ndarray
-) -> Tuple[float, GradList]:
-    """Mean cross-entropy loss and parameter gradients for one batch."""
-    out, caches = forward_cached(model, batch)
+) -> Tuple[float, np.ndarray]:
+    """Mean cross-entropy loss and its flat parameter gradient for one batch."""
+    out, trace = forward_cached(model, batch)
     loss, dout = softmax_cross_entropy(out, labels)
-    grads, _ = backprop_through(model, caches, dout)
+    grads, _ = backprop_through(model, trace, dout, input_grad=False)
     return loss, grads
 
 
@@ -218,66 +298,36 @@ class SgdConfig:
             raise ValueError("weight_decay must be non-negative")
 
 
-def init_momentum(model: MlpModel) -> GradList:
-    """Zeroed velocity buffers matching the model's parameter shapes."""
-    return [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.layers]
+class SgdState(NamedTuple):
+    """Momentum SGD buffers, laid out like the parameter vector."""
+
+    velocity: np.ndarray
+    scratch: np.ndarray  # holds wd * w and lr * v for the step in progress
+
+
+def init_momentum(model: MlpModel) -> SgdState:
+    """Zeroed velocity (and a scratch vector) matching the model's parameters."""
+    return SgdState(np.zeros_like(model.params), np.empty_like(model.params))
 
 
 def sgd_step(
-    model: MlpModel, grads: GradList, cfg: SgdConfig, state: GradList
+    model: MlpModel, grads: np.ndarray, cfg: SgdConfig, state: SgdState
 ) -> MlpModel:
-    """One momentum SGD step; returns the updated model.
+    """One momentum SGD step on the model's parameter vector, in place.
 
     Weight decay is added to the raw gradient (g <- g + wd * w) before the
     velocity update v <- mu * v + g, w <- w - lr * v.  Decay applies to
-    weight matrices only, never biases.  `state` holds the velocity buffers
-    and is updated in place; the model itself is not mutated.
+    weight matrices only, never biases.  `grads` receives the decay term,
+    `state` the new velocity; returns the (same) model.
     """
-    if len(grads) != len(model.layers) or len(state) != len(model.layers):
-        raise ValueError("grads/state length must match layer count")
-    new_layers = []
-    for layer, (gw, gb), (vw, vb) in zip(model.layers, grads, state):
-        gw = gw + cfg.weight_decay * layer.weight
-        vw *= cfg.momentum
-        vw += gw
-        vb *= cfg.momentum
-        vb += gb
-        new_layers.append(
-            DenseLayer(
-                layer.weight - cfg.learning_rate * vw,
-                layer.bias - cfg.learning_rate * vb,
-                layer.activation,
-            )
-        )
-    return MlpModel(new_layers)
-
-
-def num_params(model: MlpModel) -> int:
-    return sum(l.weight.size + l.bias.size for l in model.layers)
-
-
-def flatten_params(model: MlpModel) -> np.ndarray:
-    """Concatenate all parameters into one float64 vector."""
-    parts = []
-    for layer in model.layers:
-        parts.append(layer.weight.ravel())
-        parts.append(layer.bias)
-    return np.concatenate(parts).astype(np.float64, copy=False)
-
-
-def unflatten_params(template: MlpModel, vector: np.ndarray) -> MlpModel:
-    """Rebuild a model with the template's shapes from a flat vector."""
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (num_params(template),):
-        raise ValueError(
-            f"vector length {vector.shape} does not match template ({num_params(template)},)"
-        )
-    layers = []
-    pos = 0
-    for layer in template.layers:
-        w = vector[pos : pos + layer.weight.size].reshape(layer.weight.shape).copy()
-        pos += layer.weight.size
-        b = vector[pos : pos + layer.bias.size].copy()
-        pos += layer.bias.size
-        layers.append(DenseLayer(w, b, layer.activation))
-    return MlpModel(layers)
+    params, (velocity, scratch) = model.params, state
+    if grads.shape != params.shape or velocity.shape != params.shape:
+        raise ValueError("grads/state must match the parameter vector")
+    for w, _ in model.spans:
+        np.multiply(cfg.weight_decay, params[w], out=scratch[w])
+        grads[w] += scratch[w]
+    velocity *= cfg.momentum
+    velocity += grads
+    np.multiply(cfg.learning_rate, velocity, out=scratch)
+    params -= scratch
+    return model

@@ -1,9 +1,11 @@
 """Independent reference implementations for cross-checking the fast paths.
 
-Everything here favors obviousness over speed: explicit Python loops,
-exhaustive scans, finite differences.  The aggregation checks are also
-reachable from the command line (`bfl oracle <rule>`) so the equivalence
-evidence can be regenerated outside the test suite.
+Everything here favors obviousness over speed: explicit Python loops and
+exhaustive scans.  The aggregation checks are also reachable from the
+command line (`bfl oracle <rule>`) so the equivalence evidence can be
+regenerated outside the test suite.  The network core's oracles (schoolbook
+matmul, finite-difference gradients, the momentum closed form) are used by
+the tests alone and live with them.
 """
 
 from __future__ import annotations
@@ -14,53 +16,6 @@ from typing import List, Sequence, Set, Tuple
 import numpy as np
 
 from . import nn
-
-
-def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Schoolbook matrix product, one scalar multiply at a time."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for p in range(k):
-                acc += a[i, p] * b[p, j]
-            out[i, j] = acc
-    return out
-
-
-def central_difference_grads(
-    model: nn.MlpModel, batch: np.ndarray, labels: np.ndarray, h: float = 1e-4
-) -> np.ndarray:
-    """Numerical gradient of the mean cross-entropy w.r.t. every parameter."""
-    theta = nn.flatten_params(model)
-    grad = np.zeros_like(theta)
-    for i in range(theta.size):
-        bumped = theta.copy()
-        bumped[i] += h
-        up, _ = nn.softmax_cross_entropy(
-            nn.forward(nn.unflatten_params(model, bumped), batch), labels
-        )
-        bumped[i] -= 2.0 * h
-        down, _ = nn.softmax_cross_entropy(
-            nn.forward(nn.unflatten_params(model, bumped), batch), labels
-        )
-        grad[i] = (up - down) / (2.0 * h)
-    return grad
-
-
-def constant_gradient_momentum_value(
-    w0: float, g: float, lr: float, mu: float, steps: int
-) -> float:
-    """Closed form for repeated momentum steps with a constant gradient.
-
-    With v_0 = 0 and no decay, v_k = g (1 - mu^k) / (1 - mu), so
-    w_K = w0 - lr * g * sum_{k=1..K} (1 - mu^k) / (1 - mu).
-    """
-    total = sum((1.0 - mu**k) / (1.0 - mu) for k in range(1, steps + 1))
-    return w0 - lr * g * total
 
 
 def brute_force_multi_krum(
@@ -226,7 +181,7 @@ def surrogate_loss_per_gamma(
         mixed = (
             (n_sampled - n_malicious) * estimate + n_malicious * (-gamma * estimate)
         ) / n_sampled
-        model = nn.unflatten_params(template, global_vector + mixed)
+        model = template.with_params(global_vector + mixed)
         logits = nn.forward(model, features)
         total = 0.0
         for row, label in zip(logits, labels):

@@ -2,10 +2,10 @@
 
 Per round the server broadcasts the current weights, every sampled client
 runs local SGD and returns a delta, compromised clients swap in their
-poisoned payloads, the optional defense scores the rebuilt candidate models
-on generated data and filters them, and the surviving updates are aggregated
-into the next global model.  A rejected-everything round carries the previous
-weights forward.
+poisoned payloads, the optional defense scores each candidate vector (read
+as a model, without a copy) on generated data and filters them, and the
+surviving updates are aggregated into the next global model.  A
+rejected-everything round carries the previous weights forward.
 
 Reports are pure functions of (config, master seed): every random draw comes
 from a purpose-keyed stream, so reruns match byte for byte.  Measured round
@@ -80,24 +80,30 @@ def local_training(
     """Run epochs of mini-batch SGD from the broadcast weights.
 
     The client's samples are reshuffled every epoch and walked in batches of
-    min(batch, len(client)).  Returns (delta, sample_count) where delta is
-    the flattened local weights minus the broadcast vector.
+    min(batch, len(client)).  Training updates one copy of the broadcast
+    vector in place.  Returns (delta, sample_count) where delta is the local
+    weights minus the broadcast vector.
     """
     count = len(client)
     if count < 1:
         raise ValueError("client has no data")
-    model = nn.unflatten_params(template, global_vector)
+    model = template.with_params(global_vector.copy())
     state = nn.init_momentum(model)
     feats = client.features
     labels = client.labels
     bsz = min(batch, count)
+    trace = None
     for _ in range(epochs):
         perm = train_rng.permutation(count)
         for start in range(0, count, bsz):
             sel = perm[start : start + bsz]
-            _, grads = nn.backward(model, feats[sel], labels[sel])
-            model = nn.sgd_step(model, grads, sgd_cfg, state)
-    return nn.flatten_params(model) - global_vector, count
+            out, trace = nn.forward_cached(model, feats[sel], trace)
+            _, dout = nn.softmax_cross_entropy(out, labels[sel])
+            grads, _ = nn.backprop_through(model, trace, dout, input_grad=False)
+            nn.sgd_step(model, grads, sgd_cfg, state)
+    delta = model.params
+    delta -= global_vector
+    return delta, count
 
 
 def compute_tpr_tnr(
@@ -124,7 +130,8 @@ def compute_tpr_tnr(
 def evaluate_global(
     params: np.ndarray, template: nn.MlpModel, dataset: Dataset
 ) -> float:
-    """Top-1 accuracy of the rebuilt model (argmax ties to the lowest class)."""
+    """Top-1 accuracy of `params` in the template's layout (argmax ties to
+    the lowest class)."""
     return defense.eval_update(params, template, dataset, "accuracy")
 
 
@@ -239,7 +246,7 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
         "relu",
         rng.substream(cfg.seed, rng.MODEL_INIT),
     )
-    global_vector = nn.flatten_params(template)
+    global_vector = template.params
     malicious: Set[int] = set()
     if cfg.attack.epsilon > 0.0:
         malicious = attacks.assign_roles(
@@ -276,7 +283,7 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
         candidates = {cid: global_vector + payloads[cid] for cid in sampled}
         gan_iters = 0
         if cfg.defense is not None:
-            classifier = nn.unflatten_params(template, global_vector)
+            classifier = template.with_params(global_vector)
             gen, gan_iters = defense.train_generator(
                 classifier, cfg.defense, cfg.seed, t, lo, hi
             )

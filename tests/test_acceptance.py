@@ -31,6 +31,8 @@ from bfl.data import Dataset
 from bfl.defense import ScoreEntry, filter_updates, kmeans_1d_two
 from bfl.orchestrator import compute_tpr_tnr, emit_report, run_experiment
 
+import nn_oracles
+
 SEED = 42
 GAMMA_GRID = attacks.AttackConfig().gamma_grid
 
@@ -210,8 +212,8 @@ def test_criterion_5_weiszfeld_matches_grid_search():
 
 def _relu_margin(model, batch):
     margin = np.inf
-    _, caches = nn.forward_cached(model, batch)
-    for layer, (_, z, _) in zip(model.layers, caches):
+    _, trace = nn.forward_cached(model, batch)
+    for layer, z in zip(model.layers, trace.z):
         if layer.activation == "relu":
             margin = min(margin, float(np.abs(z).min()))
     return margin
@@ -237,9 +239,8 @@ def test_criterion_6_gradient_check():
         if _relu_margin(model, batch) < 1e-3:
             continue
         checked += 1
-        _, grads = nn.backward(model, batch, labels)
-        flat = np.concatenate([np.concatenate([g.ravel(), b]) for g, b in grads])
-        fd = oracles.central_difference_grads(model, batch, labels)
+        _, flat = nn.backward(model, batch, labels)
+        fd = nn_oracles.central_difference_grads(model, batch, labels)
         worst = max(worst, np.abs(flat - fd).max() / max(np.abs(fd).max(), 1e-12))
     verdict(6, worst < 1e-4, f"worst relative gradient error {worst:.2e} over 20 nets (<1e-4)")
 
@@ -286,7 +287,7 @@ def test_criterion_8_ipm_line_search_attains_grid_max():
     for _ in range(20):
         dims = [int(gen.integers(2, 5)), int(gen.integers(3, 7)), int(gen.integers(2, 4))]
         model = nn.init_mlp(dims, "relu", gen)
-        vec = nn.flatten_params(model)
+        vec = model.params
         estimate = gen.standard_normal(vec.size) * 0.1
         feats = gen.standard_normal((12, dims[0]))
         labels = gen.integers(0, dims[-1], size=12)

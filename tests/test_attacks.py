@@ -84,7 +84,7 @@ def test_simulated_aggregate_matches_hand_formula():
 def _line_search_case(rng, dim=6, classes=3):
     """Random global model, benign direction, and proxy set for one case."""
     template = nn.init_mlp([dim, 5, classes], "relu", rng)
-    vector = nn.flatten_params(template)
+    vector = template.params
     estimate = rng.standard_normal(vector.size) * rng.uniform(0.05, 0.6)
     feats = rng.standard_normal((12, dim)) * 2.0
     labels = rng.integers(0, classes, size=12)

@@ -20,6 +20,7 @@ from bfl.config import (
 )
 from bfl.defense import DefenseConfig
 from bfl.nn import SgdConfig
+from bfl.orchestrator import run_experiment
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -119,6 +120,38 @@ def test_ints_widen_to_floats_in_the_echo():
 def test_sampled_must_fit_in_clients():
     with pytest.raises(ConfigError, match="sampled_per_round"):
         config_from_dict({"clients": 4, "sampled_per_round": 5})
+
+
+@pytest.mark.parametrize("kind", ["multi_krum", "nnm_krum"])
+def test_krum_rules_reject_too_few_sampled_at_load(kind):
+    # beta 0.1 on 3 updates: M = 1 leaves 3 - 1 - 2 = 0 peers to score against
+    with pytest.raises(ConfigError, match=r"^sampled_per_round: .*at least 4"):
+        config_from_dict({"aggregator": {"kind": kind}, "sampled_per_round": 3})
+    cfg = config_from_dict(
+        {"aggregator": {"kind": kind}, "clients": 4, "sampled_per_round": 4, "rounds": 1}
+    )
+    assert len(run_experiment(cfg).rounds) == 1
+
+
+@pytest.mark.parametrize("kind", ["fedavg", "coord_median", "trimmed_mean", "geometric_median"])
+def test_other_rules_take_a_single_update(kind):
+    cfg = config_from_dict(
+        {"aggregator": {"kind": kind, "beta": 0.49}, "sampled_per_round": 1}
+    )
+    assert cfg.aggregator.kind == kind
+
+
+def test_clients_must_not_outnumber_training_samples():
+    # 3 classes x 300 rows, a third of each class held out: 600 to train on
+    with pytest.raises(ConfigError, match=r"^clients: .*600 training samples"):
+        config_from_dict({"clients": 601, "sampled_per_round": 10, "rounds": 1})
+    cfg = config_from_dict({"clients": 600, "rounds": 1, "local_epochs": 1})
+    assert len(run_experiment(cfg).rounds) == 1
+    # the split rounds per class: round(0.5 * 5) = 2 test rows, 3 train rows each
+    small = {"num_classes": 2, "per_class": 5, "test_fraction": 0.5}
+    assert config_from_dict({"clients": 6, "sampled_per_round": 1, "dataset": small})
+    with pytest.raises(ConfigError, match="clients"):
+        config_from_dict({"clients": 7, "sampled_per_round": 1, "dataset": small})
 
 
 def test_hidden_dims_rejects_bool_and_zero():

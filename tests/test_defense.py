@@ -22,7 +22,7 @@ def sector_classifier():
     """
     angles = np.deg2rad([90.0, 210.0, 330.0])
     w = 10.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return nn.MlpModel([nn.DenseLayer(w, np.zeros(3), "identity")])
+    return nn.MlpModel((2, 3), ("identity",), np.concatenate([w.ravel(), np.zeros(3)]))
 
 
 def test_defense_config_validation():
@@ -93,11 +93,11 @@ def test_train_generator_deterministic():
     g2, i2 = defense.train_generator(cls, cfg, 9, 2, lo, hi)
     assert i1 == i2
     np.testing.assert_array_equal(
-        nn.flatten_params(g1.backbone), nn.flatten_params(g2.backbone)
+        g1.backbone.params, g2.backbone.params
     )
     g3, _ = defense.train_generator(cls, cfg, 9, 3, lo, hi)
     assert not np.array_equal(
-        nn.flatten_params(g1.backbone), nn.flatten_params(g3.backbone)
+        g1.backbone.params, g3.backbone.params
     )
 
 
@@ -121,7 +121,7 @@ def test_eval_update_accuracy_and_loss_orientation():
     # perfect accuracy and a negated copy must score strictly worse CE.
     rng = np.random.default_rng(7)
     cls = sector_classifier()
-    params = nn.flatten_params(cls)
+    params = cls.params
     feats = rng.standard_normal((64, 2)) * 2.0
     from bfl.data import Dataset
 
@@ -139,7 +139,7 @@ def test_eval_update_accuracy_and_loss_orientation():
 def test_score_updates_sorted_by_id_and_loss_negated():
     rng = np.random.default_rng(8)
     cls = make_classifier(rng)
-    params = nn.flatten_params(cls)
+    params = cls.params
     probe = defense.synthesize(
         defense.new_generator(cls, DefenseConfig(), rng, np.array([-4.0, -4.0]), np.array([4.0, 4.0])),
         8, master_seed=3, round_index=1,

@@ -71,8 +71,8 @@ def _trained_classifier():
     template = nn.init_mlp(
         [train.dim, 16, 16, train.num_classes], "relu", rng.substream(SEED, rng.MODEL_INIT)
     )
-    vector = nn.flatten_params(template)
-    # 400 rows in batches of 64: the last batch of every epoch is ragged.
+    vector = template.params
+    # 600 rows in batches of 64: the last batch of every epoch has 24 rows.
     delta, count = orchestrator.local_training(
         train, template, vector, nn.SgdConfig(), 3, 64,
         rng.substream(SEED, rng.CLIENT_TRAIN, 1, 0),
@@ -88,10 +88,10 @@ def test_local_training_delta_bits():
 
 def test_train_generator_bits():
     template, vector, delta, lo, hi = _trained_classifier()
-    classifier = nn.unflatten_params(template, vector + delta)
+    classifier = template.with_params(vector + delta)
     gen, iters = defense.train_generator(classifier, DefenseConfig(), SEED, 4, lo, hi)
     assert iters == GEN_ITERS
-    assert digest(nn.flatten_params(gen.backbone)) == GEN_PARAMS
+    assert digest(gen.backbone.params) == GEN_PARAMS
 
 
 def test_defended_report_bits(tmp_path):

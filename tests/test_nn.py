@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from bfl import nn, oracles
+from bfl import nn
+
+import nn_oracles
 
 
 def tiny_model(rng, dims=(4, 6, 3)):
@@ -31,9 +33,9 @@ def test_forward_matches_manual_matmul():
     rng = np.random.default_rng(3)
     model = tiny_model(rng)
     x = rng.standard_normal((5, 4))
-    h = oracles.matmul_triple_loop(x, model.layers[0].weight.T) + model.layers[0].bias
+    h = nn_oracles.matmul_triple_loop(x, model.layers[0].weight.T) + model.layers[0].bias
     h = np.maximum(h, 0.0)
-    logits = oracles.matmul_triple_loop(h, model.layers[1].weight.T) + model.layers[1].bias
+    logits = nn_oracles.matmul_triple_loop(h, model.layers[1].weight.T) + model.layers[1].bias
     np.testing.assert_allclose(nn.forward(model, x), logits, rtol=1e-12)
 
 
@@ -41,9 +43,9 @@ def test_forward_cached_agrees_with_forward():
     rng = np.random.default_rng(11)
     model = nn.init_mlp([3, 7, 7, 2], "relu", rng)
     x = rng.standard_normal((6, 3))
-    out, caches = nn.forward_cached(model, x)
+    out, trace = nn.forward_cached(model, x)
     np.testing.assert_array_equal(out, nn.forward(model, x))
-    assert len(caches) == 3
+    assert len(trace.z) == 3
 
 
 def test_softmax_cross_entropy_matches_logsumexp():
@@ -74,8 +76,8 @@ def _pre_activation_margin(model, batch):
     gradient-check cases rather than backprop failures.
     """
     margin = np.inf
-    _, caches = nn.forward_cached(model, batch)
-    for layer, (_, z, _) in zip(model.layers, caches):
+    _, trace = nn.forward_cached(model, batch)
+    for layer, z in zip(model.layers, trace.z):
         if layer.activation == "relu":
             margin = min(margin, float(np.abs(z).min()))
     return margin
@@ -105,10 +107,9 @@ def test_gradient_check_20_random_networks():
             continue
         checked += 1
 
-        _, grads = nn.backward(model, batch, labels)
-        flat = np.concatenate([np.concatenate([g.ravel(), b]) for g, b in grads])
+        _, flat = nn.backward(model, batch, labels)
 
-        fd = oracles.central_difference_grads(model, batch, labels)
+        fd = nn_oracles.central_difference_grads(model, batch, labels)
         err = np.abs(flat - fd).max() / max(np.abs(fd).max(), 1e-12)
         worst = max(worst, err)
     assert worst < 1e-4, f"worst relative gradient error {worst:.3e}"
@@ -143,82 +144,88 @@ def test_sgd_step_constant_gradient_recurrence():
 
     v1 = g, w1 = w0 - lr g; v2 = 1.9 g, w2 = w0 - lr g (1 + 1.9).
     """
-    model = nn.MlpModel([nn.DenseLayer(np.array([[2.0]]), np.array([0.0]), "identity")])
+    model = nn.MlpModel((1, 1), ("identity",), np.array([2.0, 0.0]))  # w, b
     cfg = nn.SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.0)
     state = nn.init_momentum(model)
-    g = [(np.array([[1.0]]), np.array([0.0]))]
+    g = np.array([1.0, 0.0])
     model = nn.sgd_step(model, g, cfg, state)
     assert model.layers[0].weight[0, 0] == pytest.approx(2.0 - 0.1)
     model = nn.sgd_step(model, g, cfg, state)
     assert model.layers[0].weight[0, 0] == pytest.approx(2.0 - 0.1 * (1.0 + 1.9))
-    closed = oracles.constant_gradient_momentum_value(2.0, 1.0, 0.1, 0.9, 2)
+    closed = nn_oracles.constant_gradient_momentum_value(2.0, 1.0, 0.1, 0.9, 2)
     assert model.layers[0].weight[0, 0] == pytest.approx(closed)
 
 
 def test_sgd_step_ten_steps_match_closed_form():
-    model = nn.MlpModel([nn.DenseLayer(np.array([[0.5]]), np.array([0.0]), "identity")])
+    model = nn.MlpModel((1, 1), ("identity",), np.array([0.5, 0.0]))
     cfg = nn.SgdConfig(learning_rate=0.01, momentum=0.9, weight_decay=0.0)
     state = nn.init_momentum(model)
-    g = [(np.array([[2.0]]), np.array([0.0]))]
+    g = np.array([2.0, 0.0])
     for _ in range(10):
         model = nn.sgd_step(model, g, cfg, state)
-    expect = oracles.constant_gradient_momentum_value(0.5, 2.0, 0.01, 0.9, 10)
+    expect = nn_oracles.constant_gradient_momentum_value(0.5, 2.0, 0.01, 0.9, 10)
     assert model.layers[0].weight[0, 0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_weight_decay_hits_weights_not_biases():
-    model = nn.MlpModel([nn.DenseLayer(np.array([[1.0]]), np.array([1.0]), "identity")])
+    model = nn.MlpModel((1, 1), ("identity",), np.array([1.0, 1.0]))
     cfg = nn.SgdConfig(learning_rate=1.0, momentum=0.0, weight_decay=0.5)
     state = nn.init_momentum(model)
-    zero = [(np.array([[0.0]]), np.array([0.0]))]
+    zero = np.array([0.0, 0.0])
     model = nn.sgd_step(model, zero, cfg, state)
     # weight gradient 0 + 0.5*1.0 decay, bias untouched
     assert model.layers[0].weight[0, 0] == pytest.approx(0.5)
     assert model.layers[0].bias[0] == pytest.approx(1.0)
 
 
-def test_flatten_unflatten_roundtrip():
+def test_flat_layout_views_roundtrip():
     rng = np.random.default_rng(9)
     model = nn.init_mlp([4, 6, 3], "relu", rng)
-    vec = nn.flatten_params(model)
-    assert vec.size == nn.num_params(model) == 4 * 6 + 6 + 6 * 3 + 3
-    rebuilt = nn.unflatten_params(model, vec)
+    vec = model.params
+    assert vec.size == 4 * 6 + 6 + 6 * 3 + 3
+    rebuilt = model.with_params(vec)
     for a, b in zip(model.layers, rebuilt.layers):
         np.testing.assert_array_equal(a.weight, b.weight)
         np.testing.assert_array_equal(a.bias, b.bias)
     # layout: layer 0 weights row-major, layer 0 bias, then layer 1
     np.testing.assert_array_equal(vec[:24], model.layers[0].weight.ravel())
     np.testing.assert_array_equal(vec[24:30], model.layers[0].bias)
+    # the layers are views: writing one writes the vector
+    model.layers[1].bias[0] = 5.0
+    assert vec[-3] == 5.0
 
 
-def test_unflatten_rejects_wrong_length():
+def test_with_params_rejects_wrong_length():
     rng = np.random.default_rng(1)
     model = tiny_model(rng)
     with pytest.raises(ValueError):
-        nn.unflatten_params(model, np.zeros(nn.num_params(model) + 1))
+        model.with_params(np.zeros(model.params.size + 1))
 
 
-def test_unflatten_does_not_alias_template():
+def test_with_params_does_not_alias_template():
     rng = np.random.default_rng(13)
     model = tiny_model(rng)
-    vec = nn.flatten_params(model)
-    other = nn.unflatten_params(model, vec * 2.0)
+    vec = model.params
+    doubled = vec * 2.0
+    other = model.with_params(doubled)
     assert other.layers[0].weight[0, 0] == pytest.approx(2.0 * model.layers[0].weight[0, 0])
     other.layers[0].weight[0, 0] = 123.0
     assert model.layers[0].weight[0, 0] != 123.0
+    # it wraps the vector it was given, without a copy
+    assert doubled[0] == 123.0
 
 
-def test_sgd_step_returns_new_model_and_mutates_state():
+def test_sgd_step_updates_params_and_state_in_place():
     rng = np.random.default_rng(17)
     model = tiny_model(rng)
     cfg = nn.SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.0)
     state = nn.init_momentum(model)
-    grads = [(np.ones_like(l.weight), np.ones_like(l.bias)) for l in model.layers]
-    before = nn.flatten_params(model).copy()
+    grads = np.ones_like(model.params)
+    before = model.params.copy()
     stepped = nn.sgd_step(model, grads, cfg, state)
-    np.testing.assert_array_equal(nn.flatten_params(model), before)
-    assert not np.array_equal(nn.flatten_params(stepped), before)
-    assert any(np.any(v != 0) for v, _ in state)
+    assert stepped is model
+    assert not np.array_equal(model.params, before)
+    assert np.any(state.velocity != 0)
 
 
 def test_sgd_config_validation():

@@ -77,7 +77,7 @@ def shard_fixture():
 def test_local_training_shapes_and_count():
     shard = shard_fixture()
     model = nn.init_mlp([2, 8, 3], "relu", rng.substream(0, rng.MODEL_INIT))
-    vec = nn.flatten_params(model)
+    vec = model.params
     delta, count = orchestrator.local_training(
         shard, model, vec, nn.SgdConfig(), epochs=1, batch=16,
         train_rng=rng.substream(0, rng.CLIENT_TRAIN, 1, 0),
@@ -91,7 +91,7 @@ def test_local_training_shapes_and_count():
 def test_local_training_deterministic():
     shard = shard_fixture()
     model = nn.init_mlp([2, 8, 3], "relu", rng.substream(0, rng.MODEL_INIT))
-    vec = nn.flatten_params(model)
+    vec = model.params
     out = []
     for _ in range(2):
         delta, _ = orchestrator.local_training(
@@ -105,13 +105,13 @@ def test_local_training_deterministic():
 def test_local_training_reduces_loss():
     shard = shard_fixture()
     model = nn.init_mlp([2, 8, 3], "relu", rng.substream(1, rng.MODEL_INIT))
-    vec = nn.flatten_params(model)
+    vec = model.params
     delta, _ = orchestrator.local_training(
         shard, model, vec, nn.SgdConfig(learning_rate=0.05), epochs=10, batch=60,
         train_rng=rng.substream(1, rng.CLIENT_TRAIN, 1, 0),
     )
     before, _ = nn.softmax_cross_entropy(nn.forward(model, shard.features), shard.labels)
-    trained = nn.unflatten_params(model, vec + delta)
+    trained = model.with_params(vec + delta)
     after, _ = nn.softmax_cross_entropy(nn.forward(trained, shard.features), shard.labels)
     assert after < before
 
@@ -119,7 +119,7 @@ def test_local_training_reduces_loss():
 def test_local_training_batch_clamps_to_shard():
     shard = shard_fixture()
     model = nn.init_mlp([2, 8, 3], "relu", rng.substream(0, rng.MODEL_INIT))
-    vec = nn.flatten_params(model)
+    vec = model.params
     big, _ = orchestrator.local_training(
         shard, model, vec, nn.SgdConfig(), 1, 10_000,
         rng.substream(0, rng.CLIENT_TRAIN, 1, 0),
@@ -359,7 +359,7 @@ def test_json_report_recomputes_detection_rates(tmp_path):
 def test_evaluate_global_matches_direct_accuracy():
     shard = shard_fixture()
     model = nn.init_mlp([2, 8, 3], "relu", rng.substream(2, rng.MODEL_INIT))
-    vec = nn.flatten_params(model)
+    vec = model.params
     acc = orchestrator.evaluate_global(vec, model, shard)
     logits = nn.forward(model, shard.features)
     expect = float(np.mean(np.argmax(logits, axis=1) == shard.labels))

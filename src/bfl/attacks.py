@@ -128,12 +128,13 @@ def ipm_line_search(
     w_global + ((n - m) * est + m * (-gamma * est)) / n, and scores its mean
     cross-entropy on the proxy dataset (the union of the compromised clients'
     own data).  Returns the argmax gamma, ties going to the larger value,
-    along with the per-grid-point losses.
+    along with the per-grid-point losses.  Every sampled client may be
+    compromised (m = n): the simulated aggregate is then the payload itself.
     """
     if not gamma_grid:
         raise ValueError("gamma_grid must not be empty")
-    if not 0 < n_malicious < n_sampled:
-        raise ValueError("need 0 < compromised < sampled clients")
+    if not 0 < n_malicious <= n_sampled:
+        raise ValueError("need 0 < compromised <= sampled clients")
     losses = []
     for gamma in gamma_grid:
         agg = simulated_aggregate_delta(benign_estimate, gamma, n_sampled, n_malicious)

@@ -1,12 +1,18 @@
 """Command line entry points.
 
     bfl run --config exp.json [--out-dir out] [--seed 7]
-    bfl sweep --config exp.json --grid grid.json [--out-dir out]
+    bfl sweep --config exp.json --grid grid.json [--out-dir out] [--jobs N]
     bfl oracle <rule|all> [--cases N] [--seed S]
 
 `run` executes one experiment and writes <config-stem>.csv/.json into the
 output directory (--out-dir, else $BFL_OUT_DIR, else the working directory).
 `sweep` repeats the base config over a cartesian grid of attack settings.
+It expands and validates every cell before any runs, then maps
+`run_experiment` over the cells: in this process with one job, otherwise in
+a pool of forked workers (--jobs, default the usable CPUs) that is joined
+before the command returns.  Cells are pure functions of (config, seed) and
+this process writes the reports in grid order, so the output is the same
+for every job count.
 `oracle` replays the brute-force equivalence suites for the robust
 aggregation rules.  Exit codes: 0 on success, 1 on an oracle mismatch, 2 on
 a config problem.
@@ -15,12 +21,13 @@ a config problem.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import logging
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,8 +42,8 @@ from .aggregators import (
     nnm_mix,
     trimmed_mean,
 )
-from .config import ConfigError, config_from_dict, config_to_dict, load_config
-from .orchestrator import emit_report, run_experiment
+from .config import ConfigError, ExperimentConfig, config_from_dict, config_to_dict, load_config
+from .orchestrator import RunReport, emit_report, run_experiment
 
 ORACLE_RULES = ("multi_krum", "nnm_krum", "coord_median", "trimmed_mean", "geometric_median")
 
@@ -73,37 +80,106 @@ def _load_grid(path: str) -> dict:
     return grid
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    base = load_config(args.config)
-    grid = _load_grid(args.grid)
-    epsilons = grid.get("epsilon", [base.attack.epsilon])
-    kinds = grid.get("attack", [base.attack.kind])
-    rules = grid.get("rule", [None])
-    out_dir = _out_dir(args.out_dir)
+def _grid_cells(base: ExperimentConfig, grid: dict) -> List[Tuple[str, ExperimentConfig]]:
+    """Every (name, config) cell of the grid in grid order, each validated.
+
+    Names are unique, so no cell's report overwrites another's.
+    """
+    axes = []
+    for axis, default in (
+        ("attack", [base.attack.kind]),
+        ("epsilon", [base.attack.epsilon]),
+        ("rule", [None]),
+    ):
+        values = grid.get(axis, default)
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"grid.{axis}: expected a non-empty list")
+        axes.append(values)
+    kinds, epsilons, rules = axes
     base_dict = config_to_dict(base)
-    count = 0
+    cells: List[Tuple[str, ExperimentConfig]] = []
+    names = set()
     for kind in kinds:
         for eps in epsilons:
             for rule in rules:
                 cell = copy.deepcopy(base_dict)
                 cell["attack"]["kind"] = kind
                 cell["attack"]["epsilon"] = eps
-                name = f"{kind}_eps{eps:g}"
+                suffix = ""
                 if rule is not None:
                     if not isinstance(rule, dict) or "name" not in rule:
                         raise ConfigError("grid.rule: each entry needs a 'name'")
+                    for key in rule:
+                        if key not in ("name", "aggregator", "defense"):
+                            raise ConfigError(f"grid.rule.{key}: unknown field")
                     if "aggregator" in rule:
                         cell["aggregator"] = rule["aggregator"]
                     if "defense" in rule:
                         cell["defense"] = rule["defense"]
-                    name += f"_{rule['name']}"
+                    suffix = f"_{rule['name']}"
                 cfg = config_from_dict(cell)
-                report = run_experiment(cfg)
-                csv_path, _ = emit_report(report, out_dir, name)
-                print(f"{name}: final_acc={report.final_acc:.4f} -> {csv_path}")
-                count += 1
-    print(f"swept {count} cells into {out_dir}")
+                name = f"{cfg.attack.kind}_eps{cfg.attack.epsilon:g}{suffix}"
+                if name in names:
+                    raise ConfigError(f"grid: duplicate cell name {name!r}")
+                names.add(name)
+                cells.append((name, cfg))
+    return cells
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_cell(cfg: ExperimentConfig) -> RunReport:
+    # Pickled by reference, so a forked worker calls the `run_experiment`
+    # bound in its copy of this module, wrappers included.
+    return run_experiment(cfg)
+
+
+@contextlib.contextmanager
+def _cell_mapper(jobs: int) -> Iterator[Callable]:
+    """An order-preserving map over cells: the builtin map for one job,
+    else the map of a pool of `jobs` forked workers.
+
+    The pool's pending cells are cancelled and its workers joined on exit,
+    so their CPU time is reaped before the caller goes on.  `fork` is
+    explicit: spawned workers re-import numpy, and forkserver workers are
+    not children of this process.  bfl starts no threads of its own, so
+    the fork copies none mid-operation.
+    """
+    if jobs == 1:
+        yield map
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    cells = _grid_cells(load_config(args.config), _load_grid(args.grid))
+    out_dir = _out_dir(args.out_dir)
+    jobs = min(args.jobs or _usable_cpus(), len(cells))
+    with _cell_mapper(jobs) as cell_map:
+        reports = cell_map(_run_cell, [cfg for _, cfg in cells])
+        for (name, _), report in zip(cells, reports):
+            csv_path, _ = emit_report(report, out_dir, name)
+            print(f"{name}: final_acc={report.final_acc:.4f} -> {csv_path}")
+    print(f"swept {len(cells)} cells into {out_dir}")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _random_updates(
@@ -191,6 +267,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--grid", required=True)
     p_sweep.add_argument("--out-dir", default=None)
+    p_sweep.add_argument(
+        "--jobs", type=_positive_int, default=None,
+        help="worker processes (default: the usable CPUs, at most one per cell)",
+    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="replay brute-force aggregation checks")

@@ -153,6 +153,14 @@ def test_ipm_line_search_validates_counts():
     with pytest.raises(ValueError):
         attacks.ipm_line_search(vector, template, estimate, proxy, (1.0,), 5, 0)
     with pytest.raises(ValueError):
-        attacks.ipm_line_search(vector, template, estimate, proxy, (1.0,), 5, 5)
+        attacks.ipm_line_search(vector, template, estimate, proxy, (1.0,), 5, 6)
     with pytest.raises(ValueError):
         attacks.ipm_line_search(vector, template, estimate, proxy, (), 5, 2)
+    # Every sampled client compromised: the aggregate is the payload itself.
+    grid = attacks.DEFAULT_IPM_GRID
+    gamma_star, losses = attacks.ipm_line_search(vector, template, estimate, proxy, grid, 5, 5)
+    oracle = oracles.surrogate_loss_per_gamma(
+        vector, template, estimate, proxy.features, proxy.labels, grid, 5, 5
+    )
+    np.testing.assert_allclose(losses, oracle, rtol=1e-10)
+    assert oracle[grid.index(gamma_star)] == pytest.approx(max(oracle), rel=1e-12)

@@ -1,8 +1,12 @@
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
+from bfl import cli
 from bfl.cli import main
 
 TINY = {
@@ -139,6 +143,102 @@ def test_sweep_rule_needs_name(tmp_path, capsys):
     grid.write_text(json.dumps({"rule": [{"aggregator": {"kind": "coord_median"}}]}))
     assert main(["sweep", "--config", cfg, "--grid", str(grid)]) == 2
     assert "needs a 'name'" in capsys.readouterr().err
+
+
+POOL_GRID = {
+    "attack": ["sign_flip"],
+    "epsilon": [0.4],
+    "rule": [
+        {"name": "fedavg"},
+        {"name": "gan", "defense": {"q": 9, "gen_max_iter": 30, "metric": "loss"}},
+        {"name": "median", "aggregator": {"kind": "coord_median"}},
+    ],
+}
+POOL_CELLS = ["sign_flip_eps0.4_fedavg", "sign_flip_eps0.4_gan", "sign_flip_eps0.4_median"]
+
+
+def run_sweep(tmp_path, grid, out, *extra):
+    cfg = write_config(tmp_path)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    return main(["sweep", "--config", cfg, "--grid", str(path), "--out-dir", str(out), *extra])
+
+
+def read_dir(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+def test_sweep_output_is_identical_for_every_job_count(tmp_path, capsys):
+    outputs, printed = [], []
+    for label, extra in (("one", ["--jobs", "1"]), ("two", ["--jobs", "2"]), ("default", [])):
+        out = tmp_path / label
+        assert run_sweep(tmp_path, POOL_GRID, out, *extra) == 0
+        assert multiprocessing.active_children() == []
+        outputs.append(read_dir(out))
+        printed.append(capsys.readouterr().out.replace(str(out), "OUT").splitlines())
+    assert sorted(outputs[0]) == sorted(f"{c}.{s}" for c in POOL_CELLS for s in ("csv", "json"))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert printed[0] == printed[1] == printed[2]
+    assert [line.split(":")[0] for line in printed[0][:-1]] == POOL_CELLS
+    assert printed[0][-1] == "swept 3 cells into OUT"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_stops_at_the_first_failing_cell(tmp_path, monkeypatch, capsys, jobs):
+    real = cli.run_experiment
+
+    def fail_on_defense(cfg):  # forked workers inherit this patch
+        if cfg.defense is not None:
+            raise RuntimeError("cell failed")
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "run_experiment", fail_on_defense)
+    out = tmp_path / "sweep"
+    with pytest.raises(RuntimeError, match="cell failed"):
+        run_sweep(tmp_path, POOL_GRID, out, "--jobs", jobs)
+    assert multiprocessing.active_children() == []
+    assert sorted(os.listdir(out)) == [f"{POOL_CELLS[0]}.csv", f"{POOL_CELLS[0]}.json"]
+    assert capsys.readouterr().out.splitlines()[0].startswith(POOL_CELLS[0])
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"epsilon": 0.3}, "grid.epsilon: expected a non-empty list"),
+        ({"attack": "ipm"}, "grid.attack: expected a non-empty list"),
+        ({"rule": []}, "grid.rule: expected a non-empty list"),
+        ({"epsilon": [0.1, 0.10]}, "duplicate cell name 'none_eps0.1'"),
+        ({"rule": [{"name": "a"}, {"name": "a", "aggregator": {"kind": "coord_median"}}]},
+         "duplicate cell name 'none_eps0_a'"),
+        ({"rule": [{"name": "a"}, {"name": "b", "aggregator": {"kind": "nope"}}]},
+         "unknown aggregator 'nope'"),
+        ({"attack": ["sign_flip", "nope"]}, "unknown attack kind 'nope'"),
+        ({"rule": [{"name": "median", "agregator": {"kind": "coord_median"}}]},
+         "grid.rule.agregator: unknown field"),
+    ],
+)
+def test_sweep_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, grid, message):
+    out = tmp_path / "sweep"
+    assert run_sweep(tmp_path, grid, out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_jobs_must_be_positive(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_sweep(tmp_path, POOL_GRID, tmp_path / "sweep", "--jobs", "0")
+    assert exc.value.code == 2
+
+
+def test_import_loads_no_pool_machinery():
+    code = (
+        "import sys, bfl, bfl.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_oracle_single_rule_passes(capsys):

@@ -251,6 +251,17 @@ def test_run_attack_without_defense_keeps_everything():
     assert saw_malicious
 
 
+def test_ipm_cell_with_every_sampled_client_compromised_completes():
+    # 9 of 10 clients are compromised; at seed 0 round 1 samples only them.
+    cfg = small_config(
+        seed=0, rounds=5, clients=10, sampled_per_round=5,
+        attack={"kind": "ipm", "epsilon": 0.9},
+    )
+    report = orchestrator.run_experiment(cfg)
+    assert len(report.rounds) == 5
+    assert len(report.rounds[0].malicious_sampled) == 5
+
+
 def test_reject_all_round_carries_weights_forward():
     # accuracy scores live in [0, 1], so a fixed threshold of 1.5 rejects
     # every candidate and the global model must never move

@@ -10,7 +10,7 @@ are included for comparison.
 from .aggregators import AggregatorConfig, ClientUpdate
 from .attacks import AttackConfig
 from .config import ConfigError, ExperimentConfig, load_config
-from .data import Dataset, PartitionConfig
+from .data import Dataset
 from .defense import DefenseConfig
 from .nn import MlpModel, SgdConfig
 from .orchestrator import RoundRecord, RunReport, emit_report, run_experiment
@@ -24,7 +24,6 @@ __all__ = [
     "DefenseConfig",
     "ExperimentConfig",
     "MlpModel",
-    "PartitionConfig",
     "RoundRecord",
     "RunReport",
     "SgdConfig",

@@ -13,9 +13,10 @@ a pool of forked workers (--jobs, default the usable CPUs) that is joined
 before the command returns.  Cells are pure functions of (config, seed) and
 this process writes the reports in grid order, so the output is the same
 for every job count.
-`oracle` replays the brute-force equivalence suites for the robust
-aggregation rules.  Exit codes: 0 on success, 1 on an oracle mismatch, 2 on
-a config problem.
+`oracle` replays `oracles.rule_mismatches`, the equivalence suite that
+acceptance criteria 4 and 5 run, for one robust aggregation rule or all of
+them (--cases N, at least 1; geometric_median runs at most 20).
+Exit codes: 0 on success, 1 on an oracle mismatch, 2 on a config problem.
 """
 
 from __future__ import annotations
@@ -29,23 +30,9 @@ import os
 import sys
 from typing import Callable, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from . import oracles
-from .aggregators import (
-    ClientUpdate,
-    coord_median,
-    geometric_median,
-    geometric_objective,
-    multi_krum,
-    nnm_krum,
-    nnm_mix,
-    trimmed_mean,
-)
 from .config import ConfigError, ExperimentConfig, config_from_dict, config_to_dict, load_config
 from .orchestrator import RunReport, emit_report, run_experiment
-
-ORACLE_RULES = ("multi_krum", "nnm_krum", "coord_median", "trimmed_mean", "geometric_median")
 
 
 def _out_dir(flag: Optional[str]) -> str:
@@ -182,73 +169,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _random_updates(
-    rng: np.random.Generator, n: int, dim: int
-) -> List[ClientUpdate]:
-    return [
-        ClientUpdate(i, rng.standard_normal(dim), int(rng.integers(1, 50)))
-        for i in range(n)
-    ]
-
-
-def _oracle_cases(rule: str, cases: int, seed: int) -> int:
-    """Compare one rule against its brute-force twin; returns mismatches."""
-    rng = np.random.default_rng(seed)
-    bad = 0
-    for case in range(cases):
-        n = int(rng.integers(4, 9))
-        dim = int(rng.integers(1, 6))
-        beta = float(rng.choice([0.1, 0.2, 0.3]))
-        while n - int(np.ceil(beta * n)) - 2 < 1:
-            n = int(rng.integers(4, 9))
-        updates = _random_updates(rng, n, dim)
-        vectors = [u.params for u in updates]
-        ids = [u.client_id for u in updates]
-        ok = True
-        if rule == "multi_krum":
-            got, _ = multi_krum(updates, beta)
-            want, _ = oracles.brute_force_multi_krum(vectors, ids, beta)
-            ok = got == want
-        elif rule == "nnm_krum":
-            mixed = nnm_mix(updates, beta)
-            want_mix = oracles.brute_force_nnm_mix(vectors, ids, beta)
-            ok = all(
-                np.allclose(m.params, w, atol=1e-12) for m, w in zip(mixed, want_mix)
-            )
-            got, _ = nnm_krum(updates, beta)
-            want, _ = oracles.brute_force_multi_krum(
-                [m.params for m in mixed], ids, beta
-            )
-            ok = ok and got == want
-        elif rule == "coord_median":
-            ok = np.allclose(coord_median(updates), oracles.sort_based_median(vectors), atol=1e-12)
-        elif rule == "trimmed_mean":
-            ok = np.allclose(
-                trimmed_mean(updates, beta),
-                oracles.sort_based_trimmed_mean(vectors, beta),
-                atol=1e-12,
-            )
-        elif rule == "geometric_median":
-            pts = [ClientUpdate(i, rng.standard_normal(2), 1) for i in range(n)]
-            mat = np.stack([p.params for p in pts])
-            got_obj = geometric_objective(geometric_median(pts), mat)
-            _, want_obj = oracles.grid_search_geometric_median(mat)
-            ok = abs(got_obj - want_obj) <= 1e-6
-        if not ok:
-            bad += 1
-            print(f"  case {case}: MISMATCH", file=sys.stderr)
-    return bad
-
-
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    rules = ORACLE_RULES if args.rule == "all" else (args.rule,)
+    rules = oracles.ORACLE_RULES if args.rule == "all" else (args.rule,)
     failed = 0
     for rule in rules:
+        # The grid-search oracle is slow, so it runs at most 20 cases.
         cases = min(args.cases, 20) if rule == "geometric_median" else args.cases
-        bad = _oracle_cases(rule, cases, args.seed)
-        status = "ok" if bad == 0 else f"{bad} MISMATCHES"
-        print(f"{rule}: {cases - bad}/{cases} cases match ({status})")
-        failed += bad
+        bad = oracles.rule_mismatches(rule, cases, args.seed)
+        for case in bad:
+            print(f"  case {case}: MISMATCH", file=sys.stderr)
+        status = "ok" if not bad else f"{len(bad)} MISMATCHES"
+        print(f"{rule}: {cases - len(bad)}/{cases} cases match ({status})")
+        failed += len(bad)
     return 0 if failed == 0 else 1
 
 
@@ -274,8 +206,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="replay brute-force aggregation checks")
-    p_oracle.add_argument("rule", choices=ORACLE_RULES + ("all",))
-    p_oracle.add_argument("--cases", type=int, default=100)
+    p_oracle.add_argument("rule", choices=oracles.ORACLE_RULES + ("all",))
+    p_oracle.add_argument("--cases", type=_positive_int, default=100)
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.set_defaults(func=_cmd_oracle)
 

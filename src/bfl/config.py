@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import NoneType
 from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
@@ -64,6 +65,12 @@ class IdxDatasetSpec:
     test_labels: str
 
     kind = "idx"
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            path = getattr(self, f.name)
+            if not os.path.isfile(path):
+                raise ValueError(f"{f.name}: no such file {path!r}")
 
 
 DATASET_KINDS = {"toy": ToyDatasetSpec, "idx": IdxDatasetSpec}

@@ -90,19 +90,6 @@ class ClientDataset:
         return self.parent.num_classes
 
 
-@dataclass
-class PartitionConfig:
-    num_clients: int
-    alpha: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.num_clients < 1:
-            raise ValueError("num_clients must be >= 1")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-
-
 def polygon_centers(num_classes: int, radius: float = 3.0) -> np.ndarray:
     """Class centers at the vertices of a regular polygon in the plane."""
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
@@ -193,7 +180,9 @@ def _largest_remainder(fractions: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def dirichlet_partition(dataset: Dataset, cfg: PartitionConfig) -> List[ClientDataset]:
+def dirichlet_partition(
+    dataset: Dataset, num_clients: int, alpha: float, seed: int
+) -> List[ClientDataset]:
     """Split a dataset across clients with class-wise Dirichlet proportions.
 
     For each class, client shares are drawn from Dirichlet(alpha, ..., alpha)
@@ -202,16 +191,20 @@ def dirichlet_partition(dataset: Dataset, cfg: PartitionConfig) -> List[ClientDa
     each client sees few classes; large alpha approaches a uniform split.
     Clients left empty are re-dealt one sample from the largest client.
     """
-    if cfg.num_clients > len(dataset):
+    if num_clients < 1:
+        raise ValueError("num_clients must be >= 1")
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
+    if num_clients > len(dataset):
         raise ValueError("more clients than samples")
-    rng = substream(cfg.seed, PARTITION)
-    per_client: List[List[np.ndarray]] = [[] for _ in range(cfg.num_clients)]
+    rng = substream(seed, PARTITION)
+    per_client: List[List[np.ndarray]] = [[] for _ in range(num_clients)]
     for c in range(dataset.num_classes):
         idx = np.flatnonzero(dataset.labels == c)
         if idx.size == 0:
             continue
         idx = rng.permutation(idx)
-        shares = rng.dirichlet(np.full(cfg.num_clients, cfg.alpha))
+        shares = rng.dirichlet(np.full(num_clients, alpha))
         counts = _largest_remainder(shares, idx.size)
         stops = np.cumsum(counts)
         start = 0
@@ -224,14 +217,14 @@ def dirichlet_partition(dataset: Dataset, cfg: PartitionConfig) -> List[ClientDa
         for parts in per_client
     ]
     # Re-deal: an empty client takes one sample from the currently largest one.
-    for j in range(cfg.num_clients):
+    for j in range(num_clients):
         if shards[j].size == 0:
             sizes = [s.size for s in shards]
             donor = int(np.argmax(sizes))
             shards[j] = shards[donor][-1:]
             shards[donor] = shards[donor][:-1]
     return [
-        ClientDataset(j, dataset, np.sort(shards[j])) for j in range(cfg.num_clients)
+        ClientDataset(j, dataset, np.sort(shards[j])) for j in range(num_clients)
     ]
 
 

@@ -1,8 +1,10 @@
 """Independent reference implementations for cross-checking the fast paths.
 
 Everything here favors obviousness over speed: explicit Python loops and
-exhaustive scans.  The aggregation checks are also reachable from the
-command line (`bfl oracle <rule>`) so the equivalence evidence can be
+exhaustive scans.  `rule_mismatches` is the one equivalence suite for the
+robust aggregation rules: it draws the random cases and compares each rule
+with its oracle.  Acceptance criteria 4 and 5 run it, and so does the
+command line (`bfl oracle <rule>`), so the equivalence evidence can be
 regenerated outside the test suite.  The network core's oracles (schoolbook
 matmul, finite-difference gradients, the momentum closed form) are used by
 the tests alone and live with them.
@@ -15,7 +17,9 @@ from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
-from . import nn
+from . import aggregators, nn
+
+ORACLE_RULES = ("multi_krum", "nnm_krum", "coord_median", "trimmed_mean", "geometric_median")
 
 
 def brute_force_multi_krum(
@@ -136,6 +140,67 @@ def grid_search_geometric_median(
         lo = np.array(best_xy) - 4.0 * step
         hi = np.array(best_xy) + 4.0 * step
     return np.array(best_xy), best
+
+
+def _close(got: np.ndarray, want: np.ndarray) -> bool:
+    return bool(np.allclose(got, want, rtol=1e-12, atol=0.0))
+
+
+def _case_matches(rule: str, rng: np.random.Generator) -> bool:
+    """Draw one random case for `rule` and compare the rule with its oracle.
+
+    beta is one of 0.1, 0.2, 0.3; n runs from the rule's smallest aggregable
+    set (at least 2) to 9; vectors have 1-5 standard normal coordinates and
+    sample counts 1-49.  geometric_median takes 2-D points scaled by
+    U(0.5, 3), since its grid oracle is 2-D.  The rules are looked up on the
+    `aggregators` module at call time, so a replaced rule is what gets checked.
+    """
+    beta = float(rng.choice([0.1, 0.2, 0.3]))
+    low = max(2, aggregators.min_updates(aggregators.AggregatorConfig(rule, beta)))
+    n = int(rng.integers(low, 10))
+    if rule == "geometric_median":
+        mat = rng.standard_normal((n, 2)) * rng.uniform(0.5, 3.0)
+    else:
+        mat = rng.standard_normal((n, int(rng.integers(1, 6))))
+    updates = [
+        aggregators.ClientUpdate(i, row, int(rng.integers(1, 50))) for i, row in enumerate(mat)
+    ]
+    vectors = list(mat)
+    ids = list(range(n))
+    if rule == "multi_krum":
+        got_ids, got = aggregators.multi_krum(updates, beta)
+        want_ids, want = brute_force_multi_krum(vectors, ids, beta)
+        return got_ids == want_ids and _close(got, want)
+    if rule == "nnm_krum":
+        mixed = aggregators.nnm_mix(updates, beta)
+        want_mixed = brute_force_nnm_mix(vectors, ids, beta)
+        if not all(_close(m.params, w) for m, w in zip(mixed, want_mixed)):
+            return False
+        got_ids, got = aggregators.nnm_krum(updates, beta)
+        want_ids, want = brute_force_multi_krum([m.params for m in mixed], ids, beta)
+        return got_ids == want_ids and _close(got, want)
+    if rule == "coord_median":
+        return bool(np.array_equal(aggregators.coord_median(updates), sort_based_median(vectors)))
+    if rule == "trimmed_mean":
+        return _close(aggregators.trimmed_mean(updates, beta), sort_based_trimmed_mean(vectors, beta))
+    found = aggregators.geometric_median(updates)
+    _, want_objective = grid_search_geometric_median(mat)
+    return abs(aggregators.geometric_objective(found, mat) - want_objective) <= 1e-6
+
+
+def rule_mismatches(rule: str, cases: int, seed: int) -> List[int]:
+    """Indices of the cases, of `cases` drawn from `seed`, where a robust rule
+    and its oracle disagree.
+
+    Krum id sets must be equal and coord_median exactly equal; every other
+    vector must agree to a relative 1e-12, and the Weiszfeld objective must
+    be within 1e-6 of the refined grid's.  nnm_krum checks its mixed vectors
+    first, then multi-krum over them.
+    """
+    if rule not in ORACLE_RULES:
+        raise ValueError(f"no oracle for {rule!r}")
+    rng = np.random.default_rng(seed)
+    return [case for case in range(cases) if not _case_matches(rule, rng)]
 
 
 def exhaustive_min_wcss_split(values: Sequence[float]) -> Tuple[int, float]:

@@ -27,16 +27,10 @@ import numpy as np
 
 from . import attacks, defense, nn, rng
 from .aggregators import AggregatorConfig, ClientUpdate, aggregate
-from .config import (
-    ExperimentConfig,
-    IdxDatasetSpec,
-    ToyDatasetSpec,
-    config_to_dict,
-)
+from .config import ExperimentConfig, IdxDatasetSpec, config_to_dict
 from .data import (
     ClientDataset,
     Dataset,
-    PartitionConfig,
     dirichlet_partition,
     load_idx,
     make_toy_blobs,
@@ -148,14 +142,9 @@ def build_datasets(cfg: ExperimentConfig) -> Tuple[Dataset, Dataset, np.ndarray,
     """
     spec = cfg.dataset
     if isinstance(spec, IdxDatasetSpec):
-        paths = (spec.train_images, spec.train_labels, spec.test_images, spec.test_labels)
-        if all(os.path.exists(p) for p in paths):
-            train = load_idx(spec.train_images, spec.train_labels)
-            test = load_idx(spec.test_images, spec.test_labels)
-            dim = train.dim
-            return train, test, np.zeros(dim), np.ones(dim)
-        log.warning("IDX files missing, falling back to the toy dataset")
-        spec = ToyDatasetSpec()
+        train = load_idx(spec.train_images, spec.train_labels)
+        test = load_idx(spec.test_images, spec.test_labels)
+        return train, test, np.zeros(train.dim), np.ones(train.dim)
     full = make_toy_blobs(
         rng.subseed(cfg.seed, rng.DATASET),
         spec.num_classes,
@@ -238,9 +227,7 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
         if cfg.partition.seed is not None
         else rng.subseed(cfg.seed, rng.PARTITION)
     )
-    clients = dirichlet_partition(
-        train, PartitionConfig(cfg.clients, cfg.partition.alpha, part_seed)
-    )
+    clients = dirichlet_partition(train, cfg.clients, cfg.partition.alpha, part_seed)
     template = nn.init_mlp(
         [train.dim, *cfg.hidden_dims, train.num_classes],
         "relu",

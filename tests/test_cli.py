@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from bfl import cli
+from bfl import aggregators, cli
 from bfl.cli import main
 
 TINY = {
@@ -253,6 +253,23 @@ def test_oracle_all_rules_pass(capsys):
     out = capsys.readouterr().out
     for rule in ("multi_krum", "nnm_krum", "coord_median", "trimmed_mean", "geometric_median"):
         assert rule in out
+
+
+@pytest.mark.parametrize("cases", ["0", "-5"])
+def test_oracle_cases_must_be_positive(cases):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "coord_median", "--cases", cases])
+    assert exc.value.code == 2
+
+
+def test_oracle_reports_a_broken_rule(monkeypatch, capsys):
+    # The shared suite looks rules up on bfl.aggregators, so criteria 4/5
+    # would see this replacement too.
+    monkeypatch.setattr(aggregators, "coord_median", aggregators.fedavg)
+    assert main(["oracle", "coord_median", "--cases", "10", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "MISMATCHES" in captured.out
+    assert "case 0: MISMATCH" in captured.err
 
 
 def test_oracle_rejects_unknown_rule():

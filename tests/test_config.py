@@ -171,12 +171,14 @@ def test_dataset_bad_kind():
         config_from_dict({"dataset": {"kind": "mnist"}})
 
 
-def test_idx_dataset_requires_all_paths():
+def test_idx_dataset_requires_all_paths(tmp_path):
     with pytest.raises(ConfigError, match="required field is missing"):
         config_from_dict({"dataset": {"kind": "idx", "train_images": "a"}})
-    cfg = config_from_dict({"dataset": {
-        "kind": "idx", "train_images": "a", "train_labels": "b",
-        "test_images": "c", "test_labels": "d"}})
+    paths = {}
+    for name in ("train_images", "train_labels", "test_images", "test_labels"):
+        (tmp_path / name).write_bytes(b"")
+        paths[name] = str(tmp_path / name)
+    cfg = config_from_dict({"dataset": {"kind": "idx", **paths}})
     assert isinstance(cfg.dataset, IdxDatasetSpec)
 
 

@@ -91,7 +91,7 @@ def test_largest_remainder_tie_prefers_lower_index():
 
 def test_dirichlet_partition_covers_every_sample_once():
     ds = data.make_toy_blobs(seed=10, num_classes=3, per_class=100)
-    clients = data.dirichlet_partition(ds, data.PartitionConfig(8, 0.5, seed=4))
+    clients = data.dirichlet_partition(ds, 8, 0.5, seed=4)
     assert len(clients) == 8
     seen = np.concatenate([c.indices for c in clients])
     assert sorted(seen.tolist()) == list(range(300))
@@ -104,7 +104,7 @@ def test_dirichlet_partition_alpha_controls_skew():
     ds = data.make_toy_blobs(seed=11, num_classes=3, per_class=200)
 
     def mean_top_class_share(alpha):
-        clients = data.dirichlet_partition(ds, data.PartitionConfig(10, alpha, seed=4))
+        clients = data.dirichlet_partition(ds, 10, alpha, seed=4)
         shares = []
         for c in clients:
             counts = np.bincount(c.labels, minlength=3)
@@ -118,7 +118,7 @@ def test_dirichlet_partition_alpha_controls_skew():
 
 def test_dirichlet_partition_no_empty_clients_when_scarce():
     ds = data.make_toy_blobs(seed=12, num_classes=2, per_class=4)
-    clients = data.dirichlet_partition(ds, data.PartitionConfig(6, 100.0, seed=1))
+    clients = data.dirichlet_partition(ds, 6, 100.0, seed=1)
     assert len(clients) == 6
     assert all(len(c) >= 1 for c in clients)
     seen = sorted(np.concatenate([c.indices for c in clients]).tolist())
@@ -127,10 +127,17 @@ def test_dirichlet_partition_no_empty_clients_when_scarce():
 
 def test_dirichlet_partition_deterministic():
     ds = data.make_toy_blobs(seed=10, num_classes=3, per_class=60)
-    a = data.dirichlet_partition(ds, data.PartitionConfig(5, 1.0, seed=9))
-    b = data.dirichlet_partition(ds, data.PartitionConfig(5, 1.0, seed=9))
+    a = data.dirichlet_partition(ds, 5, 1.0, seed=9)
+    b = data.dirichlet_partition(ds, 5, 1.0, seed=9)
     for ca, cb in zip(a, b):
         np.testing.assert_array_equal(ca.indices, cb.indices)
+
+
+@pytest.mark.parametrize("num_clients, alpha", [(0, 1.0), (3, 0.0), (61, 1.0)])
+def test_dirichlet_partition_rejects_bad_arguments(num_clients, alpha):
+    ds = data.make_toy_blobs(seed=10, num_classes=3, per_class=20)
+    with pytest.raises(ValueError):
+        data.dirichlet_partition(ds, num_clients, alpha, seed=9)
 
 
 def test_dataset_validation():

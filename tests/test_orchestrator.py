@@ -1,16 +1,16 @@
 import json
-import logging
 import struct
 
 import numpy as np
 import pytest
 
 from bfl import nn, orchestrator, rng
+from bfl.cli import main
 from bfl.config import (
+    ConfigError,
     DefenseConfig,
     ExperimentConfig,
     IdxDatasetSpec,
-    ToyDatasetSpec,
     config_from_dict,
 )
 from bfl.data import make_toy_blobs, polygon_centers
@@ -150,19 +150,24 @@ def test_build_datasets_toy_box():
     assert inside.mean() > 0.9
 
 
-def test_build_datasets_idx_fallback_warns(caplog, tmp_path):
-    cfg = small_config()
-    cfg.dataset = IdxDatasetSpec(
-        train_images=str(tmp_path / "missing-images"),
-        train_labels=str(tmp_path / "missing-labels"),
-        test_images=str(tmp_path / "missing-t-images"),
-        test_labels=str(tmp_path / "missing-t-labels"),
-    )
-    with caplog.at_level(logging.WARNING, logger="bfl.orchestrator"):
-        train, test, lo, hi = orchestrator.build_datasets(cfg)
-    assert any("falling back" in rec.message for rec in caplog.records)
-    defaults = ToyDatasetSpec()
-    assert len(train) + len(test) == defaults.num_classes * defaults.per_class
+def test_idx_dataset_with_missing_files_is_rejected_at_load(tmp_path, capsys):
+    names = ("train_images", "train_labels", "test_images", "test_labels")
+    dataset = {"kind": "idx", **{name: str(tmp_path / name) for name in names}}
+    # More clients than the default toy set has training rows: the load must
+    # fail on the paths, before any dataset is built.
+    obj = {"dataset": dataset, "clients": 700, "sampled_per_round": 10, "rounds": 1}
+    with pytest.raises(ConfigError, match="^dataset: train_images: no such file '.*train_images'$"):
+        config_from_dict(obj)
+    for name in names[:3]:
+        (tmp_path / name).write_bytes(b"")
+    with pytest.raises(ConfigError, match="^dataset: test_labels: no such file"):
+        config_from_dict(obj)
+    path = tmp_path / "idx.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+    assert "test_labels: no such file" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def write_idx_pair(prefix, images, labels):

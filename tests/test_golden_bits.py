@@ -4,7 +4,8 @@ Every other test compares floats with a tolerance, or reruns the same code
 twice; neither notices when a change reorders a float operation or a random
 draw.  The sha256 digests below pin the exact bytes of one local-training
 delta, one generator fit (iteration count and final parameters) and the
-emitted reports of two short defended cells.  A digest may change only with
+emitted reports of two short defended cells and of one undefended cell on
+ragged shards.  A digest may change only with
 a deliberate change of the arithmetic, recorded in CHANGES.md.
 """
 
@@ -31,6 +32,10 @@ REPORTS = {
         "b1d4a41c65794011ff1585cb0b8773ffff3af4f8c95bb172ec5d35de805c8de3",
     ),
 }
+RAGGED_REPORT = (
+    "710b50ca807052df6b7344dcf11ce6c686728be48e46de3e8840549db01458fa",
+    "ac7be8f7611d532ccea9c6be6fc74d831a6ec4cd77519a65994071fe19c05eb7",
+)
 
 CELLS = {
     # The benchmark's defended_iid scenario, shortened to three rounds: IPM
@@ -53,6 +58,10 @@ CELLS = {
         "defense": {"filter": "cluster", "metric": "loss", "gen_max_iter": 200},
     },
 }
+# Skewed shards at seed 42: ten one-row clients, others of 2-30 rows and
+# three of 136-172 rows.  In batches of 16 the large shards take several
+# steps per epoch, and most shards end an epoch on a short batch.
+RAGGED_CELL = {"seed": 42, "rounds": 10, "batch": 16, "partition": {"alpha": 0.05}}
 
 
 def digest(array: np.ndarray) -> str:
@@ -99,3 +108,10 @@ def test_defended_report_bits(tmp_path):
         report = run_experiment(config_from_dict({"seed": SEED, **cell}))
         csv_path, json_path = emit_report(report, str(tmp_path), name)
         assert (file_digest(csv_path), file_digest(json_path)) == REPORTS[name], name
+
+
+def test_ragged_report_bits(tmp_path):
+    csv_path, json_path = emit_report(
+        run_experiment(config_from_dict(RAGGED_CELL)), str(tmp_path), "ragged"
+    )
+    assert (file_digest(csv_path), file_digest(json_path)) == RAGGED_REPORT

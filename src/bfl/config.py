@@ -18,7 +18,7 @@ from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_
 
 from .aggregators import AggregatorConfig, min_updates
 from .attacks import AttackConfig
-from .data import stratified_test_count
+from .data import IdxFormatError, idx_image_count, stratified_test_count
 from .defense import DefenseConfig
 from .nn import SgdConfig
 
@@ -71,6 +71,10 @@ class IdxDatasetSpec:
             path = getattr(self, f.name)
             if not os.path.isfile(path):
                 raise ValueError(f"{f.name}: no such file {path!r}")
+        try:
+            self.train_size = idx_image_count(self.train_images)  # training rows
+        except IdxFormatError as exc:
+            raise ValueError(f"train_images: {exc}") from exc
 
 
 DATASET_KINDS = {"toy": ToyDatasetSpec, "idx": IdxDatasetSpec}
@@ -116,9 +120,9 @@ class ExperimentConfig:
             raise ConfigError("batch: must be >= 1")
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
             raise ConfigError("hidden_dims: need positive layer widths")
-        if isinstance(self.dataset, ToyDatasetSpec) and self.clients > self.dataset.train_size:
+        if self.clients > self.dataset.train_size:
             raise ConfigError(
-                f"clients: {self.clients} clients but the toy dataset has only "
+                f"clients: {self.clients} clients but the {self.dataset.kind} dataset has only "
                 f"{self.dataset.train_size} training samples"
             )
         need = min_updates(self.aggregator)

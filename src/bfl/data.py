@@ -235,13 +235,23 @@ def _read_exact(fh, count: int, path: str) -> bytes:
     return buf
 
 
+def _read_header(fh, path: str, magic: int, sizes: int) -> List[int]:
+    """The `sizes` big-endian dimensions that follow an IDX file's magic."""
+    got, *dims = struct.unpack(f">{sizes + 1}I", _read_exact(fh, 4 * (sizes + 1), path))
+    if got != magic:
+        raise IdxBadMagicError(f"{path}: magic 0x{got:08x}, expected 0x{magic:08x}")
+    return dims
+
+
+def idx_image_count(path: str) -> int:
+    """The image count in an IDX image file's header."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path, IDX_IMAGE_MAGIC, 3)[0]
+
+
 def _load_idx_images(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, path))
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxBadMagicError(
-                f"{path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}"
-            )
+        count, rows, cols = _read_header(fh, path, IDX_IMAGE_MAGIC, 3)
         raw = _read_exact(fh, count * rows * cols, path)
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     return pixels.astype(np.float64) / 255.0
@@ -249,11 +259,7 @@ def _load_idx_images(path: str) -> np.ndarray:
 
 def _load_idx_labels(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic, count = struct.unpack(">II", _read_exact(fh, 8, path))
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxBadMagicError(
-                f"{path}: magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}"
-            )
+        (count,) = _read_header(fh, path, IDX_LABEL_MAGIC, 1)
         raw = _read_exact(fh, count, path)
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 

@@ -12,10 +12,22 @@ an aggregate is just a vector, and any such vector becomes a model again with
 Gradients are of the mean cross-entropy over the batch, so duplicating every
 row of a batch leaves them unchanged.
 
+Stacked models.  A parameter array of shape (m, P) holds m models of one
+layout, one per row, and every function below then runs all m at once: a
+batch is (m, rows, dim), one batch per model, and traces, gradients and
+momentum buffers carry the same leading axis.  Weight views are then
+(m, out, in) and bias views (m, 1, out), so each bias broadcasts over its own
+model's rows.  `softmax_cross_entropy` takes each model's count of real rows,
+so batches of different lengths can share a stack: the padding rows after
+the count get a zero gradient and stay out of that model's mean.  Each model
+then gets bit for bit the gradient it would get alone, with one exception:
+numpy multiplies a one-row operand with gemv rather than gemm, so a one-row
+batch keeps its bits only in a stack of one-row batches.
+
 Aliasing.  Nothing here copies a parameter vector:
 
-* `MlpModel(...)` and `with_params` wrap the given vector; `layers[l].weight`
-  and `.bias` are views into it.
+* `MlpModel(...)` and `with_params` wrap the given vector or stack;
+  `layers[l].weight` and `.bias` are views into it.
 * `forward_cached` writes every activation into a `Trace` and returns the
   last one, a view into that trace; pass the trace back in to reuse its
   buffers for the next batch of the same size.
@@ -42,8 +54,8 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 class DenseLayer:
     """One fully connected layer, act(x @ weight.T + bias), as views."""
 
-    weight: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray  # (out_dim,)
+    weight: np.ndarray  # (out_dim, in_dim), or (m, out_dim, in_dim) stacked
+    bias: np.ndarray  # (out_dim,), or (m, 1, out_dim) stacked
     activation: str
 
 
@@ -58,10 +70,13 @@ def _spans(dims: Sequence[int]) -> List[Tuple[slice, slice]]:
 
 
 def _views(model: "MlpModel", vector: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Per layer, (weight, bias) views into a vector in the model's layout."""
-    dims = model.dims
+    """Per layer, (weight, bias) views into a vector, or a stack of vectors,
+    in the model's layout."""
+    dims, lead = model.dims, vector.shape[:-1]
+    row = (1,) if lead else ()
     return [
-        (vector[w].reshape(fan_out, fan_in), vector[b])
+        (vector[..., w].reshape(*lead, fan_out, fan_in),
+         vector[..., b].reshape(*lead, *row, fan_out))
         for (w, b), fan_in, fan_out in zip(model.spans, dims, dims[1:])
     ]
 
@@ -70,8 +85,9 @@ class MlpModel:
     """A stack of dense layers over one flat float64 parameter vector.
 
     `dims` lists the widths [in, h1, ..., out] and `activations` one
-    activation per layer.  The model wraps `params` without copying it;
-    `spans[l]` holds the (weight, bias) slices of layer l in that vector.
+    activation per layer.  The model wraps `params`, a (P,) vector or an
+    (m, P) stack of m models, without copying it; `spans[l]` holds the
+    (weight, bias) slices of layer l along its last axis.
     """
 
     def __init__(
@@ -89,14 +105,16 @@ class MlpModel:
         self.dims, self.activations, self.params = dims, activations, params
         self.spans = _spans(dims)
         size = self.spans[-1][1].stop
-        if params.shape != (size,):
-            raise ValueError(f"params shape {params.shape} does not match layout ({size},)")
+        if params.ndim not in (1, 2) or params.shape[-1] != size:
+            raise ValueError(
+                f"params shape {params.shape} does not match layout ({size},) or (m, {size})"
+            )
         self.layers = tuple(
             DenseLayer(w, b, act) for (w, b), act in zip(_views(self, params), activations)
         )
 
     def with_params(self, params: np.ndarray) -> "MlpModel":
-        """The same layout over another vector, without copying it."""
+        """The same layout over another vector or stack, without copying it."""
         return MlpModel(self.dims, self.activations, params)
 
     @property
@@ -136,19 +154,21 @@ def init_mlp(
 
 
 class Trace:
-    """Buffers of one pass of a `rows`-row batch through one model layout.
+    """Buffers of one pass of a batch through one model layout.
 
-    `z[l]` and `a[l]` hold layer l's pre-activation and activation (the same
-    array for identity layers); `batch` is the input of the last forward
-    pass.  The backward buffers are allocated on the first backward pass:
-    `grads`, the flat parameter gradient; `dz[l]`, the gradient at layer l's
-    pre-activation; `da[l]`, the gradient at layer l's input.
+    `shape` is the batch's shape without its feature axis: (rows,), or
+    (m, rows) for m stacked models.  `z[l]` and `a[l]` hold layer l's
+    pre-activation and activation (the same array for identity layers);
+    `batch` is the input of the last forward pass.  The backward buffers are
+    allocated on the first backward pass: `grads`, the flat parameter
+    gradient; `dz[l]`, the gradient at layer l's pre-activation; `da[l]`,
+    the gradient at layer l's input.
     """
 
-    def __init__(self, model: MlpModel, rows: int) -> None:
-        self.rows = rows
+    def __init__(self, model: MlpModel, shape: Tuple[int, ...]) -> None:
+        self.shape = tuple(shape)
         self.batch: Optional[np.ndarray] = None
-        self.z = [np.empty((rows, out)) for out in model.dims[1:]]
+        self.z = [np.empty((*self.shape, out)) for out in model.dims[1:]]
         self.a = [z if act == "identity" else np.empty_like(z)
                   for z, act in zip(self.z, model.activations)]
         self.grads: Optional[np.ndarray] = None
@@ -164,7 +184,7 @@ class Trace:
         self.grad_layers = _views(model, self.grads)
         self.dz = [None if act == "identity" else np.empty_like(z)
                    for z, act in zip(self.z, model.activations)]
-        self.da = [np.empty((self.rows, d)) for d in model.dims[:-1]]
+        self.da = [np.empty((*self.shape, d)) for d in model.dims[:-1]]
 
 
 def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
@@ -178,24 +198,25 @@ def forward_cached(
 ) -> Tuple[np.ndarray, Trace]:
     """Forward pass that keeps every layer's pre-activation and activation.
 
-    Writes into `trace` when it was built for a batch of this many rows, and
+    Writes into `trace` when it was built for a batch of this shape, and
     into a new trace otherwise; returns (output, trace), where the output is
     the trace's last activation buffer.  The trace feeds `backprop_through`;
     callers that only need outputs should use `forward`.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2:
-        raise ValueError("batch must be (n, dim)")
-    if batch.shape[1] != model.input_dim:
+    lead = model.params.shape[:-1]
+    if batch.ndim != len(lead) + 2 or batch.shape[: len(lead)] != lead:
+        raise ValueError("batch must be (n, dim), or (m, n, dim) for m stacked models")
+    if batch.shape[-1] != model.input_dim:
         raise ValueError(
-            f"batch dim {batch.shape[1]} does not match model input {model.input_dim}"
+            f"batch dim {batch.shape[-1]} does not match model input {model.input_dim}"
         )
-    if trace is None or trace.rows != batch.shape[0]:
-        trace = Trace(model, batch.shape[0])
+    if trace is None or trace.shape != batch.shape[:-1]:
+        trace = Trace(model, batch.shape[:-1])
     trace.batch = batch
     a = batch
     for layer, z, out in zip(model.layers, trace.z, trace.a):
-        np.matmul(a, layer.weight.T, out=z)
+        np.matmul(a, layer.weight.mT, out=z)
         z += layer.bias
         if layer.activation == "relu":
             np.maximum(z, 0.0, out=out)
@@ -206,30 +227,45 @@ def forward_cached(
 
 
 def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
-) -> Tuple[float, np.ndarray]:
+    logits: np.ndarray, labels: np.ndarray, counts: Optional[np.ndarray] = None
+) -> Tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy and its gradient w.r.t. the logits.
 
     Uses max-shifted log-softmax so large logits cannot overflow.  The
     returned gradient is (softmax - onehot) / batch_size, i.e. already scaled
     for the mean loss.
+
+    Stacked logits (m, n, classes) take labels (m, n) and return one mean per
+    model.  `counts` (m,) then gives each model's number of real rows: its
+    rows from that count on are padding, get a zero gradient and stay out of
+    its mean, and its gradient is divided by its own count.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    n = logits.shape[0]
-    if labels.shape != (n,):
-        raise ValueError("labels must be (n,)")
+    if labels.shape != logits.shape[:-1]:
+        raise ValueError("labels must be (n,), or (m, n) for stacked logits")
+    n = labels.shape[-1]
+    rows = np.arange(n)
+    picks = (rows, labels) if labels.ndim == 1 else (np.arange(len(labels))[:, None], rows, labels)
     # The reductions are called as ufunc methods: the same arithmetic as
     # .max / .sum / .mean without their Python-level wrappers.
-    rows = np.arange(n)
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
     log_probs = shifted - log_z
-    loss = -float(np.add.reduce(log_probs[rows, labels]) / n)
+    picked = log_probs[picks]
     dlogits = np.exp(log_probs)
-    dlogits[rows, labels] -= 1.0
-    dlogits /= n
-    return loss, dlogits
+    dlogits[picks] -= 1.0
+    if counts is None:
+        loss = -(np.add.reduce(picked, axis=-1) / n)
+        dlogits /= n
+    else:
+        counts = np.asarray(counts)
+        padding = np.arange(n) >= counts[:, None]
+        picked[padding] = 0.0
+        loss = -(np.add.reduce(picked, axis=-1) / counts)
+        dlogits /= counts[:, None, None]
+        dlogits[padding] = 0.0
+    return (float(loss) if logits.ndim == 2 else loss), dlogits
 
 
 def backprop_through(
@@ -264,8 +300,8 @@ def backprop_through(
             dz = da
         if param_grads:
             gw, gb = trace.grad_layers[i]
-            np.matmul(dz.T, trace.layer_input(i), out=gw)
-            np.add.reduce(dz, axis=0, out=gb)
+            np.matmul(dz.mT, trace.layer_input(i), out=gw)
+            np.add.reduce(dz, axis=-2, out=gb, keepdims=gb.ndim == dz.ndim)
         if i == 0 and not input_grad:
             da = None
             break
@@ -317,15 +353,17 @@ def sgd_step(
 
     Weight decay is added to the raw gradient (g <- g + wd * w) before the
     velocity update v <- mu * v + g, w <- w - lr * v.  Decay applies to
-    weight matrices only, never biases.  `grads` receives the decay term,
-    `state` the new velocity; returns the (same) model.
+    weight matrices only, never biases, and is skipped at zero, where it
+    would add only zeros (NaN at an infinite weight).  `grads` receives the
+    decay term, `state` the new velocity; returns the (same) model.
     """
     params, (velocity, scratch) = model.params, state
     if grads.shape != params.shape or velocity.shape != params.shape:
         raise ValueError("grads/state must match the parameter vector")
-    for w, _ in model.spans:
-        np.multiply(cfg.weight_decay, params[w], out=scratch[w])
-        grads[w] += scratch[w]
+    if cfg.weight_decay != 0.0:
+        for w, _ in model.spans:
+            np.multiply(cfg.weight_decay, params[..., w], out=scratch[..., w])
+            grads[..., w] += scratch[..., w]
     velocity *= cfg.momentum
     velocity += grads
     np.multiply(cfg.learning_rate, velocity, out=scratch)

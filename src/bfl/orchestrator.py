@@ -63,41 +63,114 @@ class RunReport:
 
 
 def local_training(
-    client,
+    shards: Sequence[Dataset],
     template: nn.MlpModel,
     global_vector: np.ndarray,
     sgd_cfg: nn.SgdConfig,
     epochs: int,
     batch: int,
-    train_rng: np.random.Generator,
-) -> Tuple[np.ndarray, int]:
-    """Run epochs of mini-batch SGD from the broadcast weights.
+    train_rngs: Sequence[np.random.Generator],
+) -> List[Tuple[np.ndarray, int]]:
+    """Run epochs of mini-batch SGD on every shard from the broadcast weights.
 
-    The client's samples are reshuffled every epoch and walked in batches of
-    min(batch, len(client)).  Training updates one copy of the broadcast
-    vector in place.  Returns (delta, sample_count) where delta is the local
-    weights minus the broadcast vector.
+    Each client reshuffles its samples every epoch with its own generator
+    and walks them in batches of min(batch, len(shard)).  The clients train
+    in lockstep as one stack of models (see `nn`): each step takes every
+    unfinished client's next batch.  Sorted by length, those batches form a
+    new stack whenever one has more than twice the rows of the current
+    stack's shortest, so skewed shards pay little for padding.  A one-row
+    batch stacks only with one-row batches, since padding it would change
+    its bits.  Each client thus gets bit for bit the weights it would get
+    training alone.  Returns (delta, sample_count) per shard, in order,
+    where delta is the local weights minus the broadcast vector.
     """
-    count = len(client)
-    if count < 1:
+    counts = [len(shard) for shard in shards]
+    if min(counts) < 1:
         raise ValueError("client has no data")
-    model = template.with_params(global_vector.copy())
-    state = nn.init_momentum(model)
-    feats = client.features
-    labels = client.labels
-    bsz = min(batch, count)
-    trace = None
-    for _ in range(epochs):
-        perm = train_rng.permutation(count)
-        for start in range(0, count, bsz):
-            sel = perm[start : start + bsz]
-            out, trace = nn.forward_cached(model, feats[sel], trace)
-            _, dout = nn.softmax_cross_entropy(out, labels[sel])
-            grads, _ = nn.backprop_through(model, trace, dout, input_grad=False)
-            nn.sgd_step(model, grads, sgd_cfg, state)
-    delta = model.params
-    delta -= global_vector
-    return delta, count
+    # Row r of the stack trains client rows[r].  In order of shard size,
+    # batches that stack together mostly sit in consecutive rows, and
+    # consecutive rows train in place, as a view of the stack.
+    rows = sorted(range(len(shards)), key=counts.__getitem__)
+    feats = np.concatenate([shards[k].features for k in rows])
+    labels = np.concatenate([shards[k].labels for k in rows])
+    order, spans = _batch_spans(
+        [counts[k] for k in rows], [train_rngs[k] for k in rows], epochs, batch
+    )
+    params = np.tile(global_vector, (len(shards), 1))
+    state = nn.init_momentum(template.with_params(params))
+    views: Dict[Tuple[int, int], Tuple[nn.MlpModel, nn.SgdState]] = {}
+    traces: Dict[Tuple[int, ...], nn.Trace] = {}
+    for step in range(max(map(len, spans))):
+        live = {r: spans[r][step] for r in range(len(rows)) if step < len(spans[r])}
+        for stack in _stacks({r: stop - start for r, (start, stop) in live.items()}):
+            lo, hi = stack[0], stack[-1] + 1
+            if hi - lo == len(stack):
+                if (lo, hi) not in views:
+                    views[lo, hi] = (
+                        template.with_params(params[lo:hi]),
+                        nn.SgdState(state.velocity[lo:hi], state.scratch[lo:hi]),
+                    )
+                model, sgd = views[lo, hi]
+            else:
+                model = template.with_params(params[stack])
+                sgd = nn.SgdState(state.velocity[stack], np.empty_like(model.params))
+            batches = [live[r] for r in stack]
+            real = [stop - start for start, stop in batches]
+            if len(stack) == 1:
+                sel = order[None, slice(*batches[0])]
+            else:
+                # Short batches are padded with repeats of their own last row.
+                starts, stops = np.array(batches).T
+                sel = order[np.minimum(starts[:, None] + np.arange(max(real)), stops[:, None] - 1)]
+            out, traces[sel.shape] = nn.forward_cached(model, feats[sel], traces.get(sel.shape))
+            padded = min(real) < max(real)
+            _, dout = nn.softmax_cross_entropy(out, labels[sel], np.array(real) if padded else None)
+            grads, _ = nn.backprop_through(model, traces[sel.shape], dout, input_grad=False)
+            nn.sgd_step(model, grads, sgd_cfg, sgd)
+            if hi - lo != len(stack):
+                params[stack], state.velocity[stack] = model.params, sgd.velocity
+    params -= global_vector
+    trained = [None] * len(shards)
+    for delta, k in zip(params, rows):
+        trained[k] = (delta, counts[k])
+    return trained
+
+
+def _batch_spans(
+    sizes: List[int], train_rngs: List[np.random.Generator], epochs: int, batch: int
+) -> Tuple[np.ndarray, List[List[Tuple[int, int]]]]:
+    """Every client's batches over all its epochs, shuffled by its own stream.
+
+    Returns `order`, every client's per-epoch permutations end to end as
+    rows of the clients' concatenated samples, and per client its batches
+    as [start, stop) spans of `order`.
+    """
+    perms, spans, pos = [], [], 0
+    for n, train_rng in zip(sizes, train_rngs):
+        bsz = min(batch, n)
+        spans.append([])
+        for _ in range(epochs):
+            perms.append(train_rng.permutation(n))
+            spans[-1] += [(pos + s, pos + min(s + bsz, n)) for s in range(0, n, bsz)]
+            pos += n
+    order = np.concatenate(perms)
+    order += np.repeat(np.cumsum([0] + sizes[:-1]), [epochs * n for n in sizes])
+    return order, spans
+
+
+def _stacks(rows: Dict[int, int]) -> List[List[int]]:
+    """Split one lockstep step's clients into stacks, given each client's
+    batch length: in order of length, with a new stack wherever a batch has
+    more than twice the rows of the stack's shortest.  One-row batches stack
+    only with each other."""
+    stacks: List[List[int]] = []
+    for k in sorted(rows, key=rows.get):
+        if stacks and rows[k] <= 2 * shortest and (rows[k] == 1 or shortest > 1):
+            stacks[-1].append(k)
+        else:
+            stacks.append([k])
+            shortest = rows[k]
+    return [sorted(stack) for stack in stacks]
 
 
 def compute_tpr_tnr(
@@ -247,23 +320,18 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
             int(c) for c in sample_rng.choice(cfg.clients, cfg.sampled_per_round, replace=False)
         )
         bad_sampled = [cid for cid in sampled if cid in malicious]
-        deltas: Dict[int, np.ndarray] = {}
-        counts: Dict[int, int] = {}
-        for cid in sampled:
-            shard = clients[cid]
-            if cid in bad_sampled and cfg.attack.kind == "label_flip":
-                shard = attacks.rotate_labels(
-                    Dataset(shard.features, shard.labels, shard.num_classes)
-                )
-            deltas[cid], counts[cid] = local_training(
-                shard,
-                template,
-                global_vector,
-                cfg.sgd,
-                cfg.local_epochs,
-                cfg.batch,
-                rng.substream(cfg.seed, rng.CLIENT_TRAIN, t, cid),
-            )
+        flip = cfg.attack.kind == "label_flip"
+        shards = [
+            attacks.rotate_labels(clients[cid]) if flip and cid in bad_sampled else clients[cid]
+            for cid in sampled
+        ]
+        # Positional: a caller may wrap `local_training` and read its arguments.
+        trained = local_training(
+            shards, template, global_vector, cfg.sgd, cfg.local_epochs, cfg.batch,
+            [rng.substream(cfg.seed, rng.CLIENT_TRAIN, t, cid) for cid in sampled],
+        )
+        deltas = {cid: delta for cid, (delta, _) in zip(sampled, trained)}
+        counts = {cid: count for cid, (_, count) in zip(sampled, trained)}
         payloads = _apply_attack(
             cfg, t, sampled, bad_sampled, deltas, clients, template, global_vector
         )

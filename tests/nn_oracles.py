@@ -1,9 +1,11 @@
 """Test-only reference computations for the network core.
 
 Each one favors obviousness over speed: an explicit triple loop, finite
-differences, a closed form.  The aggregation and filter oracles that
+differences, a closed form, one client trained at a time.  The aggregation and filter oracles that
 `bfl oracle` replays stay in `bfl.oracles`.
 """
+
+from typing import Tuple
 
 import numpy as np
 
@@ -55,3 +57,35 @@ def constant_gradient_momentum_value(
     """
     total = sum((1.0 - mu**k) / (1.0 - mu) for k in range(1, steps + 1))
     return w0 - lr * g * total
+
+
+def local_training_one_client(
+    client,
+    template: nn.MlpModel,
+    global_vector: np.ndarray,
+    sgd_cfg: nn.SgdConfig,
+    epochs: int,
+    batch: int,
+    train_rng: np.random.Generator,
+) -> Tuple[np.ndarray, int]:
+    """One client's local SGD on its own, unstacked: the reference for the
+    lockstep `orchestrator.local_training`.
+
+    The client's samples are reshuffled every epoch and walked in batches of
+    min(batch, len(client)); returns (local weights minus the broadcast
+    vector, sample count).
+    """
+    count = len(client)
+    model = template.with_params(global_vector.copy())
+    state = nn.init_momentum(model)
+    feats, labels = client.features, client.labels
+    bsz = min(batch, count)
+    for _ in range(epochs):
+        perm = train_rng.permutation(count)
+        for start in range(0, count, bsz):
+            sel = perm[start : start + bsz]
+            out, trace = nn.forward_cached(model, feats[sel])
+            _, dout = nn.softmax_cross_entropy(out, labels[sel])
+            grads, _ = nn.backprop_through(model, trace, dout, input_grad=False)
+            nn.sgd_step(model, grads, sgd_cfg, state)
+    return model.params - global_vector, count

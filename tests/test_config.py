@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import struct
 import typing
 from pathlib import Path
 
@@ -171,15 +172,41 @@ def test_dataset_bad_kind():
         config_from_dict({"dataset": {"kind": "mnist"}})
 
 
+def write_idx_files(directory, train_rows, image_magic=0x00000803):
+    """Four IDX files of 2x2 images, `train_rows` of them to train on."""
+    paths = {}
+    for split, rows in (("train", train_rows), ("test", 3)):
+        paths[f"{split}_images"] = directory / f"{split}_images"
+        paths[f"{split}_images"].write_bytes(
+            struct.pack(">IIII", image_magic, rows, 2, 2) + bytes(4 * rows)
+        )
+        paths[f"{split}_labels"] = directory / f"{split}_labels"
+        paths[f"{split}_labels"].write_bytes(struct.pack(">II", 0x00000801, rows) + bytes(rows))
+    return {name: str(path) for name, path in paths.items()}
+
+
 def test_idx_dataset_requires_all_paths(tmp_path):
     with pytest.raises(ConfigError, match="required field is missing"):
         config_from_dict({"dataset": {"kind": "idx", "train_images": "a"}})
-    paths = {}
-    for name in ("train_images", "train_labels", "test_images", "test_labels"):
-        (tmp_path / name).write_bytes(b"")
-        paths[name] = str(tmp_path / name)
+    paths = write_idx_files(tmp_path, 30)
     cfg = config_from_dict({"dataset": {"kind": "idx", **paths}})
     assert isinstance(cfg.dataset, IdxDatasetSpec)
+
+
+def test_idx_training_rows_are_read_at_load(tmp_path):
+    # Five training images: six clients are rejected at load, not in round 1.
+    dataset = {"kind": "idx", **write_idx_files(tmp_path, 5)}
+    with pytest.raises(ConfigError, match=r"^clients: 6 clients but the idx dataset has only 5 "):
+        config_from_dict({"dataset": dataset, "clients": 6, "sampled_per_round": 2})
+    cfg = config_from_dict({"dataset": dataset, "clients": 5, "sampled_per_round": 2})
+    assert cfg.dataset.train_size == 5
+    # A header that is not an image header, or no header at all.
+    bad = {"kind": "idx", **write_idx_files(tmp_path, 5, image_magic=0x00000801)}
+    with pytest.raises(ConfigError, match=r"^dataset: train_images: .*magic 0x00000801"):
+        config_from_dict({"dataset": bad, "clients": 1, "sampled_per_round": 1})
+    Path(dataset["train_images"]).write_bytes(b"")
+    with pytest.raises(ConfigError, match=r"^dataset: train_images: .*expected 16 more bytes"):
+        config_from_dict({"dataset": dataset, "clients": 1, "sampled_per_round": 1})
 
 
 def test_partition_num_clients_is_unknown():

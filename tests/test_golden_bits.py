@@ -82,9 +82,9 @@ def _trained_classifier():
     )
     vector = template.params
     # 600 rows in batches of 64: the last batch of every epoch has 24 rows.
-    delta, count = orchestrator.local_training(
-        train, template, vector, nn.SgdConfig(), 3, 64,
-        rng.substream(SEED, rng.CLIENT_TRAIN, 1, 0),
+    [(delta, count)] = orchestrator.local_training(
+        [train], template, vector, nn.SgdConfig(), 3, 64,
+        [rng.substream(SEED, rng.CLIENT_TRAIN, 1, 0)],
     )
     assert count == len(train)
     return template, vector, delta, lo, hi

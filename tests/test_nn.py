@@ -237,3 +237,42 @@ def test_sgd_config_validation():
         nn.SgdConfig(momentum=1.0)
     with pytest.raises(ValueError):
         nn.SgdConfig(weight_decay=-1e-4)
+
+
+def test_stacked_step_matches_each_model_alone():
+    # Three models of one layout in an (m, P) stack, one 5-row batch each:
+    # forward, cross-entropy, backward and SGD step give each model the bits
+    # it gets alone, and the stack's layer views write through to it.
+    rng = np.random.default_rng(21)
+    template = nn.init_mlp([4, 6, 5, 3], "relu", rng)
+    stack = rng.standard_normal((3, template.params.size))
+    batches = rng.standard_normal((3, 5, 4))
+    labels = rng.integers(0, 3, size=(3, 5))
+    cfg = nn.SgdConfig()
+    stacked = template.with_params(stack.copy())
+    assert stacked.layers[0].weight.shape == (3, 6, 4)
+    assert stacked.layers[0].bias.shape == (3, 1, 6)
+    out, trace = nn.forward_cached(stacked, batches)
+    losses, dout = nn.softmax_cross_entropy(out, labels)
+    grads, _ = nn.backprop_through(stacked, trace, dout, input_grad=False)
+    nn.sgd_step(stacked, grads, cfg, nn.init_momentum(stacked))
+    for k in range(3):
+        alone = template.with_params(stack[k].copy())
+        out, trace = nn.forward_cached(alone, batches[k])
+        loss, dout = nn.softmax_cross_entropy(out, labels[k])
+        grads, _ = nn.backprop_through(alone, trace, dout, input_grad=False)
+        nn.sgd_step(alone, grads, cfg, nn.init_momentum(alone))
+        assert losses[k] == loss
+        assert stacked.params[k].tobytes() == alone.params.tobytes()
+
+
+def test_padding_rows_get_no_gradient_and_stay_out_of_the_mean():
+    rng = np.random.default_rng(23)
+    logits = rng.standard_normal((2, 6, 3))
+    labels = rng.integers(0, 3, size=(2, 6))
+    losses, dlogits = nn.softmax_cross_entropy(logits, labels, np.array([6, 4]))
+    assert not dlogits[1, 4:].any()
+    for k, n in enumerate((6, 4)):
+        loss, grad = nn.softmax_cross_entropy(logits[k, :n], labels[k, :n])
+        assert dlogits[k, :n].tobytes() == grad.tobytes()
+        assert losses[k] == pytest.approx(loss, rel=1e-15)

@@ -3,8 +3,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bfl import nn, orchestrator, rng
+import nn_oracles
+from bfl import attacks, nn, orchestrator, rng
 from bfl.cli import main
 from bfl.config import (
     ConfigError,
@@ -13,7 +15,7 @@ from bfl.config import (
     IdxDatasetSpec,
     config_from_dict,
 )
-from bfl.data import make_toy_blobs, polygon_centers
+from bfl.data import ClientDataset, make_toy_blobs, polygon_centers
 
 
 def small_config(**overrides):
@@ -78,9 +80,9 @@ def test_local_training_shapes_and_count():
     shard = shard_fixture()
     model = nn.init_mlp([2, 8, 3], "relu", rng.substream(0, rng.MODEL_INIT))
     vec = model.params
-    delta, count = orchestrator.local_training(
-        shard, model, vec, nn.SgdConfig(), epochs=1, batch=16,
-        train_rng=rng.substream(0, rng.CLIENT_TRAIN, 1, 0),
+    [(delta, count)] = orchestrator.local_training(
+        [shard], model, vec, nn.SgdConfig(), epochs=1, batch=16,
+        train_rngs=[rng.substream(0, rng.CLIENT_TRAIN, 1, 0)],
     )
     assert delta.shape == vec.shape
     assert count == 60
@@ -94,9 +96,9 @@ def test_local_training_deterministic():
     vec = model.params
     out = []
     for _ in range(2):
-        delta, _ = orchestrator.local_training(
-            shard, model, vec, nn.SgdConfig(), epochs=2, batch=16,
-            train_rng=rng.substream(9, rng.CLIENT_TRAIN, 4, 2),
+        [(delta, _)] = orchestrator.local_training(
+            [shard], model, vec, nn.SgdConfig(), epochs=2, batch=16,
+            train_rngs=[rng.substream(9, rng.CLIENT_TRAIN, 4, 2)],
         )
         out.append(delta)
     np.testing.assert_array_equal(out[0], out[1])
@@ -106,9 +108,9 @@ def test_local_training_reduces_loss():
     shard = shard_fixture()
     model = nn.init_mlp([2, 8, 3], "relu", rng.substream(1, rng.MODEL_INIT))
     vec = model.params
-    delta, _ = orchestrator.local_training(
-        shard, model, vec, nn.SgdConfig(learning_rate=0.05), epochs=10, batch=60,
-        train_rng=rng.substream(1, rng.CLIENT_TRAIN, 1, 0),
+    [(delta, _)] = orchestrator.local_training(
+        [shard], model, vec, nn.SgdConfig(learning_rate=0.05), epochs=10, batch=60,
+        train_rngs=[rng.substream(1, rng.CLIENT_TRAIN, 1, 0)],
     )
     before, _ = nn.softmax_cross_entropy(nn.forward(model, shard.features), shard.labels)
     trained = model.with_params(vec + delta)
@@ -120,15 +122,48 @@ def test_local_training_batch_clamps_to_shard():
     shard = shard_fixture()
     model = nn.init_mlp([2, 8, 3], "relu", rng.substream(0, rng.MODEL_INIT))
     vec = model.params
-    big, _ = orchestrator.local_training(
-        shard, model, vec, nn.SgdConfig(), 1, 10_000,
-        rng.substream(0, rng.CLIENT_TRAIN, 1, 0),
+    [(big, _)] = orchestrator.local_training(
+        [shard], model, vec, nn.SgdConfig(), 1, 10_000,
+        [rng.substream(0, rng.CLIENT_TRAIN, 1, 0)],
     )
-    exact, _ = orchestrator.local_training(
-        shard, model, vec, nn.SgdConfig(), 1, 60,
-        rng.substream(0, rng.CLIENT_TRAIN, 1, 0),
+    [(exact, _)] = orchestrator.local_training(
+        [shard], model, vec, nn.SgdConfig(), 1, 60,
+        [rng.substream(0, rng.CLIENT_TRAIN, 1, 0)],
     )
     np.testing.assert_array_equal(big, exact)
+
+
+SHARD_ROWS = st.one_of(st.integers(1, 4), st.integers(1, 300))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    shards=st.lists(st.tuples(SHARD_ROWS, st.booleans()), min_size=1, max_size=8),
+    batch=st.integers(1, 128),
+    epochs=st.integers(1, 3),
+)
+@example(shards=[(1, False), (2, True), (1, False), (30, False), (300, True)], batch=16, epochs=2)
+def test_lockstep_matches_one_client_at_a_time(shards, batch, epochs):
+    # Shards of 1-300 rows, some with rotated labels, give one-row batches
+    # next to taller ones, ragged last batches and clients that finish early.
+    parent = make_toy_blobs(4, 3, 200, polygon_centers(3, 3.0), 0.6, dims=12)
+    draw = np.random.default_rng(len(shards) * 1000 + batch)
+    clients = []
+    for k, (size, flip) in enumerate(shards):
+        client = ClientDataset(k, parent, np.sort(draw.choice(len(parent), size, replace=False)))
+        clients.append(attacks.rotate_labels(client) if flip else client)
+    model = nn.init_mlp([12, 16, 16, 3], "relu", rng.substream(3, rng.MODEL_INIT))
+    vec = model.params
+    streams = lambda: [rng.substream(3, rng.CLIENT_TRAIN, epochs, k) for k in range(len(clients))]
+    lockstep = orchestrator.local_training(
+        clients, model, vec, nn.SgdConfig(), epochs, batch, streams()
+    )
+    for client, train_rng, (delta, count) in zip(clients, streams(), lockstep):
+        want, want_count = nn_oracles.local_training_one_client(
+            client, model, vec, nn.SgdConfig(), epochs, batch, train_rng
+        )
+        assert count == want_count
+        assert delta.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------- datasets

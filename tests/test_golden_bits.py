@@ -3,10 +3,11 @@
 Every other test compares floats with a tolerance, or reruns the same code
 twice; neither notices when a change reorders a float operation or a random
 draw.  The sha256 digests below pin the exact bytes of one local-training
-delta, one generator fit (iteration count and final parameters) and the
-emitted reports of two short defended cells and of one undefended cell on
-ragged shards.  A digest may change only with
-a deliberate change of the arithmetic, recorded in CHANGES.md.
+delta, two generator fits (iteration count and final parameters: one stops
+early, one runs to `gen_max_iter`) and the emitted reports of two short
+defended cells and of one undefended cell on ragged shards.  A digest may
+change only with a deliberate change of the arithmetic, recorded in
+CHANGES.md.
 """
 
 import hashlib
@@ -22,6 +23,9 @@ SEED = 7
 LOCAL_DELTA = "819d3018f7a7de1da0537c95a6975f1b36674934a2af0ffd7f4e444b3620e0bf"
 GEN_ITERS = 79
 GEN_PARAMS = "4eb8ac97338765d4c4ac225d08715dadfec888e65a02e06a9340a08a0e9d6077"
+# An 8-D noise fit whose loss never drops below 1e-4: it stops at the cap.
+CAPPED_CFG = DefenseConfig(noise_dim=8, gen_max_iter=150, early_stop_loss=1e-4)
+CAPPED_PARAMS = "0ddc18a7095f7fc9c3bab7e5d081c95224b2421e4748004be9ee39477fdd7a5d"
 REPORTS = {
     "ipm_cluster": (
         "a163a54d445d12e336b1ddb4fb64fee6bc6ec32dc5c4e889423859d2741dcf6f",
@@ -101,6 +105,14 @@ def test_train_generator_bits():
     gen, iters = defense.train_generator(classifier, DefenseConfig(), SEED, 4, lo, hi)
     assert iters == GEN_ITERS
     assert digest(gen.backbone.params) == GEN_PARAMS
+
+
+def test_capped_generator_fit_bits():
+    template, vector, delta, lo, hi = _trained_classifier()
+    classifier = template.with_params(vector + delta)
+    gen, iters = defense.train_generator(classifier, CAPPED_CFG, SEED, 5, lo, hi)
+    assert iters == CAPPED_CFG.gen_max_iter
+    assert digest(gen.backbone.params) == CAPPED_PARAMS
 
 
 def test_defended_report_bits(tmp_path):

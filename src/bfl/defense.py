@@ -100,11 +100,18 @@ class GeneratorModel:
         out[np.arange(len(labels)), self.noise_dim + labels] = 1.0
         return out
 
-    def _scale(self, raw: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """out_lo + half * (raw + 1.0), written into `out` when given."""
+    def _scale(
+        self, raw: np.ndarray, out: Optional[np.ndarray] = None,
+        half: Optional[np.ndarray] = None, low: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """out_lo + half * (raw + 1.0), written into `out` when given.
+
+        `half` and `low` stand in for `self.half` and `self.out_lo` when a
+        caller has broadcast them to its batch once: the same values, then
+        multiplied and added without broadcasting."""
         out = np.add(raw, 1.0, out=out)
-        np.multiply(self.half, out, out=out)
-        return np.add(self.out_lo, out, out=out)
+        np.multiply(self.half if half is None else half, out, out=out)
+        return np.add(self.out_lo if low is None else low, out, out=out)
 
 
 def new_generator(
@@ -136,11 +143,19 @@ def train_generator(
     per-round effort signal: a crisp, stable classifier is quick to imitate,
     a drifting one is not.
 
-    The step reuses one set of buffers for every iteration and updates the
-    generator's parameter vector in place.  Only the gradient with respect
-    to the classifier's input is propagated through it: the classifier's
-    parameter gradients are never formed, and neither is the gradient with
-    respect to the generator's own input.
+    Everything an iteration touches is prepared once per fit: the noise,
+    conditioning and synthetic batches, the flat index of each row's one-hot
+    entry, the output scaling's constants broadcast to the batch, and one
+    `nn.Trace` per network.  Each trace holds that network's activation,
+    gradient and cross-entropy buffers and its bound layer views.  An
+    iteration writes into these buffers with `out=`; it allocates only the
+    label draw, and it updates the generator's parameter vector and
+    momentum in place.  The classifier trace reads `classifier`'s parameter
+    vector through views and never writes it; the returned generator wraps
+    the vector the fit trained.  Only the gradient with respect to the
+    classifier's input is propagated through it: the classifier's parameter
+    gradients are never formed, and neither is the gradient with respect to
+    the generator's own input.
     """
     init_rng = substream(master_seed, GEN_INIT, round_index)
     train_rng = substream(master_seed, GEN_TRAIN, round_index)
@@ -151,20 +166,31 @@ def train_generator(
     window: collections.deque = collections.deque(maxlen=cfg.early_stop_patience)
     noise = np.empty((GEN_BATCH, cfg.noise_dim))
     cond = np.empty((GEN_BATCH, cfg.noise_dim + num_classes))
+    cond_noise, cond_onehot = cond[:, : cfg.noise_dim], cond[:, cfg.noise_dim :]
+    # `_condition` with flat indices: each row's one-hot entry for label 0,
+    # plus the label, is the entry that gets the 1.
+    onehot_base = np.arange(GEN_BATCH) * cond.shape[1] + cfg.noise_dim
+    hot, cond_flat = np.empty(GEN_BATCH, dtype=np.intp), cond.reshape(-1)
     synth = np.empty((GEN_BATCH, classifier.input_dim))
-    gen_trace = cls_trace = None
+    gen_trace = nn.Trace(gen.backbone, (GEN_BATCH,))
+    cls_trace = nn.Trace(classifier, (GEN_BATCH,))
+    # The output scaling's constants, broadcast to a batch once.
+    half = np.broadcast_to(gen.half, synth.shape).copy()
+    low = np.broadcast_to(gen.out_lo, synth.shape).copy()
     iterations = 0
     for iterations in range(1, cfg.gen_max_iter + 1):
         train_rng.standard_normal(out=noise)
         labels = train_rng.integers(0, num_classes, size=GEN_BATCH)
-        gen._condition(noise, labels, out=cond)
-        raw, gen_trace = nn.forward_cached(gen.backbone, cond, gen_trace)
-        gen._scale(raw, out=synth)
-        logits, cls_trace = nn.forward_cached(classifier, synth, cls_trace)
-        loss, dlogits = nn.softmax_cross_entropy(logits, labels)
-        _, dsynth = nn.backprop_through(classifier, cls_trace, dlogits, param_grads=False)
-        np.multiply(dsynth, gen.half, out=dsynth)
-        grads, _ = nn.backprop_through(gen.backbone, gen_trace, dsynth, input_grad=False)
+        np.copyto(cond_noise, noise)
+        cond_onehot.fill(0.0)
+        np.add(onehot_base, labels, out=hot)
+        cond_flat[hot] = 1.0
+        gen._scale(gen_trace.forward(cond), synth, half, low)
+        cls_trace.forward(synth)
+        loss, dlogits = cls_trace.cross_entropy(labels)
+        _, dsynth = cls_trace.backward(dlogits, param_grads=False)
+        np.multiply(dsynth, half, out=dsynth)
+        grads, _ = gen_trace.backward(dsynth, input_grad=False)
         nn.sgd_step(gen.backbone, grads, sgd, state)
         window.append(loss)
         if (

@@ -28,9 +28,15 @@ Aliasing.  Nothing here copies a parameter vector:
 
 * `MlpModel(...)` and `with_params` wrap the given vector or stack;
   `layers[l].weight` and `.bias` are views into it.
+* A `Trace` owns the buffers of one batch shape and holds views of the
+  layers of the model it last ran; handed another model of the layout, it
+  rebinds to that model's views.  Loops that reuse their traces (the
+  generator fit, local training) allocate buffers once per batch shape.
 * `forward_cached` writes every activation into a `Trace` and returns the
   last one, a view into that trace; pass the trace back in to reuse its
   buffers for the next batch of the same size.
+* `Trace.cross_entropy` writes the logit gradient into the trace's
+  buffers and returns it, a view that the next call overwrites.
 * `backprop_through` writes the parameter gradient into `trace.grads` and the
   input gradient into the trace's buffers, and returns views of both.
 * `sgd_step` updates the model's parameter vector and the momentum state in
@@ -73,10 +79,9 @@ def _views(model: "MlpModel", vector: np.ndarray) -> List[Tuple[np.ndarray, np.n
     """Per layer, (weight, bias) views into a vector, or a stack of vectors,
     in the model's layout."""
     dims, lead = model.dims, vector.shape[:-1]
-    row = (1,) if lead else ()
+    row = lead + (1,) if lead else lead
     return [
-        (vector[..., w].reshape(*lead, fan_out, fan_in),
-         vector[..., b].reshape(*lead, *row, fan_out))
+        (vector[..., w].reshape(lead + (fan_out, fan_in)), vector[..., b].reshape(row + (fan_out,)))
         for (w, b), fan_in, fan_out in zip(model.spans, dims, dims[1:])
     ]
 
@@ -101,21 +106,30 @@ class MlpModel:
         for act in activations:
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
+        self.dims, self.activations, self.spans = dims, activations, _spans(dims)
+        self._wrap(params)
+
+    def _wrap(self, params: np.ndarray) -> "MlpModel":
         params = np.asarray(params, dtype=np.float64)
-        self.dims, self.activations, self.params = dims, activations, params
-        self.spans = _spans(dims)
         size = self.spans[-1][1].stop
         if params.ndim not in (1, 2) or params.shape[-1] != size:
             raise ValueError(
                 f"params shape {params.shape} does not match layout ({size},) or (m, {size})"
             )
+        self.params = params
         self.layers = tuple(
-            DenseLayer(w, b, act) for (w, b), act in zip(_views(self, params), activations)
+            DenseLayer(w, b, act) for (w, b), act in zip(_views(self, params), self.activations)
         )
+        return self
 
     def with_params(self, params: np.ndarray) -> "MlpModel":
-        """The same layout over another vector or stack, without copying it."""
-        return MlpModel(self.dims, self.activations, params)
+        """The same layout over another vector or stack, without copying it.
+
+        Shares this model's checked dims, activations and spans; only the
+        shape of `params` is checked."""
+        model = object.__new__(MlpModel)
+        model.dims, model.activations, model.spans = self.dims, self.activations, self.spans
+        return model._wrap(params)
 
     @property
     def input_dim(self) -> int:
@@ -154,7 +168,8 @@ def init_mlp(
 
 
 class Trace:
-    """Buffers of one pass of a batch through one model layout.
+    """Buffers of one pass of a batch through one model layout, and the
+    layer views of the model it runs.
 
     `shape` is the batch's shape without its feature axis: (rows,), or
     (m, rows) for m stacked models.  `z[l]` and `a[l]` hold layer l's
@@ -162,7 +177,14 @@ class Trace:
     `batch` is the input of the last forward pass.  The backward buffers are
     allocated on the first backward pass: `grads`, the flat parameter
     gradient; `dz[l]`, the gradient at layer l's pre-activation; `da[l]`,
-    the gradient at layer l's input.
+    the gradient at layer l's input.  The cross-entropy buffers are
+    allocated on the first `cross_entropy`.
+
+    `forward`, `cross_entropy` and `backward` are the unchecked passes that
+    `forward_cached`, `softmax_cross_entropy` and `backprop_through` run
+    after their checks.  They read the views that `bind` prepared and
+    write only into the trace's buffers, so a loop that calls them over one
+    trace allocates nothing but what it returns to Python.
     """
 
     def __init__(self, model: MlpModel, shape: Tuple[int, ...]) -> None:
@@ -172,19 +194,80 @@ class Trace:
         self.a = [z if act == "identity" else np.empty_like(z)
                   for z, act in zip(self.z, model.activations)]
         self.grads: Optional[np.ndarray] = None
-        self.grad_layers: List[Tuple[np.ndarray, np.ndarray]] = []
         self.dz: List[Optional[np.ndarray]] = []
         self.da: List[np.ndarray] = []
+        self.ce: Optional[tuple] = None
+        self.bind(model)
 
-    def layer_input(self, index: int) -> np.ndarray:
-        return self.batch if index == 0 else self.a[index - 1]
+    def bind(self, model: MlpModel) -> None:
+        """Run `model`, of the trace's layout, from now on: prepare each
+        layer's (activation, weight, weight.mT, bias, z, a, input) views,
+        where layer 0's input is None for `batch`."""
+        self.model = model
+        inputs = [None, *self.a[:-1]]
+        self.steps = [
+            (layer.activation, layer.weight, layer.weight.mT, layer.bias, z, a, x)
+            for layer, z, a, x in zip(model.layers, self.z, self.a, inputs)
+        ]
 
-    def _allocate_backward(self, model: MlpModel) -> None:
+    def _allocate_backward(self) -> None:
+        model = self.model
         self.grads = np.empty_like(model.params)
-        self.grad_layers = _views(model, self.grads)
         self.dz = [None if act == "identity" else np.empty_like(z)
                    for z, act in zip(self.z, model.activations)]
         self.da = [np.empty((*self.shape, d)) for d in model.dims[:-1]]
+        # Per layer, last layer first: (dz, weight grad, bias grad, keepdims, da).
+        self.back = [(dz, gw, gb, gb.ndim == z.ndim, da) for dz, (gw, gb), z, da
+                     in zip(self.dz, _views(model, self.grads), self.z, self.da)][::-1]
+
+    def forward(self, batch: np.ndarray) -> np.ndarray:
+        """The forward pass of `batch`, of the trace's shape; returns the
+        last activation buffer."""
+        self.batch = batch
+        for act, _, weight_t, bias, z, out, x in self.steps:
+            np.matmul(batch if x is None else x, weight_t, out=z)
+            np.add(z, bias, out=z)
+            if act == "relu":
+                np.maximum(z, 0.0, out=out)
+            elif act == "tanh":
+                np.tanh(z, out=out)
+        return out
+
+    def cross_entropy(
+        self, labels: np.ndarray, counts: Optional[np.ndarray] = None
+    ) -> Tuple[float | np.ndarray, np.ndarray]:
+        """`softmax_cross_entropy` of the last forward pass's output, with
+        the gradient in the trace's buffer; `labels` must be in range."""
+        if self.ce is None:
+            self.ce = _ce_buffers(self.a[-1].shape)
+        return _cross_entropy(self.a[-1], labels, counts, self.ce)
+
+    def backward(
+        self, dout: np.ndarray, param_grads: bool = True, input_grad: bool = True
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """The backward pass of the last forward pass, as `backprop_through`."""
+        if self.grads is None:
+            self._allocate_backward()
+        grads, da = (self.grads if param_grads else None), dout
+        for (act, weight, _, _, z, a, x), (dz, gw, gb, keep, out) in zip(
+            reversed(self.steps), self.back
+        ):
+            if act == "relu":
+                np.greater(z, 0.0, out=dz)
+                np.multiply(da, dz, out=dz)
+            elif act == "tanh":
+                np.multiply(a, a, out=dz)
+                np.subtract(1.0, dz, out=dz)
+                np.multiply(da, dz, out=dz)
+            else:
+                dz = da
+            if param_grads:
+                np.matmul(dz.mT, self.batch if x is None else x, out=gw)
+                np.add.reduce(dz, axis=-2, out=gb, keepdims=keep)
+            if x is None and not input_grad:
+                return grads, None
+            da = np.matmul(dz, weight, out=out)
+        return grads, da
 
 
 def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
@@ -213,17 +296,49 @@ def forward_cached(
         )
     if trace is None or trace.shape != batch.shape[:-1]:
         trace = Trace(model, batch.shape[:-1])
-    trace.batch = batch
-    a = batch
-    for layer, z, out in zip(model.layers, trace.z, trace.a):
-        np.matmul(a, layer.weight.mT, out=z)
-        z += layer.bias
-        if layer.activation == "relu":
-            np.maximum(z, 0.0, out=out)
-        elif layer.activation == "tanh":
-            np.tanh(z, out=out)
-        a = out
-    return a, trace
+    elif trace.model is not model:
+        trace.bind(model)
+    return trace.forward(batch), trace
+
+
+def _ce_buffers(shape: Tuple[int, ...]) -> tuple:
+    """Cross-entropy buffers for logits of `shape`: shifted logits, a
+    per-row column, the gradient and its flat view, each row's offset in
+    the flat logits, the flat pick index and the picked log-probabilities."""
+    lead, classes = shape[:-1], shape[-1]
+    dlogits = np.empty(shape)
+    offsets = np.arange(0, dlogits.size, classes).reshape(lead)
+    return (np.empty(shape), np.empty((*lead, 1)), dlogits, dlogits.reshape(-1),
+            offsets, np.empty(lead, dtype=np.intp), np.empty(lead))
+
+
+def _cross_entropy(
+    logits: np.ndarray, labels: np.ndarray, counts: Optional[np.ndarray], buffers: tuple
+) -> Tuple[float | np.ndarray, np.ndarray]:
+    """The arithmetic of `softmax_cross_entropy`, in the given buffers."""
+    shifted, column, dlogits, flat, offsets, picks, picked = buffers
+    n = labels.shape[-1]
+    np.maximum.reduce(logits, axis=-1, keepdims=True, out=column)
+    np.subtract(logits, column, out=shifted)
+    np.exp(shifted, out=dlogits)
+    np.add.reduce(dlogits, axis=-1, keepdims=True, out=column)
+    np.log(column, out=column)
+    np.subtract(shifted, column, out=shifted)  # now the log-probabilities
+    np.add(offsets, labels, out=picks)
+    np.take(shifted, picks, out=picked, mode="clip")
+    np.exp(shifted, out=dlogits)
+    flat[picks] -= 1.0
+    if counts is None:
+        loss = -(np.add.reduce(picked, axis=-1) / n)
+        np.divide(dlogits, n, out=dlogits)
+    else:
+        counts = np.asarray(counts)
+        padding = np.arange(n) >= counts[:, None]
+        picked[padding] = 0.0
+        loss = -(np.add.reduce(picked, axis=-1) / counts)
+        dlogits /= counts[:, None, None]
+        dlogits[padding] = 0.0
+    return (float(loss) if logits.ndim == 2 else loss), dlogits
 
 
 def softmax_cross_entropy(
@@ -244,28 +359,9 @@ def softmax_cross_entropy(
     labels = np.asarray(labels)
     if labels.shape != logits.shape[:-1]:
         raise ValueError("labels must be (n,), or (m, n) for stacked logits")
-    n = labels.shape[-1]
-    rows = np.arange(n)
-    picks = (rows, labels) if labels.ndim == 1 else (np.arange(len(labels))[:, None], rows, labels)
-    # The reductions are called as ufunc methods: the same arithmetic as
-    # .max / .sum / .mean without their Python-level wrappers.
-    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    log_z = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
-    log_probs = shifted - log_z
-    picked = log_probs[picks]
-    dlogits = np.exp(log_probs)
-    dlogits[picks] -= 1.0
-    if counts is None:
-        loss = -(np.add.reduce(picked, axis=-1) / n)
-        dlogits /= n
-    else:
-        counts = np.asarray(counts)
-        padding = np.arange(n) >= counts[:, None]
-        picked[padding] = 0.0
-        loss = -(np.add.reduce(picked, axis=-1) / counts)
-        dlogits /= counts[:, None, None]
-        dlogits[padding] = 0.0
-    return (float(loss) if logits.ndim == 2 else loss), dlogits
+    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[-1]):
+        raise ValueError("labels out of range")
+    return _cross_entropy(logits, labels, counts, _ce_buffers(logits.shape))
 
 
 def backprop_through(
@@ -283,30 +379,9 @@ def backprop_through(
     None: a frozen network needs no parameter gradient, and the first
     network of a chain no input gradient.  Both results live in `trace`.
     """
-    if trace.grads is None:
-        trace._allocate_backward(model)
-    da = dout
-    for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
-        dz = trace.dz[i]
-        if layer.activation == "relu":
-            np.greater(trace.z[i], 0.0, out=dz)
-            np.multiply(da, dz, out=dz)
-        elif layer.activation == "tanh":
-            np.multiply(trace.a[i], trace.a[i], out=dz)
-            np.subtract(1.0, dz, out=dz)
-            np.multiply(da, dz, out=dz)
-        else:
-            dz = da
-        if param_grads:
-            gw, gb = trace.grad_layers[i]
-            np.matmul(dz.mT, trace.layer_input(i), out=gw)
-            np.add.reduce(dz, axis=-2, out=gb, keepdims=gb.ndim == dz.ndim)
-        if i == 0 and not input_grad:
-            da = None
-            break
-        da = np.matmul(dz, layer.weight, out=trace.da[i])
-    return (trace.grads if param_grads else None), da
+    if trace.model is not model:
+        trace.bind(model)
+    return trace.backward(dout, param_grads, input_grad)
 
 
 def backward(

@@ -5,7 +5,9 @@ runs local SGD and returns a delta, compromised clients swap in their
 poisoned payloads, the optional defense scores each candidate vector (read
 as a model, without a copy) on generated data and filters them, and the
 surviving updates are aggregated into the next global model.  A
-rejected-everything round carries the previous weights forward.
+rejected-everything round carries the previous weights forward, and a round
+that leaves fewer survivors than the configured rule can aggregate (the
+Krum rules need at least four) falls back to the coordinate-wise median.
 
 Reports are pure functions of (config, master seed): every random draw comes
 from a purpose-keyed stream, so reruns match byte for byte.  Measured round
@@ -21,12 +23,12 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from . import attacks, defense, nn, rng
-from .aggregators import AggregatorConfig, ClientUpdate, aggregate
+from .aggregators import AggregatorConfig, ClientUpdate, aggregate, min_updates
 from .config import ExperimentConfig, IdxDatasetSpec, config_to_dict
 from .data import (
     ClientDataset,
@@ -51,6 +53,7 @@ class RoundRecord:
     rejected: List[int]
     malicious_sampled: List[int]
     gan_iters: int
+    aggregator_fallback: Optional[str] = None  # the rule that ran instead, if any
 
 
 @dataclass
@@ -122,10 +125,11 @@ def local_training(
                 # Short batches are padded with repeats of their own last row.
                 starts, stops = np.array(batches).T
                 sel = order[np.minimum(starts[:, None] + np.arange(max(real)), stops[:, None] - 1)]
-            out, traces[sel.shape] = nn.forward_cached(model, feats[sel], traces.get(sel.shape))
+            _, trace = nn.forward_cached(model, feats[sel], traces.get(sel.shape))
+            traces[sel.shape] = trace
             padded = min(real) < max(real)
-            _, dout = nn.softmax_cross_entropy(out, labels[sel], np.array(real) if padded else None)
-            grads, _ = nn.backprop_through(model, traces[sel.shape], dout, input_grad=False)
+            _, dout = trace.cross_entropy(labels[sel], np.array(real) if padded else None)
+            grads, _ = nn.backprop_through(model, trace, dout, input_grad=False)
             nn.sgd_step(model, grads, sgd_cfg, sgd)
             if hi - lo != len(stack):
                 params[stack], state.velocity[stack] = model.params, sgd.velocity
@@ -313,6 +317,7 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
             cfg.clients, cfg.attack.epsilon, rng.substream(cfg.seed, rng.ATTACK)
         )
     report = RunReport(config=config_to_dict(cfg))
+    fewest = min_updates(cfg.aggregator)
     for t in range(1, cfg.rounds + 1):
         started = time.perf_counter()
         sample_rng = rng.substream(cfg.seed, rng.SAMPLING, t)
@@ -349,12 +354,17 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
             accepted = defense.filter_updates(entries, cfg.defense.filter, cfg.defense.tau)
         else:
             accepted = set(sampled)
+        fallback = None
         if accepted:
             updates = [
                 ClientUpdate(cid, candidates[cid], counts[cid])
                 for cid in sorted(accepted)
             ]
-            global_vector = aggregate(updates, cfg.aggregator)
+            rule = cfg.aggregator
+            if len(updates) < fewest:
+                fallback = "coord_median"
+                rule = AggregatorConfig(fallback)
+            global_vector = aggregate(updates, rule)
         acc = evaluate_global(global_vector, template, test)
         tpr, tnr = compute_tpr_tnr(set(sampled), accepted, malicious)
         wall_ms = (time.perf_counter() - started) * 1000.0
@@ -367,6 +377,7 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
             rejected=sorted(set(sampled) - accepted),
             malicious_sampled=bad_sampled,
             gan_iters=gan_iters,
+            aggregator_fallback=fallback,
         )
         report.rounds.append(record)
         log.info(
@@ -428,6 +439,8 @@ def emit_report(report: RunReport, out_dir: str, name: str) -> Tuple[str, str]:
                 "rejected": r.rejected,
                 "malicious_sampled": r.malicious_sampled,
                 "gan_iters": r.gan_iters,
+                # Absent unless the round fell back, so other reports keep their bytes.
+                **({"aggregator_fallback": r.aggregator_fallback} if r.aggregator_fallback else {}),
             }
             for r in report.rounds
         ],

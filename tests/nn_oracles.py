@@ -1,15 +1,18 @@
 """Test-only reference computations for the network core.
 
 Each one favors obviousness over speed: an explicit triple loop, finite
-differences, a closed form, one client trained at a time.  The aggregation and filter oracles that
-`bfl oracle` replays stay in `bfl.oracles`.
+differences, a closed form, one client trained at a time, a generator fit
+composed from the checked public passes.  The aggregation and filter
+oracles that `bfl oracle` replays stay in `bfl.oracles`.
 """
 
+import collections
 from typing import Tuple
 
 import numpy as np
 
-from bfl import nn
+from bfl import defense, nn
+from bfl.rng import GEN_INIT, GEN_TRAIN, substream
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,3 +92,45 @@ def local_training_one_client(
             grads, _ = nn.backprop_through(model, trace, dout, input_grad=False)
             nn.sgd_step(model, grads, sgd_cfg, state)
     return model.params - global_vector, count
+
+
+def generator_fit(
+    classifier: nn.MlpModel,
+    cfg: defense.DefenseConfig,
+    master_seed: int,
+    round_index: int,
+    out_lo: np.ndarray,
+    out_hi: np.ndarray,
+) -> Tuple[defense.GeneratorModel, int]:
+    """`defense.train_generator` composed from the public, checked passes:
+    `forward_cached`, `softmax_cross_entropy`, `backprop_through` twice and
+    `sgd_step`, with the same draws, stopping rule and buffers reused
+    across iterations only through the traces."""
+    train_rng = substream(master_seed, GEN_TRAIN, round_index)
+    gen = defense.new_generator(
+        classifier, cfg, substream(master_seed, GEN_INIT, round_index), out_lo, out_hi
+    )
+    sgd = nn.SgdConfig(learning_rate=cfg.gen_lr, momentum=0.9, weight_decay=0.0)
+    state = nn.init_momentum(gen.backbone)
+    window: collections.deque = collections.deque(maxlen=cfg.early_stop_patience)
+    noise = np.empty((defense.GEN_BATCH, cfg.noise_dim))
+    gen_trace = cls_trace = None
+    iterations = 0
+    for iterations in range(1, cfg.gen_max_iter + 1):
+        train_rng.standard_normal(out=noise)
+        labels = train_rng.integers(0, classifier.output_dim, size=defense.GEN_BATCH)
+        raw, gen_trace = nn.forward_cached(gen.backbone, gen._condition(noise, labels), gen_trace)
+        logits, cls_trace = nn.forward_cached(classifier, gen._scale(raw), cls_trace)
+        loss, dlogits = nn.softmax_cross_entropy(logits, labels)
+        _, dsynth = nn.backprop_through(classifier, cls_trace, dlogits, param_grads=False)
+        grads, _ = nn.backprop_through(
+            gen.backbone, gen_trace, dsynth * gen.half, input_grad=False
+        )
+        nn.sgd_step(gen.backbone, grads, sgd, state)
+        window.append(loss)
+        if (
+            len(window) == cfg.early_stop_patience
+            and sum(window) / len(window) < cfg.early_stop_loss
+        ):
+            break
+    return gen, iterations

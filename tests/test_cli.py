@@ -276,3 +276,25 @@ def test_oracle_rejects_unknown_rule():
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "fancy_rule"])
     assert exc.value.code == 2
+
+
+def test_sweep_with_a_defended_krum_cell_completes(tmp_path, capsys):
+    # The cluster filter leaves one or two ipm survivors per round, fewer
+    # than multi_krum needs, so the cell's rounds fall back to coord_median.
+    cfg = write_config(tmp_path, seed=0, clients=10, sampled_per_round=5, rounds=3)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "attack": ["ipm"],
+        "epsilon": [0.9],
+        "rule": [
+            {"name": "fedavg"},
+            {"name": "krum_gan", "aggregator": {"kind": "multi_krum"},
+             "defense": {"filter": "cluster", "q": 9, "gen_max_iter": 30}},
+        ],
+    }))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--grid", str(grid), "--out-dir", str(out)]) == 0
+    rounds = json.loads((out / "ipm_eps0.9_krum_gan.json").read_text())["rounds"]
+    assert any(r.get("aggregator_fallback") == "coord_median" for r in rounds)
+    fedavg = json.loads((out / "ipm_eps0.9_fedavg.json").read_text())["rounds"]
+    assert not any("aggregator_fallback" in r for r in fedavg)

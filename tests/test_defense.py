@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import nn_oracles
 from bfl import defense, nn, oracles
 from bfl.defense import DefenseConfig, ScoreEntry
 
@@ -99,6 +101,43 @@ def test_train_generator_deterministic():
     assert not np.array_equal(
         g1.backbone.params, g3.backbone.params
     )
+
+
+@given(
+    noise_dim=st.integers(1, 8),
+    classes=st.integers(2, 5),
+    input_dim=st.integers(1, 6),
+    hidden=st.lists(st.integers(1, 12), max_size=2),
+    max_iter=st.integers(1, 40),
+    stop_loss=st.sampled_from([1e-4, 0.5, 2.0, 100.0]),
+    patience=st.integers(1, 12),
+    poison=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+    seed=st.integers(0, 2**16),
+)
+@example(noise_dim=16, classes=3, input_dim=12, hidden=[16, 16], max_iter=30,
+         stop_loss=0.1, patience=5, poison=np.nan, seed=7)
+@example(noise_dim=2, classes=3, input_dim=2, hidden=[8], max_iter=40,
+         stop_loss=100.0, patience=3, poison=-np.inf, seed=1)
+@settings(max_examples=40)
+def test_train_generator_matches_composed_reference_fit(
+    noise_dim, classes, input_dim, hidden, max_iter, stop_loss, patience, poison, seed
+):
+    # The fit's prepared buffers and unchecked passes must reproduce the
+    # fit composed from the public passes bit for bit: the same iteration
+    # count and the same parameter bytes, NaN payloads included.
+    rng = np.random.default_rng(seed)
+    classifier = nn.init_mlp([input_dim, *hidden, classes], "relu", rng)
+    if poison is not None:
+        classifier.params[rng.integers(0, classifier.params.size, size=3)] = poison
+    lo = -0.5 - rng.random(input_dim)
+    hi = 0.5 + rng.random(input_dim)
+    cfg = DefenseConfig(noise_dim=noise_dim, gen_max_iter=max_iter,
+                        early_stop_loss=stop_loss, early_stop_patience=patience)
+    with np.errstate(all="ignore"):
+        gen, iters = defense.train_generator(classifier, cfg, seed, 3, lo, hi)
+        ref, ref_iters = nn_oracles.generator_fit(classifier, cfg, seed, 3, lo, hi)
+    assert iters == ref_iters
+    assert gen.backbone.params.tobytes() == ref.backbone.params.tobytes()
 
 
 def test_synthesize_balanced_and_deterministic():

@@ -61,6 +61,13 @@ def test_softmax_cross_entropy_matches_logsumexp():
     assert dlogits.shape == logits.shape
 
 
+@pytest.mark.parametrize("bad", [3, -1])
+def test_softmax_cross_entropy_rejects_labels_out_of_range(bad):
+    # Picks use flat indices, so an unchecked label would read another row.
+    with pytest.raises(ValueError, match="out of range"):
+        nn.softmax_cross_entropy(np.zeros((2, 3)), np.array([0, bad]))
+
+
 def test_softmax_cross_entropy_huge_logits_stay_finite():
     logits = np.array([[1e5, -1e5, 0.0], [-1e5, 1e5, 0.0]])
     loss, dlogits = nn.softmax_cross_entropy(logits, np.array([0, 1]))

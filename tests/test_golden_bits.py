@@ -5,7 +5,8 @@ twice; neither notices when a change reorders a float operation or a random
 draw.  The sha256 digests below pin the exact bytes of one local-training
 delta, two generator fits (iteration count and final parameters: one stops
 early, one runs to `gen_max_iter`) and the emitted reports of two short
-defended cells and of one undefended cell on ragged shards.  A digest may
+defended cells, of one undefended cell on ragged shards and of a defended
+Krum cell whose last round falls back to the median.  A digest may
 change only with a deliberate change of the arithmetic, recorded in
 CHANGES.md.
 """
@@ -18,6 +19,7 @@ from bfl import defense, nn, orchestrator, rng
 from bfl.config import config_from_dict
 from bfl.defense import DefenseConfig
 from bfl.orchestrator import emit_report, run_experiment
+from test_orchestrator import KRUM_CELL
 
 SEED = 7
 LOCAL_DELTA = "819d3018f7a7de1da0537c95a6975f1b36674934a2af0ffd7f4e444b3620e0bf"
@@ -39,6 +41,10 @@ REPORTS = {
 RAGGED_REPORT = (
     "710b50ca807052df6b7344dcf11ce6c686728be48e46de3e8840549db01458fa",
     "ac7be8f7611d532ccea9c6be6fc74d831a6ec4cd77519a65994071fe19c05eb7",
+)
+FALLBACK_REPORT = (
+    "b518fdf51cbd1a9fe7b559c27b2f11ce2f976650159d2bd8fbb54bf2b560e7ad",
+    "c06022b2d6ec455a03796da974395a4f01da975e057cb8ef4946ebcb5fc39070",
 )
 
 CELLS = {
@@ -66,6 +72,14 @@ CELLS = {
 # three of 136-172 rows.  In batches of 16 the large shards take several
 # steps per epoch, and most shards end an epoch on a short batch.
 RAGGED_CELL = {"seed": 42, "rounds": 10, "batch": 16, "partition": {"alpha": 0.05}}
+# Its rounds accept 0, 0 and 3 updates: only the last carries the optional
+# "aggregator_fallback" key, so the pin holds the JSON with and without it.
+FALLBACK_CELL = {
+    **KRUM_CELL,
+    "aggregator": {"kind": "multi_krum"},
+    "attack": {"kind": "sign_flip", "epsilon": 0.9},
+    "defense": {"filter": "adaptive", "q": 9, "gen_max_iter": 30},
+}
 
 
 def digest(array: np.ndarray) -> str:
@@ -127,3 +141,12 @@ def test_ragged_report_bits(tmp_path):
         run_experiment(config_from_dict(RAGGED_CELL)), str(tmp_path), "ragged"
     )
     assert (file_digest(csv_path), file_digest(json_path)) == RAGGED_REPORT
+
+
+def test_fallback_report_bits(tmp_path):
+    report = run_experiment(config_from_dict(FALLBACK_CELL))
+    assert [(len(r.accepted), r.aggregator_fallback) for r in report.rounds] == [
+        (0, None), (0, None), (3, "coord_median")
+    ]
+    csv_path, json_path = emit_report(report, str(tmp_path), "fallback")
+    assert (file_digest(csv_path), file_digest(json_path)) == FALLBACK_REPORT

@@ -143,6 +143,9 @@ SHARD_ROWS = st.one_of(st.integers(1, 4), st.integers(1, 300))
     epochs=st.integers(1, 3),
 )
 @example(shards=[(1, False), (2, True), (1, False), (30, False), (300, True)], batch=16, epochs=2)
+# At the third step, the 5- and 37-row shards both take a 5-row batch and
+# the 32-row shard, between them in size, takes 16 rows.
+@example(shards=[(37, False), (5, False), (32, True)], batch=16, epochs=3)
 def test_lockstep_matches_one_client_at_a_time(shards, batch, epochs):
     # Shards of 1-300 rows, some with rotated labels, give one-row batches
     # next to taller ones, ragged last batches and clients that finish early.

@@ -24,14 +24,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import json
 import logging
 import os
 import sys
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from . import oracles
-from .config import ConfigError, ExperimentConfig, config_from_dict, config_to_dict, load_config
+from .config import (
+    ConfigError, ExperimentConfig, config_from_dict, config_to_dict, load_config, load_json,
+)
 from .orchestrator import RunReport, emit_report, run_experiment
 
 
@@ -52,13 +53,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _load_grid(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            grid = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{path}: no such file") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    grid = load_json(path)
     if not isinstance(grid, dict):
         raise ConfigError("grid: expected a JSON object")
     for key in grid:

@@ -18,7 +18,9 @@ from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_
 
 from .aggregators import AggregatorConfig, min_updates
 from .attacks import AttackConfig
-from .data import IdxFormatError, idx_image_count, stratified_test_count
+from .data import (
+    IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, IdxFormatError, idx_count, stratified_test_count,
+)
 from .defense import DefenseConfig
 from .nn import SgdConfig
 
@@ -67,14 +69,24 @@ class IdxDatasetSpec:
     kind = "idx"
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            path = getattr(self, f.name)
+        """Checks every file's header and size, so a cell never starts on an
+        IDX set that `data.load_idx` would refuse."""
+        paths = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, path in paths.items():
             if not os.path.isfile(path):
-                raise ValueError(f"{f.name}: no such file {path!r}")
-        try:
-            self.train_size = idx_image_count(self.train_images)  # training rows
-        except IdxFormatError as exc:
-            raise ValueError(f"train_images: {exc}") from exc
+                raise ValueError(f"{name}: no such file {path!r}")
+        counts = {}
+        for name, path in paths.items():
+            magic = IDX_IMAGE_MAGIC if name.endswith("images") else IDX_LABEL_MAGIC
+            try:
+                counts[name] = idx_count(path, magic)
+            except IdxFormatError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+        for split in ("train", "test"):
+            images, labels = counts[f"{split}_images"], counts[f"{split}_labels"]
+            if images != labels:
+                raise ValueError(f"{split}_labels: {labels} labels for {images} {split}_images")
+        self.train_size = counts["train_images"]  # training rows
 
 
 DATASET_KINDS = {"toy": ToyDatasetSpec, "idx": IdxDatasetSpec}
@@ -192,16 +204,21 @@ def config_from_dict(obj: Dict[str, Any]) -> ExperimentConfig:
     return _build(ExperimentConfig, obj, "")
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Read and validate a JSON config file."""
+def load_json(path: str) -> Any:
+    """The parsed contents of a JSON file; a missing file or bad JSON raises
+    `ConfigError`."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"{path}: no such file") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(obj)
+
+
+def load_config(path: str) -> ExperimentConfig:
+    """Read and validate a JSON config file."""
+    return config_from_dict(load_json(path))
 
 
 def config_to_dict(cfg: Any) -> Any:

@@ -7,6 +7,8 @@ parent dataset so partitions can be checked for disjointness exactly.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -128,7 +130,7 @@ def make_toy_blobs(
     if dims > centers.shape[1]:
         pad = np.zeros((num_classes, dims - centers.shape[1]))
         centers = np.hstack([centers, pad])
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = substream(seed)
     feats = []
     labels = []
     for c in range(num_classes):
@@ -148,7 +150,7 @@ def train_test_split(
     """Stratified split: each class contributes its own test_fraction share."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = substream(seed)
     test_idx = []
     train_idx = []
     for c in range(dataset.num_classes):
@@ -243,10 +245,15 @@ def _read_header(fh, path: str, magic: int, sizes: int) -> List[int]:
     return dims
 
 
-def idx_image_count(path: str) -> int:
-    """The image count in an IDX image file's header."""
+def idx_count(path: str, magic: int) -> int:
+    """The item count in an IDX file's header, once the file size shows that
+    every item the header declares is there.  Reads the header alone."""
     with open(path, "rb") as fh:
-        return _read_header(fh, path, IDX_IMAGE_MAGIC, 3)[0]
+        dims = _read_header(fh, path, magic, magic & 0xFF)  # the low byte counts the dims
+        size, need = os.fstat(fh.fileno()).st_size - fh.tell(), math.prod(dims)
+    if size < need:
+        raise IdxTruncatedError(f"{path}: expected {need} more bytes, got {size}")
+    return dims[0]
 
 
 def _load_idx_images(path: str) -> np.ndarray:

@@ -89,12 +89,9 @@ class GeneratorModel:
         raw = nn.forward(self.backbone, self._condition(noise, labels))
         return self._scale(raw)
 
-    def _condition(
-        self, noise: np.ndarray, labels: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """[noise, onehot(labels)] per row, written into `out` when given."""
-        if out is None:
-            out = np.empty((len(labels), self.noise_dim + self.num_classes))
+    def _condition(self, noise: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """[noise, onehot(labels)] per row."""
+        out = np.empty((len(labels), self.noise_dim + self.num_classes))
         out[:, : self.noise_dim] = noise
         out[:, self.noise_dim :] = 0.0
         out[np.arange(len(labels)), self.noise_dim + labels] = 1.0

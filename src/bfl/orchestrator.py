@@ -17,6 +17,7 @@ keep them byte-stable.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import logging
@@ -45,7 +46,7 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class RoundRecord:
-    round_index: int
+    round: int
     acc: float
     tpr: float
     tnr: float
@@ -78,61 +79,50 @@ def local_training(
 
     Each client reshuffles its samples every epoch with its own generator
     and walks them in batches of min(batch, len(shard)).  The clients train
-    in lockstep as one stack of models (see `nn`): each step takes every
-    unfinished client's next batch.  Sorted by length, those batches form a
-    new stack whenever one has more than twice the rows of the current
-    stack's shortest, so skewed shards pay little for padding.  A one-row
-    batch stacks only with one-row batches, since padding it would change
-    its bits.  Each client thus gets bit for bit the weights it would get
-    training alone.  Returns (delta, sample_count) per shard, in order,
-    where delta is the local weights minus the broadcast vector.
+    in lockstep as one stack of models (see `nn`), one row per client in
+    order of shard size.  A client's step count never falls as its shard
+    grows, so the clients still training at a step are a suffix of the
+    rows.  Each step splits that suffix into runs of consecutive rows (see
+    `_stacks`) and trains every run in place, on a view of the stack.  Each
+    client thus gets bit for bit the weights it would get training alone.
+    Returns (delta, sample_count) per shard, in order, where delta is the
+    local weights minus the broadcast vector.
     """
     counts = [len(shard) for shard in shards]
     if min(counts) < 1:
         raise ValueError("client has no data")
-    # Row r of the stack trains client rows[r].  In order of shard size,
-    # batches that stack together mostly sit in consecutive rows, and
-    # consecutive rows train in place, as a view of the stack.
     rows = sorted(range(len(shards)), key=counts.__getitem__)
     feats = np.concatenate([shards[k].features for k in rows])
     labels = np.concatenate([shards[k].labels for k in rows])
     order, spans = _batch_spans(
         [counts[k] for k in rows], [train_rngs[k] for k in rows], epochs, batch
     )
+    steps = [len(s) for s in spans]  # non-decreasing, as the rows are
     params = np.tile(global_vector, (len(shards), 1))
     state = nn.init_momentum(template.with_params(params))
     views: Dict[Tuple[int, int], Tuple[nn.MlpModel, nn.SgdState]] = {}
     traces: Dict[Tuple[int, ...], nn.Trace] = {}
-    for step in range(max(map(len, spans))):
-        live = {r: spans[r][step] for r in range(len(rows)) if step < len(spans[r])}
-        for stack in _stacks({r: stop - start for r, (start, stop) in live.items()}):
-            lo, hi = stack[0], stack[-1] + 1
-            if hi - lo == len(stack):
-                if (lo, hi) not in views:
-                    views[lo, hi] = (
-                        template.with_params(params[lo:hi]),
-                        nn.SgdState(state.velocity[lo:hi], state.scratch[lo:hi]),
-                    )
-                model, sgd = views[lo, hi]
-            else:
-                model = template.with_params(params[stack])
-                sgd = nn.SgdState(state.velocity[stack], np.empty_like(model.params))
-            batches = [live[r] for r in stack]
-            real = [stop - start for start, stop in batches]
-            if len(stack) == 1:
-                sel = order[None, slice(*batches[0])]
-            else:
-                # Short batches are padded with repeats of their own last row.
-                starts, stops = np.array(batches).T
-                sel = order[np.minimum(starts[:, None] + np.arange(max(real)), stops[:, None] - 1)]
+    for step in range(steps[-1]):
+        first = bisect.bisect_right(steps, step)
+        starts, stops = np.array([s[step] for s in spans[first:]]).T
+        lengths = (stops - starts).tolist()
+        for lo, hi in _stacks(lengths):
+            run = (first + lo, first + hi)  # rows of the stack, not of the suffix
+            if run not in views:
+                views[run] = (
+                    template.with_params(params[slice(*run)]),
+                    nn.SgdState(state.velocity[slice(*run)], state.scratch[slice(*run)]),
+                )
+            model, sgd = views[run]
+            real = lengths[lo:hi]
+            # Short batches are padded with repeats of their own last row.
+            sel = order[np.minimum(starts[lo:hi, None] + np.arange(max(real)), stops[lo:hi, None] - 1)]
             _, trace = nn.forward_cached(model, feats[sel], traces.get(sel.shape))
             traces[sel.shape] = trace
             padded = min(real) < max(real)
             _, dout = trace.cross_entropy(labels[sel], np.array(real) if padded else None)
             grads, _ = nn.backprop_through(model, trace, dout, input_grad=False)
             nn.sgd_step(model, grads, sgd_cfg, sgd)
-            if hi - lo != len(stack):
-                params[stack], state.velocity[stack] = model.params, sgd.velocity
     params -= global_vector
     trained = [None] * len(shards)
     for delta, k in zip(params, rows):
@@ -162,19 +152,21 @@ def _batch_spans(
     return order, spans
 
 
-def _stacks(rows: Dict[int, int]) -> List[List[int]]:
-    """Split one lockstep step's clients into stacks, given each client's
-    batch length: in order of length, with a new stack wherever a batch has
-    more than twice the rows of the stack's shortest.  One-row batches stack
-    only with each other."""
-    stacks: List[List[int]] = []
-    for k in sorted(rows, key=rows.get):
-        if stacks and rows[k] <= 2 * shortest and (rows[k] == 1 or shortest > 1):
-            stacks[-1].append(k)
+def _stacks(lengths: List[int]) -> List[Tuple[int, int]]:
+    """Split one lockstep step's rows, given each row's batch length, into
+    runs [lo, hi) of consecutive rows.  A run ends where the next batch
+    would make its longest more than twice its shortest.  A one-row batch
+    runs only with one-row batches, since padding it would change its
+    bits; padding any other batch changes none."""
+    runs: List[Tuple[int, int]] = []
+    for r, n in enumerate(lengths):
+        if runs and max(longest, n) <= 2 * min(shortest, n) and (n == 1) == (shortest == 1):
+            runs[-1] = (runs[-1][0], r + 1)
+            shortest, longest = min(shortest, n), max(longest, n)
         else:
-            stacks.append([k])
-            shortest = rows[k]
-    return [sorted(stack) for stack in stacks]
+            runs.append((r, r + 1))
+            shortest = longest = n
+    return runs
 
 
 def compute_tpr_tnr(
@@ -369,7 +361,7 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
         tpr, tnr = compute_tpr_tnr(set(sampled), accepted, malicious)
         wall_ms = (time.perf_counter() - started) * 1000.0
         record = RoundRecord(
-            round_index=t,
+            round=t,
             acc=acc,
             tpr=tpr,
             tnr=tnr,
@@ -398,57 +390,31 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
 CSV_COLUMNS = ("round", "acc", "tpr", "tnr", "accepted", "rejected", "gan_iters")
 
 
-def _real(x: float) -> str:
-    return f"{x:.17g}"
+def _csv_field(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return ";".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 def emit_report(report: RunReport, out_dir: str, name: str) -> Tuple[str, str]:
     """Write <name>.csv and <name>.json under out_dir; returns their paths.
 
-    Reals carry 17 significant digits with '.' decimal points, id lists are
-    ';'-joined, and lines end with LF, so identical (config, seed) pairs
-    produce identical bytes.  Round timings stay out (see module docstring).
+    Each JSON round is its `RoundRecord`'s fields, less those that are None
+    (so `aggregator_fallback` appears only in rounds that fell back), and
+    each CSV row is that round's `CSV_COLUMNS`, with reals to 17 significant
+    digits and id lists ';'-joined.  Lines end with LF, so identical
+    (config, seed) pairs produce identical bytes.  Round timings stay out
+    (see module docstring).
     """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{name}.csv")
     json_path = os.path.join(out_dir, f"{name}.json")
+    rounds = [{k: v for k, v in vars(r).items() if v is not None} for r in report.rounds]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for r in report.rounds:
-            writer.writerow(
-                [
-                    r.round_index,
-                    _real(r.acc),
-                    _real(r.tpr),
-                    _real(r.tnr),
-                    ";".join(str(i) for i in r.accepted),
-                    ";".join(str(i) for i in r.rejected),
-                    r.gan_iters,
-                ]
-            )
-    payload = {
-        "config": report.config,
-        "rounds": [
-            {
-                "round": r.round_index,
-                "acc": r.acc,
-                "tpr": r.tpr,
-                "tnr": r.tnr,
-                "accepted": r.accepted,
-                "rejected": r.rejected,
-                "malicious_sampled": r.malicious_sampled,
-                "gan_iters": r.gan_iters,
-                # Absent unless the round fell back, so other reports keep their bytes.
-                **({"aggregator_fallback": r.aggregator_fallback} if r.aggregator_fallback else {}),
-            }
-            for r in report.rounds
-        ],
-        "final_acc": report.final_acc,
-        "mean_tpr": report.mean_tpr,
-        "mean_tnr": report.mean_tnr,
-    }
+        writer.writerows([_csv_field(row[k]) for k in CSV_COLUMNS] for row in rounds)
     with open(json_path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({**vars(report), "rounds": rounds}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return csv_path, json_path

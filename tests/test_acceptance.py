@@ -109,7 +109,7 @@ def test_criterion_3_generator_effort_tracks_heterogeneity():
             iters = [r.gan_iters for r in report.rounds]
             per_seed.append(float(np.mean(iters)))
             if alpha == 100.0:
-                rho, _ = spearmanr(iters, [r.round_index for r in report.rounds])
+                rho, _ = spearmanr(iters, [r.round for r in report.rounds])
                 rhos.append(float(rho))
         means[alpha] = float(np.mean(per_seed))
     ok = means[0.1] > means[100.0] and all(r < 0.0 for r in rhos)

@@ -224,6 +224,23 @@ def test_sweep_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, grid, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [None, "{not json"])
+def test_sweep_unreadable_grid_exits_2_like_an_unreadable_config(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    if text is not None:
+        bad.write_text(text)
+    out = tmp_path / "sweep"
+    argv = ["--config", str(bad), "--out-dir", str(out)]
+    assert main(["run", *argv]) == 2
+    config_err = capsys.readouterr().err
+    assert main(["sweep", "--config", write_config(tmp_path), "--grid", str(bad),
+                 "--out-dir", str(out)]) == 2
+    grid_err = capsys.readouterr().err
+    assert grid_err == config_err
+    assert ("no such file" if text is None else "invalid JSON") in grid_err
+    assert not out.exists()
+
+
 def test_sweep_jobs_must_be_positive(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_sweep(tmp_path, POOL_GRID, tmp_path / "sweep", "--jobs", "0")

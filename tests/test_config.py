@@ -209,6 +209,32 @@ def test_idx_training_rows_are_read_at_load(tmp_path):
         config_from_dict({"dataset": dataset, "clients": 1, "sampled_per_round": 1})
 
 
+def test_idx_files_short_of_their_header_are_rejected_at_load(tmp_path):
+    paths = write_idx_files(tmp_path, 40)
+    dataset = {"kind": "idx", **paths}
+    # A 40-image header over 30 images of data.
+    body = Path(paths["train_images"]).read_bytes()
+    Path(paths["train_images"]).write_bytes(body[: 16 + 4 * 30])
+    with pytest.raises(ConfigError, match=r"^dataset: train_images: .*expected 160 more bytes, got 120$"):
+        config_from_dict({"dataset": dataset, "clients": 1, "sampled_per_round": 1})
+    paths = write_idx_files(tmp_path, 40)
+    Path(paths["test_labels"]).write_bytes(struct.pack(">II", 0x00000801, 3) + bytes(2))
+    with pytest.raises(ConfigError, match=r"^dataset: test_labels: .*expected 3 more bytes, got 2$"):
+        config_from_dict({"dataset": dataset, "clients": 1, "sampled_per_round": 1})
+
+
+def test_idx_pairs_with_unequal_counts_are_rejected_at_load(tmp_path):
+    paths = write_idx_files(tmp_path, 40)
+    dataset = {"kind": "idx", **paths}
+    Path(paths["train_labels"]).write_bytes(struct.pack(">II", 0x00000801, 39) + bytes(39))
+    with pytest.raises(ConfigError, match=r"^dataset: train_labels: 39 labels for 40 train_images$"):
+        config_from_dict({"dataset": dataset, "clients": 1, "sampled_per_round": 1})
+    paths = write_idx_files(tmp_path, 40)
+    Path(paths["test_images"]).write_bytes(struct.pack(">IIII", 0x00000803, 4, 2, 2) + bytes(16))
+    with pytest.raises(ConfigError, match=r"^dataset: test_labels: 3 labels for 4 test_images$"):
+        config_from_dict({"dataset": dataset, "clients": 1, "sampled_per_round": 1})
+
+
 def test_partition_num_clients_is_unknown():
     with pytest.raises(ConfigError, match=r"partition\.num_clients: unknown field"):
         config_from_dict({"clients": 10, "partition": {"num_clients": 10}})

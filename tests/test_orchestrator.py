@@ -208,6 +208,29 @@ def test_idx_dataset_with_missing_files_is_rejected_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("images, labels", [(40, 39), (30, 40)])
+def test_run_on_a_broken_idx_set_exits_2(tmp_path, capsys, images, labels):
+    # 40 images with 39 labels, or a 40-image header over 30 images of data:
+    # both are config errors, caught at load before any output is written.
+    write_idx_pair(str(tmp_path / "train"), np.zeros((images, 2, 2)), np.arange(labels) % 3)
+    write_idx_pair(str(tmp_path / "test"), np.zeros((6, 2, 2)), np.arange(6) % 3)
+    if images < labels:
+        header = struct.pack(">IIII", 0x00000803, labels, 2, 2)
+        body = (tmp_path / "train-images").read_bytes()[16:]
+        (tmp_path / "train-images").write_bytes(header + body)
+    names = {f"{split}_{kind}": str(tmp_path / f"{split}-{kind}")
+             for split in ("train", "test") for kind in ("images", "labels")}
+    path = tmp_path / "idx.json"
+    path.write_text(json.dumps({"dataset": {"kind": "idx", **names}, "clients": 5,
+                                "sampled_per_round": 2, "rounds": 1}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dataset: train_")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def write_idx_pair(prefix, images, labels):
     n, rows, cols = images.shape
     with open(f"{prefix}-images", "wb") as fh:

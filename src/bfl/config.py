@@ -19,7 +19,8 @@ from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_
 from .aggregators import AggregatorConfig, min_updates
 from .attacks import AttackConfig
 from .data import (
-    IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, IdxFormatError, idx_count, stratified_test_count,
+    IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, IdxFormatError, idx_count, load_idx_labels,
+    stratified_test_count,
 )
 from .defense import DefenseConfig
 from .nn import SgdConfig
@@ -70,7 +71,9 @@ class IdxDatasetSpec:
 
     def __post_init__(self) -> None:
         """Checks every file's header and size, so a cell never starts on an
-        IDX set that `data.load_idx` would refuse."""
+        IDX set that `data.load_idx` would refuse, and that no test label
+        lies beyond the training labels, which set the classifier's output
+        width."""
         paths = {f.name: getattr(self, f.name) for f in fields(self)}
         for name, path in paths.items():
             if not os.path.isfile(path):
@@ -86,6 +89,13 @@ class IdxDatasetSpec:
             images, labels = counts[f"{split}_images"], counts[f"{split}_labels"]
             if images != labels:
                 raise ValueError(f"{split}_labels: {labels} labels for {images} {split}_images")
+        top = {split: int(load_idx_labels(paths[f"{split}_labels"]).max(initial=-1))
+               for split in ("train", "test")}
+        if top["test"] > top["train"]:
+            raise ValueError(
+                f"test_labels: label {top['test']} is beyond the training labels, "
+                f"which reach {top['train']}"
+            )
         self.train_size = counts["train_images"]  # training rows
 
 

@@ -264,7 +264,8 @@ def _load_idx_images(path: str) -> np.ndarray:
     return pixels.astype(np.float64) / 255.0
 
 
-def _load_idx_labels(path: str) -> np.ndarray:
+def load_idx_labels(path: str) -> np.ndarray:
+    """The labels of an IDX label file, as int64."""
     with open(path, "rb") as fh:
         (count,) = _read_header(fh, path, IDX_LABEL_MAGIC, 1)
         raw = _read_exact(fh, count, path)
@@ -278,7 +279,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     IdxTruncatedError, or IdxCountMismatchError for the respective defects.
     """
     images = _load_idx_images(images_path)
-    labels = _load_idx_labels(labels_path)
+    labels = load_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise IdxCountMismatchError(
             f"{images_path} has {images.shape[0]} images but "

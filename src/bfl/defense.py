@@ -33,6 +33,11 @@ METRIC_KINDS = ("accuracy", "loss")
 
 GEN_HIDDEN = (64, 64)
 GEN_BATCH = 64
+# The plateau stop: a fit ends once this many windows of
+# `early_stop_patience` iterations have passed without the window-mean loss
+# falling below (1 - PLATEAU_REL_DELTA) times its best value so far.
+PLATEAU_WINDOWS = 4
+PLATEAU_REL_DELTA = 0.01
 
 
 @dataclass
@@ -134,11 +139,23 @@ def train_generator(
 
     Each iteration draws a fresh batch of standard-normal noise and uniform
     labels, pushes it through generator then classifier, and takes one
-    momentum SGD step on the generator alone.  Training stops once the mean
-    cross-entropy over the last `early_stop_patience` iterations drops below
-    `early_stop_loss`, or at `gen_max_iter`.  The iteration count is the
-    per-round effort signal: a crisp, stable classifier is quick to imitate,
-    a drifting one is not.
+    momentum SGD step on the generator alone.  Training stops at the first
+    of three conditions:
+
+    - the mean cross-entropy over the last `early_stop_patience` iterations
+      (the window mean) drops below `early_stop_loss`;
+    - the loss has plateaued: at the end of each non-overlapping window of
+      `early_stop_patience` iterations, a window mean below
+      (1 - PLATEAU_REL_DELTA) times the best so far becomes the new best,
+      and the fit stops once PLATEAU_WINDOWS windows have passed since the
+      last new best;
+    - `gen_max_iter` iterations have run.
+
+    A non-finite window mean is never a new best, so a fit against a
+    classifier whose outputs are NaN or overflow stops after
+    PLATEAU_WINDOWS windows.  The iteration count is the per-round effort
+    signal: a crisp, stable classifier is quick to imitate, a drifting one
+    is not.
 
     Everything an iteration touches is prepared once per fit: the noise,
     conditioning and synthetic batches, the flat index of each row's one-hot
@@ -174,6 +191,7 @@ def train_generator(
     # The output scaling's constants, broadcast to a batch once.
     half = np.broadcast_to(gen.half, synth.shape).copy()
     low = np.broadcast_to(gen.out_lo, synth.shape).copy()
+    best, best_at = np.inf, 0  # the plateau stop's best window mean, and when
     iterations = 0
     for iterations in range(1, cfg.gen_max_iter + 1):
         train_rng.standard_normal(out=noise)
@@ -190,11 +208,16 @@ def train_generator(
         grads, _ = gen_trace.backward(dsynth, input_grad=False)
         nn.sgd_step(gen.backbone, grads, sgd, state)
         window.append(loss)
-        if (
-            len(window) == cfg.early_stop_patience
-            and sum(window) / len(window) < cfg.early_stop_loss
-        ):
+        if len(window) < cfg.early_stop_patience:
+            continue
+        mean = sum(window) / len(window)
+        if mean < cfg.early_stop_loss:
             break
+        if iterations % cfg.early_stop_patience == 0:
+            if mean < best * (1.0 - PLATEAU_REL_DELTA):
+                best, best_at = mean, iterations
+            elif iterations - best_at >= PLATEAU_WINDOWS * cfg.early_stop_patience:
+                break
     return gen, iterations
 
 

@@ -5,9 +5,9 @@ exhaustive scans.  `rule_mismatches` is the one equivalence suite for the
 robust aggregation rules: it draws the random cases and compares each rule
 with its oracle.  Acceptance criteria 4 and 5 run it, and so does the
 command line (`bfl oracle <rule>`), so the equivalence evidence can be
-regenerated outside the test suite.  The network core's oracles (schoolbook
-matmul, finite-difference gradients, the momentum closed form) are used by
-the tests alone and live with them.
+regenerated outside the test suite.  The oracles that only tests use (the
+network core's, the generator fit, the two-means split and the IPM
+line-search objective) live with the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
-from . import aggregators, nn
+from . import aggregators
 
 ORACLE_RULES = ("multi_krum", "nnm_krum", "coord_median", "trimmed_mean", "geometric_median")
 
@@ -201,56 +201,3 @@ def rule_mismatches(rule: str, cases: int, seed: int) -> List[int]:
         raise ValueError(f"no oracle for {rule!r}")
     rng = np.random.default_rng(seed)
     return [case for case in range(cases) if not _case_matches(rule, rng)]
-
-
-def exhaustive_min_wcss_split(values: Sequence[float]) -> Tuple[int, float]:
-    """Try every split of the sorted values; return (split index, WCSS).
-
-    Ties keep the smallest split, i.e. the larger upper cluster.
-    """
-    ordered = sorted(float(v) for v in values)
-    n = len(ordered)
-    assert n >= 2
-
-    def ssd(chunk: List[float]) -> float:
-        mean = sum(chunk) / len(chunk)
-        return sum((v - mean) ** 2 for v in chunk)
-
-    best_split, best_cost = 1, math.inf
-    for split in range(1, n):
-        cost = ssd(ordered[:split]) + ssd(ordered[split:])
-        if cost < best_cost:
-            best_cost = cost
-            best_split = split
-    return best_split, best_cost
-
-
-def surrogate_loss_per_gamma(
-    global_vector: np.ndarray,
-    template: nn.MlpModel,
-    estimate: np.ndarray,
-    features: np.ndarray,
-    labels: np.ndarray,
-    gamma_grid: Sequence[float],
-    n_sampled: int,
-    n_malicious: int,
-) -> List[float]:
-    """Recompute the line-search objective per grid point from scratch.
-
-    The simulated aggregate and the cross-entropy are both spelled out
-    directly (log-sum-exp included) rather than routed through the attack
-    code, so this doubles as a check of that path.
-    """
-    out = []
-    for gamma in gamma_grid:
-        mixed = (
-            (n_sampled - n_malicious) * estimate + n_malicious * (-gamma * estimate)
-        ) / n_sampled
-        model = template.with_params(global_vector + mixed)
-        logits = nn.forward(model, features)
-        total = 0.0
-        for row, label in zip(logits, labels):
-            shifted = row - row.max()
-            total += math.log(np.exp(shifted).sum()) - shifted[label]
-        out.append(total / len(labels))
-    return out

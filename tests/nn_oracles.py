@@ -1,13 +1,15 @@
-"""Test-only reference computations for the network core.
+"""Test-only reference computations for the network core and the code
+built on it.
 
 Each one favors obviousness over speed: an explicit triple loop, finite
 differences, a closed form, one client trained at a time, a generator fit
-composed from the checked public passes.  The aggregation and filter
-oracles that `bfl oracle` replays stay in `bfl.oracles`.
+composed from the checked public passes, an exhaustive two-means split, the
+IPM line-search objective spelled out.  The aggregation oracles that
+`bfl oracle` replays stay in `bfl.oracles`.
 """
 
-import collections
-from typing import Tuple
+import math
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -101,18 +103,22 @@ def generator_fit(
     round_index: int,
     out_lo: np.ndarray,
     out_hi: np.ndarray,
-) -> Tuple[defense.GeneratorModel, int]:
+) -> Tuple[defense.GeneratorModel, int, List[float]]:
     """`defense.train_generator` composed from the public, checked passes:
     `forward_cached`, `softmax_cross_entropy`, `backprop_through` twice and
-    `sgd_step`, with the same draws, stopping rule and buffers reused
-    across iterations only through the traces."""
+    `sgd_step`, with the same draws and buffers reused across iterations
+    only through the traces.  The stopping rules are applied to the full
+    list of losses, which is returned too: the loss stop to its trailing
+    window, the plateau stop to the means of its non-overlapping windows
+    (`plateau_reached`)."""
     train_rng = substream(master_seed, GEN_TRAIN, round_index)
     gen = defense.new_generator(
         classifier, cfg, substream(master_seed, GEN_INIT, round_index), out_lo, out_hi
     )
     sgd = nn.SgdConfig(learning_rate=cfg.gen_lr, momentum=0.9, weight_decay=0.0)
     state = nn.init_momentum(gen.backbone)
-    window: collections.deque = collections.deque(maxlen=cfg.early_stop_patience)
+    patience = cfg.early_stop_patience
+    losses = []
     noise = np.empty((defense.GEN_BATCH, cfg.noise_dim))
     gen_trace = cls_trace = None
     iterations = 0
@@ -127,10 +133,78 @@ def generator_fit(
             gen.backbone, gen_trace, dsynth * gen.half, input_grad=False
         )
         nn.sgd_step(gen.backbone, grads, sgd, state)
-        window.append(loss)
-        if (
-            len(window) == cfg.early_stop_patience
-            and sum(window) / len(window) < cfg.early_stop_loss
+        losses.append(loss)
+        if iterations >= patience and sum(losses[-patience:]) / patience < cfg.early_stop_loss:
+            break
+        if iterations % patience == 0 and plateau_reached(
+            [sum(losses[end - patience : end]) / patience
+             for end in range(patience, iterations + 1, patience)]
         ):
             break
-    return gen, iterations
+    return gen, iterations, losses
+
+
+def plateau_reached(window_means: Sequence[float]) -> bool:
+    """Whether `defense.PLATEAU_WINDOWS` windows have passed since the last
+    window whose mean fell below (1 - `defense.PLATEAU_REL_DELTA`) times the
+    best earlier mean.  Only a mean that compares below counts, so NaN never
+    does."""
+    best, since = math.inf, 0
+    for mean in window_means:
+        since += 1
+        if mean < best * (1.0 - defense.PLATEAU_REL_DELTA):
+            best, since = mean, 0
+    return since >= defense.PLATEAU_WINDOWS
+
+
+def exhaustive_min_wcss_split(values: Sequence[float]) -> Tuple[int, float]:
+    """Try every split of the sorted values; return (split index, WCSS).
+
+    Ties keep the smallest split, i.e. the larger upper cluster.
+    """
+    ordered = sorted(float(v) for v in values)
+    n = len(ordered)
+    assert n >= 2
+
+    def ssd(chunk: List[float]) -> float:
+        mean = sum(chunk) / len(chunk)
+        return sum((v - mean) ** 2 for v in chunk)
+
+    best_split, best_cost = 1, math.inf
+    for split in range(1, n):
+        cost = ssd(ordered[:split]) + ssd(ordered[split:])
+        if cost < best_cost:
+            best_cost = cost
+            best_split = split
+    return best_split, best_cost
+
+
+def surrogate_loss_per_gamma(
+    global_vector: np.ndarray,
+    template: nn.MlpModel,
+    estimate: np.ndarray,
+    features: np.ndarray,
+    labels: np.ndarray,
+    gamma_grid: Sequence[float],
+    n_sampled: int,
+    n_malicious: int,
+) -> List[float]:
+    """Recompute the line-search objective per grid point from scratch.
+
+    The simulated aggregate and the cross-entropy are both spelled out
+    directly (log-sum-exp included) rather than routed through the attack
+    code, so this doubles as a check of that path.
+    """
+    out = []
+    for gamma in gamma_grid:
+        mixed = (
+            (n_sampled - n_malicious) * estimate + n_malicious * (-gamma * estimate)
+        ) / n_sampled
+        model = template.with_params(global_vector + mixed)
+        logits = nn.forward(model, features)
+        total = 0.0
+        for row, label in zip(logits, labels):
+            shifted = row - row.max()
+            total += math.log(np.exp(shifted).sum()) - shifted[label]
+        out.append(total / len(labels))
+    return out

@@ -199,7 +199,7 @@ def test_criterion_7_filters_match_their_definitions():
             scores[: n // 2] += 10.0
         lower, upper = kmeans_1d_two(list(enumerate(scores)))
         got_cost = _ssd(scores[lower]) + _ssd(scores[upper])
-        _, want_cost = oracles.exhaustive_min_wcss_split(scores)
+        _, want_cost = nn_oracles.exhaustive_min_wcss_split(scores)
         if abs(got_cost - want_cost) <= 1e-9 and sorted(lower + upper) == list(range(n)):
             cluster_ok += 1
 
@@ -236,7 +236,7 @@ def test_criterion_8_ipm_line_search_attains_grid_max():
         gamma_star, losses = attacks.ipm_line_search(
             vec, model, estimate, proxy, GAMMA_GRID, n_sampled, n_bad
         )
-        want = oracles.surrogate_loss_per_gamma(
+        want = nn_oracles.surrogate_loss_per_gamma(
             vec, model, estimate, feats, labels, GAMMA_GRID, n_sampled, n_bad
         )
         at_star = losses[GAMMA_GRID.index(gamma_star)]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bfl import attacks, data, nn, oracles
+import nn_oracles
+from bfl import attacks, data, nn
 
 
 def test_attack_config_defaults_resolve_gamma():
@@ -102,7 +103,7 @@ def test_ipm_line_search_matches_exhaustive_oracle_20_cases():
         gamma_star, losses = attacks.ipm_line_search(
             vector, template, estimate, proxy, grid, n, m
         )
-        oracle = oracles.surrogate_loss_per_gamma(
+        oracle = nn_oracles.surrogate_loss_per_gamma(
             vector, template, estimate, proxy.features, proxy.labels, grid, n, m
         )
         np.testing.assert_allclose(losses, oracle, rtol=1e-10)
@@ -159,7 +160,7 @@ def test_ipm_line_search_validates_counts():
     # Every sampled client compromised: the aggregate is the payload itself.
     grid = attacks.DEFAULT_IPM_GRID
     gamma_star, losses = attacks.ipm_line_search(vector, template, estimate, proxy, grid, 5, 5)
-    oracle = oracles.surrogate_loss_per_gamma(
+    oracle = nn_oracles.surrogate_loss_per_gamma(
         vector, template, estimate, proxy.features, proxy.labels, grid, 5, 5
     )
     np.testing.assert_allclose(losses, oracle, rtol=1e-10)

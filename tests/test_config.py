@@ -9,6 +9,7 @@ import pytest
 
 from bfl.aggregators import AggregatorConfig
 from bfl.attacks import AttackConfig
+from bfl.cli import main
 from bfl.config import (
     ConfigError,
     ExperimentConfig,
@@ -233,6 +234,26 @@ def test_idx_pairs_with_unequal_counts_are_rejected_at_load(tmp_path):
     Path(paths["test_images"]).write_bytes(struct.pack(">IIII", 0x00000803, 4, 2, 2) + bytes(16))
     with pytest.raises(ConfigError, match=r"^dataset: test_labels: 3 labels for 4 test_images$"):
         config_from_dict({"dataset": dataset, "clients": 1, "sampled_per_round": 1})
+
+
+def test_idx_test_labels_beyond_the_training_labels_are_rejected_at_load(tmp_path, capsys):
+    # Training labels {0, 1} give the classifier two outputs, so a test row
+    # of class 2 could never be classified right.
+    paths = write_idx_files(tmp_path, 40)
+    Path(paths["train_labels"]).write_bytes(struct.pack(">II", 0x00000801, 40) + bytes([0, 1] * 20))
+    Path(paths["test_labels"]).write_bytes(struct.pack(">II", 0x00000801, 3) + bytes([0, 1, 2]))
+    cfg = {"dataset": {"kind": "idx", **paths}, "clients": 2, "sampled_per_round": 2}
+    with pytest.raises(
+        ConfigError, match=r"^dataset: test_labels: label 2 is beyond the training labels, which reach 1$"
+    ):
+        config_from_dict(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "label 2 is beyond the training labels" in capsys.readouterr().err
+    # A test set that misses a training class is fine.
+    Path(paths["test_labels"]).write_bytes(struct.pack(">II", 0x00000801, 3) + bytes([1, 1, 1]))
+    assert config_from_dict(cfg).dataset.train_size == 40
 
 
 def test_partition_num_clients_is_unknown():

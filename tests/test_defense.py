@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nn_oracles
-from bfl import defense, nn, oracles
+from bfl import defense, nn
 from bfl.defense import DefenseConfig, ScoreEntry
 
 
@@ -118,13 +118,20 @@ def test_train_generator_deterministic():
          stop_loss=0.1, patience=5, poison=np.nan, seed=7)
 @example(noise_dim=2, classes=3, input_dim=2, hidden=[8], max_iter=40,
          stop_loss=100.0, patience=3, poison=-np.inf, seed=1)
+# A finite loss that stops improving: the plateau stop ends it at 36.
+@example(noise_dim=2, classes=3, input_dim=2, hidden=[8], max_iter=40,
+         stop_loss=1e-4, patience=3, poison=None, seed=0)
+# A NaN loss from the first iteration: four windows of 4, then a stop.
+@example(noise_dim=2, classes=3, input_dim=2, hidden=[8], max_iter=40,
+         stop_loss=0.5, patience=4, poison=np.nan, seed=2)
 @settings(max_examples=40)
 def test_train_generator_matches_composed_reference_fit(
     noise_dim, classes, input_dim, hidden, max_iter, stop_loss, patience, poison, seed
 ):
     # The fit's prepared buffers and unchecked passes must reproduce the
     # fit composed from the public passes bit for bit: the same iteration
-    # count and the same parameter bytes, NaN payloads included.
+    # count and the same parameter bytes, NaN payloads included.  The
+    # reference applies both stopping rules to its own list of losses.
     rng = np.random.default_rng(seed)
     classifier = nn.init_mlp([input_dim, *hidden, classes], "relu", rng)
     if poison is not None:
@@ -135,9 +142,20 @@ def test_train_generator_matches_composed_reference_fit(
                         early_stop_loss=stop_loss, early_stop_patience=patience)
     with np.errstate(all="ignore"):
         gen, iters = defense.train_generator(classifier, cfg, seed, 3, lo, hi)
-        ref, ref_iters = nn_oracles.generator_fit(classifier, cfg, seed, 3, lo, hi)
+        ref, ref_iters, _ = nn_oracles.generator_fit(classifier, cfg, seed, 3, lo, hi)
     assert iters == ref_iters
     assert gen.backbone.params.tobytes() == ref.backbone.params.tobytes()
+
+
+def test_train_generator_against_nan_classifier_stops_after_plateau_windows():
+    # A NaN window mean is never a new best, so the fit gives up after
+    # PLATEAU_WINDOWS windows instead of running to gen_max_iter.
+    classifier = nn.init_mlp([12, 16, 16, 3], "relu", np.random.default_rng(11))
+    classifier.params[:] = np.nan
+    cfg = DefenseConfig()
+    with np.errstate(all="ignore"):
+        _, iters = defense.train_generator(classifier, cfg, 0, 1, -np.ones(12), np.ones(12))
+    assert iters == defense.PLATEAU_WINDOWS * cfg.early_stop_patience == 200
 
 
 def test_synthesize_balanced_and_deterministic():
@@ -204,7 +222,7 @@ def test_kmeans_1d_two_matches_exhaustive_oracle_50_sets():
         ordered = sorted(values.tolist())
         split = len(lower)
         got = _wcss(ordered[:split]) + _wcss(ordered[split:])
-        _, oracle_cost = oracles.exhaustive_min_wcss_split(values.tolist())
+        _, oracle_cost = nn_oracles.exhaustive_min_wcss_split(values.tolist())
         assert got == pytest.approx(oracle_cost, abs=1e-9), f"case {case}"
         assert set(lower) | set(upper) == set(range(n))
         assert not (set(lower) & set(upper))

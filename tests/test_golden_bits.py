@@ -3,8 +3,9 @@
 Every other test compares floats with a tolerance, or reruns the same code
 twice; neither notices when a change reorders a float operation or a random
 draw.  The sha256 digests below pin the exact bytes of one local-training
-delta, two generator fits (iteration count and final parameters: one stops
-early, one runs to `gen_max_iter`) and the emitted reports of two short
+delta, three generator fits (iteration count and final parameters: one
+stops on its loss, one on a loss plateau, one runs to `gen_max_iter`) and
+the emitted reports of two short
 defended cells, of one undefended cell on ragged shards and of a defended
 Krum cell whose last round falls back to the median.  A digest may
 change only with a deliberate change of the arithmetic, recorded in
@@ -15,6 +16,7 @@ import hashlib
 
 import numpy as np
 
+import nn_oracles
 from bfl import defense, nn, orchestrator, rng
 from bfl.config import config_from_dict
 from bfl.defense import DefenseConfig
@@ -28,6 +30,10 @@ GEN_PARAMS = "4eb8ac97338765d4c4ac225d08715dadfec888e65a02e06a9340a08a0e9d6077"
 # An 8-D noise fit whose loss never drops below 1e-4: it stops at the cap.
 CAPPED_CFG = DefenseConfig(noise_dim=8, gen_max_iter=150, early_stop_loss=1e-4)
 CAPPED_PARAMS = "0ddc18a7095f7fc9c3bab7e5d081c95224b2421e4748004be9ee39477fdd7a5d"
+# The untrained broadcast model at default settings: the window-mean loss
+# levels off just above `early_stop_loss`, and the plateau stop ends the fit.
+PLATEAU_ITERS = 900
+PLATEAU_PARAMS = "edbc721c30d54b98c13c6aed6c8b9393df99f6f89c270cb6b2de358ecdfcc670"
 REPORTS = {
     "ipm_cluster": (
         "a163a54d445d12e336b1ddb4fb64fee6bc6ec32dc5c4e889423859d2741dcf6f",
@@ -127,6 +133,20 @@ def test_capped_generator_fit_bits():
     gen, iters = defense.train_generator(classifier, CAPPED_CFG, SEED, 5, lo, hi)
     assert iters == CAPPED_CFG.gen_max_iter
     assert digest(gen.backbone.params) == CAPPED_PARAMS
+
+
+def test_plateau_generator_fit_bits():
+    template, vector, _, lo, hi = _trained_classifier()
+    classifier = template.with_params(vector)
+    cfg = DefenseConfig()
+    gen, iters = defense.train_generator(classifier, cfg, SEED, 4, lo, hi)
+    assert iters == PLATEAU_ITERS < cfg.gen_max_iter
+    assert digest(gen.backbone.params) == PLATEAU_PARAMS
+    # It stopped on the plateau, not on the loss: the last window's mean is
+    # still above the loss stop.
+    _, _, losses = nn_oracles.generator_fit(classifier, cfg, SEED, 4, lo, hi)
+    window = losses[-cfg.early_stop_patience:]
+    assert len(losses) == iters and sum(window) / len(window) >= cfg.early_stop_loss
 
 
 def test_defended_report_bits(tmp_path):

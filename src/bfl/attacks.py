@@ -51,6 +51,8 @@ class AttackConfig:
                 self.gamma = DEFAULT_SIGN_FLIP_GAMMA
             elif self.kind == "label_flip":
                 self.gamma = DEFAULT_LABEL_FLIP_GAMMA
+        elif self.gamma <= 0.0:
+            raise ValueError("gamma must be positive")
         if self.kind == "ipm" and not self.gamma_grid:
             raise ValueError("gamma_grid must not be empty")
         if self.ipm_objective not in IPM_OBJECTIVES:

@@ -6,13 +6,14 @@
 
 `run` executes one experiment and writes <config-stem>.csv/.json into the
 output directory (--out-dir, else $BFL_OUT_DIR, else the working directory).
-`sweep` repeats the base config over a cartesian grid of attack settings.
-It expands and validates every cell before any runs, then maps
-`run_experiment` over the cells: in this process with one job, otherwise in
-a pool of forked workers (--jobs, default the usable CPUs) that is joined
-before the command returns.  Cells are pure functions of (config, seed) and
-this process writes the reports in grid order, so the output is the same
-for every job count.
+`sweep` runs the base config once per cell of a cartesian grid whose keys
+are dotted config paths (`attack` and `epsilon` stand for `attack.kind` and
+`attack.epsilon`) plus `rule`, a list of named aggregator/defense overlays.
+It validates every cell before any runs, then maps `run_experiment` over
+them: in this process with one job, otherwise in a pool of forked workers
+(--jobs, default the usable CPUs) that is joined before the command
+returns.  Cells are pure functions of (config, seed) and this process writes
+the reports in grid order, so the output is the same for every job count.
 `oracle` replays `oracles.rule_mismatches`, the equivalence suite that
 acceptance criteria 4 and 5 run, for one robust aggregation rule or all of
 them (--cases N, at least 1; geometric_median runs at most 20).
@@ -23,95 +24,97 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
+import itertools
 import logging
 import os
 import sys
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import oracles
+from .aggregators import AggregatorConfig
 from .config import (
     ConfigError, ExperimentConfig, config_from_dict, config_to_dict, load_config, load_json,
 )
+from .defense import DefenseConfig
 from .orchestrator import RunReport, emit_report, run_experiment
+
+SUMMARY = "final_acc={0.final_acc:.4f} mean_tpr={0.mean_tpr:.4f} mean_tnr={0.mean_tnr:.4f}"
+ALIASES = {"attack": "attack.kind", "epsilon": "attack.epsilon"}  # short grid keys
+RULE_OBJECTS = {"aggregator": AggregatorConfig, "defense": DefenseConfig}
 
 
 def _out_dir(flag: Optional[str]) -> str:
     return flag or os.environ.get("BFL_OUT_DIR") or "."
 
 
+def _override(base: ExperimentConfig, settings: List[Tuple[str, Any]]) -> ExperimentConfig:
+    """`base` with the field at each dotted path set in turn, validated afresh.  An unknown
+    field or a non-object parent (`defense.q` with no defense) names the grid key."""
+    cell = config_to_dict(base)
+    for path, value in settings:
+        *parents, leaf = path.split(".")
+        node = cell
+        for depth, key in enumerate(parents, 1):
+            node = node.get(key, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"grid.{path}: {'.'.join(parents[:depth])} is not an object in this cell")
+        if leaf not in node:
+            raise ConfigError(f"grid.{path}: unknown field")
+        node[leaf] = value
+    return config_from_dict(cell)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = _override(cfg, [("seed", args.seed)])
     report = run_experiment(cfg)
     name = os.path.splitext(os.path.basename(args.config))[0]
     csv_path, json_path = emit_report(report, _out_dir(args.out_dir), name)
-    print(f"final_acc={report.final_acc:.4f} mean_tpr={report.mean_tpr:.4f} mean_tnr={report.mean_tnr:.4f}")
+    print(SUMMARY.format(report))
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
 
-def _load_grid(path: str) -> dict:
-    grid = load_json(path)
+def _grid_cells(base: ExperimentConfig, grid: Any) -> List[Tuple[str, ExperimentConfig]]:
+    """Every (name, config) cell, validated, over `attack`, then `epsilon`,
+    then the other keys in file order, then `rule`.  A rule lays down its
+    objects, filled out with defaults, before the other keys write into them.
+    Names are unique, so no cell's report overwrites another's."""
     if not isinstance(grid, dict):
         raise ConfigError("grid: expected a JSON object")
-    for key in grid:
-        if key not in ("epsilon", "attack", "rule"):
-            raise ConfigError(f"grid.{key}: unknown axis (use epsilon, attack, rule)")
-    return grid
-
-
-def _grid_cells(base: ExperimentConfig, grid: dict) -> List[Tuple[str, ExperimentConfig]]:
-    """Every (name, config) cell of the grid in grid order, each validated.
-
-    Names are unique, so no cell's report overwrites another's.
-    """
-    axes = []
-    for axis, default in (
-        ("attack", [base.attack.kind]),
-        ("epsilon", [base.attack.epsilon]),
-        ("rule", [None]),
-    ):
-        values = grid.get(axis, default)
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"grid.{axis}: expected a non-empty list")
-        axes.append(values)
-    kinds, epsilons, rules = axes
-    base_dict = config_to_dict(base)
-    cells: List[Tuple[str, ExperimentConfig]] = []
-    names = set()
-    for kind in kinds:
-        for eps in epsilons:
-            for rule in rules:
-                cell = copy.deepcopy(base_dict)
-                cell["attack"]["kind"] = kind
-                cell["attack"]["epsilon"] = eps
-                suffix = ""
-                if rule is not None:
-                    if not isinstance(rule, dict) or "name" not in rule:
-                        raise ConfigError("grid.rule: each entry needs a 'name'")
-                    for key in rule:
-                        if key not in ("name", "aggregator", "defense"):
-                            raise ConfigError(f"grid.rule.{key}: unknown field")
-                    if "aggregator" in rule:
-                        cell["aggregator"] = rule["aggregator"]
-                    if "defense" in rule:
-                        cell["defense"] = rule["defense"]
-                    suffix = f"_{rule['name']}"
-                cfg = config_from_dict(cell)
-                name = f"{cfg.attack.kind}_eps{cfg.attack.epsilon:g}{suffix}"
-                if name in names:
-                    raise ConfigError(f"grid: duplicate cell name {name!r}")
-                names.add(name)
-                cells.append((name, cfg))
-    return cells
+    keys = sorted(grid, key=lambda k: (k != "attack", k != "epsilon", k == "rule"))
+    for key in keys:
+        if not isinstance(grid[key], list) or not grid[key]:
+            raise ConfigError(f"grid.{key}: expected a non-empty list")
+    for rule in grid.get("rule", []):
+        if not isinstance(rule, dict) or "name" not in rule:
+            raise ConfigError("grid.rule: each entry needs a 'name'")
+        for key in rule:
+            if key not in ("name", *RULE_OBJECTS):
+                raise ConfigError(f"grid.rule.{key}: unknown field")
+    cells: Dict[str, ExperimentConfig] = {}
+    for values in itertools.product(*(grid[key] for key in keys)):
+        settings, suffix = [], ""
+        for key, value in zip(keys, values):
+            if key == "rule":
+                settings[:0] = [(k, {**config_to_dict(cls()), **value[k]} if isinstance(value[k], dict)
+                                 else value[k]) for k, cls in RULE_OBJECTS.items() if k in value]
+                suffix += f"_{value['name']}"
+            else:
+                settings.append((ALIASES.get(key, key), value))
+                label = format(value, "g") if isinstance(value, float) else value
+                suffix += "" if key in ALIASES else f"_{key.rsplit('.', 1)[-1]}{label}"
+        cfg = _override(base, settings)
+        name = f"{cfg.attack.kind}_eps{cfg.attack.epsilon:g}{suffix}"
+        if name in cells:
+            raise ConfigError(f"grid: duplicate cell name {name!r}")
+        cells[name] = cfg
+    return list(cells.items())
 
 
 def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _run_cell(cfg: ExperimentConfig) -> RunReport:
@@ -145,14 +148,14 @@ def _cell_mapper(jobs: int) -> Iterator[Callable]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cells = _grid_cells(load_config(args.config), _load_grid(args.grid))
+    cells = _grid_cells(load_config(args.config), load_json(args.grid))
     out_dir = _out_dir(args.out_dir)
     jobs = min(args.jobs or _usable_cpus(), len(cells))
     with _cell_mapper(jobs) as cell_map:
         reports = cell_map(_run_cell, [cfg for _, cfg in cells])
         for (name, _), report in zip(cells, reports):
             csv_path, _ = emit_report(report, out_dir, name)
-            print(f"{name}: final_acc={report.final_acc:.4f} -> {csv_path}")
+            print(f"{name}: {SUMMARY.format(report)} -> {csv_path}")
     print(f"swept {len(cells)} cells into {out_dir}")
     return 0
 
@@ -194,10 +197,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--grid", required=True)
     p_sweep.add_argument("--out-dir", default=None)
-    p_sweep.add_argument(
-        "--jobs", type=_positive_int, default=None,
-        help="worker processes (default: the usable CPUs, at most one per cell)",
-    )
+    p_sweep.add_argument("--jobs", type=_positive_int, default=None,
+                         help="worker processes (default: the usable CPUs, at most one per cell)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="replay brute-force aggregation checks")
@@ -207,10 +208,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_oracle.set_defaults(func=_cmd_oracle)
 
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import NoneType
 from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
@@ -111,6 +112,8 @@ class PartitionSpec:
     def __post_init__(self) -> None:
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -130,6 +133,8 @@ class ExperimentConfig:
     defense: Optional[DefenseConfig] = None
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
         if self.rounds < 0:
             raise ConfigError("rounds: must be >= 0")
         if self.clients < 1:
@@ -188,7 +193,11 @@ def _parse(hint: Any, value: Any, path: str, or_null: str = "") -> Any:
         if isinstance(value, bool) == (hint is bool) and isinstance(
             value, (int, float) if hint is float else hint
         ):
-            return float(value) if hint is float else value
+            if hint is not float:
+                return value
+            if abs(value) <= sys.float_info.max:  # NaN, infinities and huge ints fail
+                return float(value)
+            raise ConfigError(f"{path}: expected a finite number, got {value}")
         raise ConfigError(f"{path}: expected {hint.__name__}{or_null}, got {type(value).__name__}")
     origin, args = get_origin(hint), get_args(hint)
     if NoneType in args:  # Optional[X]: JSON null means None

@@ -134,7 +134,7 @@ def test_sweep_bad_grid_axis_exits_2(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"seeds": [1, 2]}))
     assert main(["sweep", "--config", cfg, "--grid", str(grid)]) == 2
-    assert "unknown axis" in capsys.readouterr().err
+    assert "grid.seeds: unknown field" in capsys.readouterr().err
 
 
 def test_sweep_rule_needs_name(tmp_path, capsys):
@@ -215,6 +215,14 @@ def test_sweep_stops_at_the_first_failing_cell(tmp_path, monkeypatch, capsys, jo
         ({"attack": ["sign_flip", "nope"]}, "unknown attack kind 'nope'"),
         ({"rule": [{"name": "median", "agregator": {"kind": "coord_median"}}]},
          "grid.rule.agregator: unknown field"),
+        ({"partition.alpah": [0.1]}, "grid.partition.alpah: unknown field"),
+        ({"partiton.alpha": [0.1]}, "grid.partiton.alpha: unknown field"),
+        ({"partition.alpha.x": [1]}, "grid.partition.alpha.x: partition.alpha is not an object"),
+        ({"rule": [{"name": "gan", "defense": {}}, {"name": "fedavg"}], "defense.q": [9]},
+         "grid.defense.q: defense is not an object in this cell"),
+        ({"seed": [1, -1]}, "config error: seed: must be >= 0"),
+        ({"partition.alpha": [0.5, 0.0]}, "config error: partition: alpha must be positive"),
+        ({"seed": [1, 1.0]}, "config error: seed: expected int, got float"),
     ],
 )
 def test_sweep_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, grid, message):
@@ -315,3 +323,103 @@ def test_sweep_with_a_defended_krum_cell_completes(tmp_path, capsys):
     assert any(r.get("aggregator_fallback") == "coord_median" for r in rounds)
     fedavg = json.loads((out / "ipm_eps0.9_fedavg.json").read_text())["rounds"]
     assert not any("aggregator_fallback" in r for r in fedavg)
+
+
+def test_path_axes_run_between_epsilon_and_rule_in_file_order(tmp_path):
+    # Keys come in file order apart from the named ones: attack, then
+    # epsilon, then the paths as written, then rule.
+    grid = {
+        "rule": [{"name": "fedavg"}, {"name": "median", "aggregator": {"kind": "coord_median"}}],
+        "seed": [5, 6],
+        "epsilon": [0.2],
+        "partition.alpha": [0.1, 1],
+        "attack": ["sign_flip"],
+    }
+    cells = cli._grid_cells(cli.load_config(write_config(tmp_path)), grid)
+    assert [name for name, _ in cells] == [
+        f"sign_flip_eps0.2_seed{seed}_alpha{alpha}_{rule}"
+        for seed in (5, 6) for alpha in ("0.1", "1") for rule in ("fedavg", "median")
+    ]
+    for name, cfg in cells:
+        assert name.startswith(f"sign_flip_eps0.2_seed{cfg.seed}_alpha{cfg.partition.alpha:g}_")
+        assert cfg.aggregator.kind == ("coord_median" if name.endswith("median") else "fedavg")
+        assert cfg.dataset.per_class == 24  # the rest of the base is kept
+
+
+def test_alpha_by_seed_sweep_writes_one_report_per_cell(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert run_sweep(tmp_path, {"partition.alpha": [0.1, 100], "seed": [4, 5]}, out) == 0
+    names = [f"none_eps0_alpha{a}_seed{s}" for a in ("0.1", "100") for s in (4, 5)]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == names
+    for name in names:
+        echo = json.loads((out / f"{name}.json").read_text())["config"]
+        assert f"_alpha{echo['partition']['alpha']:g}_seed{echo['seed']}" in name
+
+
+def test_a_path_axis_writes_into_each_rules_aggregator(tmp_path):
+    base = cli.load_config(write_config(tmp_path, clients=10, sampled_per_round=10))
+    grid = {
+        "aggregator.beta": [0.0, 0.2],
+        "rule": [
+            {"name": "krum", "aggregator": {"kind": "multi_krum"}},
+            {"name": "nnm", "aggregator": {"kind": "nnm_krum", "weiszfeld_max_iter": 7}},
+            {"name": "gan", "defense": {"metric": "loss"}},
+        ],
+        "defense.q": [9],
+    }
+    with pytest.raises(cli.ConfigError, match="grid.defense.q: defense is not an object"):
+        cli._grid_cells(base, grid)
+    grid["rule"].pop()
+    del grid["defense.q"]
+    cells = dict(cli._grid_cells(base, grid))
+    assert list(cells) == ["none_eps0_beta0_krum", "none_eps0_beta0_nnm",
+                           "none_eps0_beta0.2_krum", "none_eps0_beta0.2_nnm"]
+    for name, cfg in cells.items():
+        assert cfg.aggregator.kind == ("multi_krum" if name.endswith("krum") else "nnm_krum")
+        assert cfg.aggregator.beta == (0.2 if "beta0.2" in name else 0.0)
+        # The fields a rule leaves out keep their defaults, not the base's.
+        assert cfg.aggregator.weiszfeld_max_iter == (1000 if name.endswith("krum") else 7)
+
+
+def test_a_path_axis_writes_into_each_rules_defense(tmp_path):
+    grid = {
+        "defense.q": [9, 12],
+        "rule": [{"name": "adaptive", "defense": {"metric": "loss"}},
+                 {"name": "cluster", "defense": {"filter": "cluster"}}],
+    }
+    cells = dict(cli._grid_cells(cli.load_config(write_config(tmp_path)), grid))
+    assert list(cells) == ["none_eps0_q9_adaptive", "none_eps0_q9_cluster",
+                           "none_eps0_q12_adaptive", "none_eps0_q12_cluster"]
+    for name, cfg in cells.items():
+        assert cfg.defense.q == int(name.split("_q")[1].split("_")[0])
+        assert (cfg.defense.filter, cfg.defense.metric) == (
+            ("adaptive", "loss") if name.endswith("adaptive") else ("cluster", "accuracy"))
+
+
+def test_sweep_and_run_print_the_same_summary(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 0
+    run_line = capsys.readouterr().out.splitlines()[0]
+    assert run_line.startswith("final_acc=") and " mean_tpr=" in run_line and " mean_tnr=" in run_line
+    out = tmp_path / "sweep"
+    assert run_sweep(tmp_path, {"seed": [TINY["seed"]]}, out) == 0
+    sweep_line = capsys.readouterr().out.splitlines()[0]
+    assert sweep_line == f"none_eps0_seed4: {run_line} -> {out / 'none_eps0_seed4.csv'}"
+    assert (out / "none_eps0_seed4.json").read_bytes() == (tmp_path / "run" / "exp.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "overrides, argv, message",
+    [
+        ({"seed": -1}, [], "seed: must be >= 0"),
+        ({"partition": {"seed": -3}}, [], "partition: seed must be >= 0"),
+        ({}, ["--seed", "-5"], "seed: must be >= 0"),
+    ],
+)
+def test_negative_seeds_exit_2_at_load(tmp_path, capsys, overrides, argv, message):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out), *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()

@@ -273,6 +273,43 @@ def test_attack_validation_surfaces_as_config_error():
         config_from_dict({"attack": {"gamma_grid": ["big"]}})
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+@pytest.mark.parametrize(
+    "section, field",
+    [("partition", "alpha"), ("dataset", "spread"), ("sgd", "learning_rate"), ("defense", "tau")],
+)
+def test_non_finite_reals_exit_2_at_load(tmp_path, capsys, value, section, field):
+    # Python's JSON reader takes NaN and the infinities; a 401-digit int
+    # overflows a float.  None may reach a run, or a report's JSON.
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"rounds": 1, "{section}": {{"{field}": {value}}}}}')
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}.{field}: expected a finite number, got ")
+    assert not out.exists()
+
+
+def test_non_finite_reals_in_a_list_name_their_index():
+    with pytest.raises(ConfigError, match=r"^attack\.gamma_grid\[1\]: expected a finite number, got nan$"):
+        config_from_dict({"attack": {"kind": "ipm", "gamma_grid": [1.0, float("nan")]}})
+
+
+@pytest.mark.parametrize("kind, gamma", [("sign_flip", 0), ("label_flip", -2), ("sign_flip", -0.5)])
+def test_attack_gamma_must_be_positive_at_load(kind, gamma):
+    with pytest.raises(ConfigError, match=r"^attack: gamma must be positive$"):
+        config_from_dict({"attack": {"kind": kind, "epsilon": 0.2, "gamma": gamma}})
+    assert config_from_dict({"attack": {"kind": kind, "gamma": 0.5}}).attack.gamma == 0.5
+
+
+def test_seeds_must_be_non_negative_at_load():
+    with pytest.raises(ConfigError, match=r"^seed: must be >= 0$"):
+        config_from_dict({"seed": -1})
+    with pytest.raises(ConfigError, match=r"^partition: seed must be >= 0$"):
+        config_from_dict({"partition": {"seed": -3}})
+    assert config_from_dict({"seed": 0, "partition": {"seed": 0}}).partition.seed == 0
+
+
 def test_defense_null_versus_object():
     assert config_from_dict({"defense": None}).defense is None
     with pytest.raises(ConfigError, match="expected object or null"):

@@ -9,6 +9,7 @@ update vectors are legal and count with multiplicity.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Sequence, Set, Tuple
 
@@ -42,6 +43,8 @@ class ClientUpdate:
 class AggregatorConfig:
     kind: str = "fedavg"
     beta: float = 0.1  # assumed compromised fraction for trimming / scoring
+    # geometric_median: Weiszfeld, then the Newton polish, each stop once a
+    # step moves less than the tolerance or after at most max_iter steps.
     weiszfeld_tol: float = 1e-9
     weiszfeld_max_iter: int = 1000
 
@@ -94,31 +97,81 @@ def geometric_median(
     tol: float = 1e-9,
     max_iter: int = 1000,
 ) -> np.ndarray:
-    """Weiszfeld fixed-point iteration for the Euclidean geometric median.
+    """The Euclidean geometric median: the point with the least total
+    distance to the updates, duplicates counted with multiplicity.
 
-    Starts from the coordinate-wise mean and stops once successive iterates
-    move less than `tol`.  An iterate landing on an input point (distance
-    below 1e-12) is nudged by 1e-10 along every axis so the reciprocal
-    weights stay finite.  The best point seen (including the start and the
-    inputs themselves) is returned, so the result never scores worse than
-    any input point.
+    The median lies in the affine hull of the distinct points, so the
+    search runs in the at most n - 1 coordinates of that hull (a QR of the
+    points' differences) and maps its result back.  It first tests every
+    input point: one whose unit vectors to the other points sum to a norm
+    strictly below its multiplicity is the median (Vardi & Zhang, 2000) and
+    is returned as it is.  Otherwise Weiszfeld's iteration, in Vardi and
+    Zhang's form for an iterate that lands on an input point, starts from
+    the coordinate-wise mean and stops once a step moves less than `tol` or
+    after `max_iter` steps.  Damped Newton steps under a backtracking line
+    search then polish the result; they stop once a step moves less than
+    `tol`, no step lowers the objective or `max_iter` steps have run.  The
+    result never scores worse than the mean or the best input point.  An
+    input holding inf or NaN gives the mean, which is not finite either.
     """
     mat = _stack(updates)
-    x = mat.mean(axis=0)
+    mean = mat.mean(axis=0)
+    if not np.isfinite(mat).all():
+        return mean
+    counts = Counter(row.tobytes() for row in mat)  # equal rows count once, weighted
+    points = np.array([np.frombuffer(row) for row in counts])
+    weight = np.array(list(counts.values()), dtype=np.float64)
+    basis, _ = np.linalg.qr((points[1:] - points[0]).T)
+    pts = (points - mean) @ basis  # hull coordinates; the mean is at 0
+    diff = pts[None, :, :] - pts[:, None, :]  # [k, j]: from point k to point j
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    pull = weight[None, :, None] * diff / np.where(dist > 0.0, dist, 1.0)[:, :, None]
+    on = np.flatnonzero(np.linalg.norm(pull.sum(axis=1), axis=1) < weight)
+    if on.size:
+        return points[on[0]].copy()
+    y = np.zeros(pts.shape[1])
     for _ in range(max_iter):
-        dists = np.linalg.norm(mat - x, axis=1)
-        if np.any(dists < 1e-12):
-            x = x + 1e-10
-            dists = np.linalg.norm(mat - x, axis=1)
-        inv = 1.0 / dists
-        x_next = (inv[:, None] * mat).sum(axis=0) / inv.sum()
-        if np.linalg.norm(x_next - x) < tol:
-            x = x_next
+        d = pts - y
+        r = np.sqrt((d * d).sum(axis=1))
+        if r.all():
+            inv = weight / r
+            step = inv @ d / inv.sum()
+        else:  # on an input point: step off it only as far as that pays
+            far = r > 0.0
+            inv = weight[far] / r[far]
+            push = inv @ d[far]
+            step = push / inv.sum() * max(0.0, 1.0 - weight[~far].sum() / np.linalg.norm(push))
+        y = y + step
+        if np.linalg.norm(step) < tol:
             break
-        x = x_next
-    candidates = [x, mat.mean(axis=0)] + [row for row in mat]
-    scores = [geometric_objective(c, mat) for c in candidates]
-    return candidates[int(np.argmin(scores))].copy()
+    y = _newton_polish(pts, weight, y, tol, max_iter)
+    best = points[int(np.argmin(weight @ dist))]
+    options = [mean + basis @ y, mean, best]
+    return options[int(np.argmin([geometric_objective(x, mat) for x in options]))].copy()
+
+
+def _newton_polish(
+    pts: np.ndarray, weight: np.ndarray, y: np.ndarray, tol: float, max_iter: int
+) -> np.ndarray:
+    """Damped Newton steps on the weighted distance sum from `y`: each step
+    is halved until it lowers the sum or moves less than `tol`."""
+    objective = lambda z: float(weight @ np.sqrt(((pts - z) ** 2).sum(axis=1)))  # noqa: E731
+    value = objective(y)
+    for _ in range(max_iter):
+        d = y - pts
+        r = np.sqrt((d * d).sum(axis=1))
+        if not r.all():  # no gradient on an input point
+            break
+        u, w = d / r[:, None], weight / r
+        hess = np.eye(len(y)) * w.sum() - (u.T * w) @ u
+        step = np.linalg.lstsq(hess, -(weight @ u), rcond=None)[0]
+        while (trial := objective(y + step)) >= value and np.linalg.norm(step) >= tol:
+            step *= 0.5
+        if trial < value:
+            y, value = y + step, trial
+        if np.linalg.norm(step) < tol:
+            break
+    return y
 
 
 def _krum_cap(n: int, beta: float) -> int:

@@ -12,8 +12,11 @@ are dotted config paths (`attack` and `epsilon` stand for `attack.kind` and
 It validates every cell before any runs, then maps `run_experiment` over
 them: in this process with one job, otherwise in a pool of forked workers
 (--jobs, default the usable CPUs) that is joined before the command
-returns.  Cells are pure functions of (config, seed) and this process writes
-the reports in grid order, so the output is the same for every job count.
+returns.  Cells that differ only in attack, aggregator, defense or SGD
+settings share one `orchestrator.Schedule` per process, built for the first
+of them, and the memo that holds it is emptied when the sweep ends.  Cells
+are pure functions of (config, seed) and this process writes the reports in
+grid order, so the output is the same for every job count.
 `oracle` replays `oracles.rule_mismatches`, the equivalence suite that
 acceptance criteria 4 and 5 run, for one robust aggregation rule or all of
 them (--cases N, at least 1; geometric_median runs at most 20).
@@ -36,11 +39,12 @@ from .config import (
     ConfigError, ExperimentConfig, config_from_dict, config_to_dict, load_config, load_json,
 )
 from .defense import DefenseConfig
-from .orchestrator import RunReport, emit_report, run_experiment
+from .orchestrator import RunReport, Schedule, emit_report, run_experiment, schedule_key
 
 SUMMARY = "final_acc={0.final_acc:.4f} mean_tpr={0.mean_tpr:.4f} mean_tnr={0.mean_tnr:.4f}"
 ALIASES = {"attack": "attack.kind", "epsilon": "attack.epsilon"}  # short grid keys
 RULE_OBJECTS = {"aggregator": AggregatorConfig, "defense": DefenseConfig}
+SCHEDULES: Dict[str, Schedule] = {}  # a sweep's schedules by key, emptied when it ends
 
 
 def _out_dir(flag: Optional[str]) -> str:
@@ -119,8 +123,12 @@ def _usable_cpus() -> int:
 
 def _run_cell(cfg: ExperimentConfig) -> RunReport:
     # Pickled by reference, so a forked worker calls the `run_experiment`
-    # bound in its copy of this module, wrappers included.
-    return run_experiment(cfg)
+    # bound in its copy of this module, wrappers included, and keeps its
+    # own copy of the memo.
+    key = schedule_key(cfg)
+    if key not in SCHEDULES:
+        SCHEDULES[key] = Schedule.build(cfg)
+    return run_experiment(cfg, SCHEDULES[key])
 
 
 @contextlib.contextmanager
@@ -151,11 +159,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cells = _grid_cells(load_config(args.config), load_json(args.grid))
     out_dir = _out_dir(args.out_dir)
     jobs = min(args.jobs or _usable_cpus(), len(cells))
-    with _cell_mapper(jobs) as cell_map:
-        reports = cell_map(_run_cell, [cfg for _, cfg in cells])
-        for (name, _), report in zip(cells, reports):
-            csv_path, _ = emit_report(report, out_dir, name)
-            print(f"{name}: {SUMMARY.format(report)} -> {csv_path}")
+    try:
+        with _cell_mapper(jobs) as cell_map:
+            reports = cell_map(_run_cell, [cfg for _, cfg in cells])
+            for (name, _), report in zip(cells, reports):
+                csv_path, _ = emit_report(report, out_dir, name)
+                print(f"{name}: {SUMMARY.format(report)} -> {csv_path}")
+    finally:
+        SCHEDULES.clear()
     print(f"swept {len(cells)} cells into {out_dir}")
     return 0
 

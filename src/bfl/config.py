@@ -147,6 +147,8 @@ class ExperimentConfig:
             raise ConfigError("batch: must be >= 1")
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
             raise ConfigError("hidden_dims: need positive layer widths")
+        if any(g <= 0.0 for g in self.attack.gamma_grid):
+            raise ConfigError("attack.gamma_grid: entries must be positive")
         if self.clients > self.dataset.train_size:
             raise ConfigError(
                 f"clients: {self.clients} clients but the {self.dataset.kind} dataset has only "

@@ -9,10 +9,17 @@ rejected-everything round carries the previous weights forward, and a round
 that leaves fewer survivors than the configured rule can aggregate (the
 Krum rules need at least four) falls back to the coordinate-wise median.
 
+A run first derives, from the config alone, a read-only `Schedule`: the
+test set and input bounds, the client shards, the initial model and, per
+round, the sampled ids and the lockstep batch plan of local training.  The
+attack, the aggregator, the defense and the SGD settings play no part in
+it, so cells of a sweep that differ only in those share one.
+
 Reports are pure functions of (config, master seed): every random draw comes
-from a purpose-keyed stream, so reruns match byte for byte.  Measured round
-timings are logged but deliberately left out of the emitted artifacts to
-keep them byte-stable.
+from a purpose-keyed stream, so reruns match byte for byte, and a run from a
+shared schedule matches one that builds its own.  Measured round timings are
+logged but deliberately left out of the emitted artifacts to keep them
+byte-stable.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -32,7 +39,6 @@ from . import attacks, defense, nn, rng
 from .aggregators import AggregatorConfig, ClientUpdate, aggregate, min_updates
 from .config import ExperimentConfig, IdxDatasetSpec, config_to_dict
 from .data import (
-    ClientDataset,
     Dataset,
     dirichlet_partition,
     load_idx,
@@ -66,6 +72,57 @@ class RunReport:
     mean_tnr: float = 1.0
 
 
+class BatchPlan(NamedTuple):
+    """One round's lockstep batches, from `batch_plan`."""
+
+    sizes: Tuple[int, ...]  # shard sizes, in shard order
+    epochs: int
+    batch: int
+    rows: Tuple[int, ...]  # the shard each row of the model stack trains
+    # Per step, its runs: (rows [lo, hi) of the stack, each row's batch as
+    # rows of the shards' samples concatenated in `rows` order, and the
+    # batch lengths when they differ).
+    steps: Tuple[Tuple[Tuple[Tuple[int, int], np.ndarray, Optional[np.ndarray]], ...], ...]
+
+
+def batch_plan(
+    sizes: Sequence[int], train_rngs: Sequence[np.random.Generator], epochs: int, batch: int
+) -> BatchPlan:
+    """Every lockstep step of `local_training` for shards of `sizes` rows.
+
+    Each client reshuffles its samples every epoch with its own generator
+    and walks them in batches of min(batch, size).  The stack's rows are
+    the clients in order of shard size.  A client's step count never falls
+    as its shard grows, so the clients still training at a step are a
+    suffix of the rows; each step splits that suffix into runs of
+    consecutive rows (see `_stacks`).
+    """
+    if min(sizes) < 1:
+        raise ValueError("client has no data")
+    rows = sorted(range(len(sizes)), key=sizes.__getitem__)
+    batches: List[List[np.ndarray]] = []  # per row, over all its epochs
+    start = 0
+    for k in rows:
+        batches.append([])
+        for _ in range(epochs):
+            perm = train_rngs[k].permutation(sizes[k]) + start
+            batches[-1] += np.split(perm, range(min(batch, sizes[k]), sizes[k], batch))
+        start += sizes[k]
+    counts = [len(b) for b in batches]  # non-decreasing, as the rows are
+    steps = []
+    for step in range(counts[-1]):
+        first = bisect.bisect_right(counts, step)
+        now = [b[step] for b in batches[first:]]
+        runs = []
+        for lo, hi in _stacks([len(b) for b in now]):
+            real = [len(b) for b in now[lo:hi]]
+            # Short batches are padded with repeats of their own last row.
+            sel = np.stack([b[np.minimum(np.arange(max(real)), len(b) - 1)] for b in now[lo:hi]])
+            runs.append(((first + lo, first + hi), sel, np.array(real) if min(real) < max(real) else None))
+        steps.append(tuple(runs))
+    return BatchPlan(tuple(sizes), epochs, batch, tuple(rows), tuple(steps))
+
+
 def local_training(
     shards: Sequence[Dataset],
     template: nn.MlpModel,
@@ -73,83 +130,44 @@ def local_training(
     sgd_cfg: nn.SgdConfig,
     epochs: int,
     batch: int,
-    train_rngs: Sequence[np.random.Generator],
+    plan: BatchPlan,
 ) -> List[Tuple[np.ndarray, int]]:
     """Run epochs of mini-batch SGD on every shard from the broadcast weights.
 
-    Each client reshuffles its samples every epoch with its own generator
-    and walks them in batches of min(batch, len(shard)).  The clients train
-    in lockstep as one stack of models (see `nn`), one row per client in
-    order of shard size.  A client's step count never falls as its shard
-    grows, so the clients still training at a step are a suffix of the
-    rows.  Each step splits that suffix into runs of consecutive rows (see
-    `_stacks`) and trains every run in place, on a view of the stack.  Each
-    client thus gets bit for bit the weights it would get training alone.
-    Returns (delta, sample_count) per shard, in order, where delta is the
-    local weights minus the broadcast vector.
+    The clients train in lockstep as one stack of models (see `nn`), one
+    row per client, walking `plan`, which must have been built for these
+    shard sizes, `epochs` and `batch`.  Each run of a step trains in place,
+    on a view of the stack, so each client gets bit for bit the weights it
+    would get training alone.  Returns (delta, sample_count) per shard, in
+    order, where delta is the local weights minus the broadcast vector.
     """
     counts = [len(shard) for shard in shards]
-    if min(counts) < 1:
-        raise ValueError("client has no data")
-    rows = sorted(range(len(shards)), key=counts.__getitem__)
-    feats = np.concatenate([shards[k].features for k in rows])
-    labels = np.concatenate([shards[k].labels for k in rows])
-    order, spans = _batch_spans(
-        [counts[k] for k in rows], [train_rngs[k] for k in rows], epochs, batch
-    )
-    steps = [len(s) for s in spans]  # non-decreasing, as the rows are
+    if (tuple(counts), epochs, batch) != plan[:3]:
+        raise ValueError("the batch plan was built for other shards, epochs or batch")
+    feats = np.concatenate([shards[k].features for k in plan.rows])
+    labels = np.concatenate([shards[k].labels for k in plan.rows])
     params = np.tile(global_vector, (len(shards), 1))
     state = nn.init_momentum(template.with_params(params))
     views: Dict[Tuple[int, int], Tuple[nn.MlpModel, nn.SgdState]] = {}
     traces: Dict[Tuple[int, ...], nn.Trace] = {}
-    for step in range(steps[-1]):
-        first = bisect.bisect_right(steps, step)
-        starts, stops = np.array([s[step] for s in spans[first:]]).T
-        lengths = (stops - starts).tolist()
-        for lo, hi in _stacks(lengths):
-            run = (first + lo, first + hi)  # rows of the stack, not of the suffix
+    for runs in plan.steps:
+        for run, sel, real in runs:
             if run not in views:
                 views[run] = (
                     template.with_params(params[slice(*run)]),
                     nn.SgdState(state.velocity[slice(*run)], state.scratch[slice(*run)]),
                 )
             model, sgd = views[run]
-            real = lengths[lo:hi]
-            # Short batches are padded with repeats of their own last row.
-            sel = order[np.minimum(starts[lo:hi, None] + np.arange(max(real)), stops[lo:hi, None] - 1)]
             _, trace = nn.forward_cached(model, feats[sel], traces.get(sel.shape))
             traces[sel.shape] = trace
-            padded = min(real) < max(real)
-            _, dout = trace.cross_entropy(labels[sel], np.array(real) if padded else None)
+            _, dout = trace.cross_entropy(labels[sel], real)
             grads, _ = nn.backprop_through(model, trace, dout, input_grad=False)
             nn.sgd_step(model, grads, sgd_cfg, sgd)
     params -= global_vector
     trained = [None] * len(shards)
-    for delta, k in zip(params, rows):
+    for delta, k in zip(params, plan.rows):
         trained[k] = (delta, counts[k])
     return trained
-
-
-def _batch_spans(
-    sizes: List[int], train_rngs: List[np.random.Generator], epochs: int, batch: int
-) -> Tuple[np.ndarray, List[List[Tuple[int, int]]]]:
-    """Every client's batches over all its epochs, shuffled by its own stream.
-
-    Returns `order`, every client's per-epoch permutations end to end as
-    rows of the clients' concatenated samples, and per client its batches
-    as [start, stop) spans of `order`.
-    """
-    perms, spans, pos = [], [], 0
-    for n, train_rng in zip(sizes, train_rngs):
-        bsz = min(batch, n)
-        spans.append([])
-        for _ in range(epochs):
-            perms.append(train_rng.permutation(n))
-            spans[-1] += [(pos + s, pos + min(s + bsz, n)) for s in range(0, n, bsz)]
-            pos += n
-    order = np.concatenate(perms)
-    order += np.repeat(np.cumsum([0] + sizes[:-1]), [epochs * n for n in sizes])
-    return order, spans
 
 
 def _stacks(lengths: List[int]) -> List[Tuple[int, int]]:
@@ -233,13 +251,76 @@ def build_datasets(cfg: ExperimentConfig) -> Tuple[Dataset, Dataset, np.ndarray,
     return train, test, lo, hi
 
 
+SCHEDULE_FREE = ("attack", "aggregator", "defense", "sgd")  # config fields a Schedule ignores
+
+
+def schedule_key(cfg: ExperimentConfig) -> str:
+    """The config fields a `Schedule` is built from, as canonical JSON."""
+    echo = config_to_dict(cfg)
+    return json.dumps({k: v for k, v in echo.items() if k not in SCHEDULE_FREE}, sort_keys=True)
+
+
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """What a run derives from its config apart from the attack, the
+    aggregator, the defense and the SGD settings: the test set and input
+    bounds, the client shards, the initial model and, per round, the
+    sampled ids and the lockstep batch plan.  Cells that share a
+    `schedule_key` share one schedule.  Its datasets, bounds and initial
+    model are read-only, so a run cannot change what the next one starts
+    from.
+    """
+
+    key: str
+    test: Dataset
+    lo: np.ndarray
+    hi: np.ndarray
+    shards: Tuple[Dataset, ...]  # one per client id
+    template: nn.MlpModel  # the initial model
+    rounds: Tuple[Tuple[Tuple[int, ...], BatchPlan], ...]  # (sampled ids, plan)
+
+    @classmethod
+    def build(cls, cfg: ExperimentConfig) -> "Schedule":
+        train, test, lo, hi = build_datasets(cfg)
+        part_seed = (
+            cfg.partition.seed
+            if cfg.partition.seed is not None
+            else rng.subseed(cfg.seed, rng.PARTITION)
+        )
+        clients = dirichlet_partition(train, cfg.clients, cfg.partition.alpha, part_seed)
+        shards = tuple(Dataset(c.features, c.labels, c.num_classes) for c in clients)
+        model = nn.init_mlp(
+            [train.dim, *cfg.hidden_dims, train.num_classes],
+            "relu",
+            rng.substream(cfg.seed, rng.MODEL_INIT),
+        )
+        for array in (test.features, test.labels, lo, hi, model.params,
+                      *(a for shard in shards for a in (shard.features, shard.labels))):
+            array.flags.writeable = False
+        rounds = []
+        for t in range(1, cfg.rounds + 1):
+            sample_rng = rng.substream(cfg.seed, rng.SAMPLING, t)
+            sampled = tuple(sorted(
+                int(c) for c in sample_rng.choice(cfg.clients, cfg.sampled_per_round, replace=False)
+            ))
+            plan = batch_plan(
+                [len(shards[cid]) for cid in sampled],
+                [rng.substream(cfg.seed, rng.CLIENT_TRAIN, t, cid) for cid in sampled],
+                cfg.local_epochs,
+                cfg.batch,
+            )
+            rounds.append((sampled, plan))
+        template = model.with_params(model.params)  # views of the read-only vector
+        return cls(schedule_key(cfg), test, lo, hi, shards, template, tuple(rounds))
+
+
 def _apply_attack(
     cfg: ExperimentConfig,
     round_index: int,
     sampled: Sequence[int],
     bad_sampled: List[int],
     deltas: Dict[int, np.ndarray],
-    clients: List[ClientDataset],
+    clients: Sequence[Dataset],
     template: nn.MlpModel,
     global_vector: np.ndarray,
 ) -> Dict[int, np.ndarray]:
@@ -278,30 +359,25 @@ def _apply_attack(
     return payloads
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunReport:
+def run_experiment(cfg: ExperimentConfig, schedule: Optional[Schedule] = None) -> RunReport:
     """Execute the full simulation and return the per-round report.
+
+    The run follows `schedule`, which must have been built for a config
+    with the same `schedule_key`; without one it builds its own.  The
+    report is the same either way.
 
     Poisoned aggregates can push float64 logits past the overflow point;
     the resulting inf/nan models simply score badly and get rejected, so
     those warnings are suppressed for the duration of the run.
     """
+    if schedule is not None and schedule.key != schedule_key(cfg):
+        raise ValueError("the schedule was built for a config with other schedule fields")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _run_experiment(cfg)
+        return _run_experiment(cfg, schedule or Schedule.build(cfg))
 
 
-def _run_experiment(cfg: ExperimentConfig) -> RunReport:
-    train, test, lo, hi = build_datasets(cfg)
-    part_seed = (
-        cfg.partition.seed
-        if cfg.partition.seed is not None
-        else rng.subseed(cfg.seed, rng.PARTITION)
-    )
-    clients = dirichlet_partition(train, cfg.clients, cfg.partition.alpha, part_seed)
-    template = nn.init_mlp(
-        [train.dim, *cfg.hidden_dims, train.num_classes],
-        "relu",
-        rng.substream(cfg.seed, rng.MODEL_INIT),
-    )
+def _run_experiment(cfg: ExperimentConfig, schedule: Schedule) -> RunReport:
+    template, shards = schedule.template, schedule.shards
     global_vector = template.params
     malicious: Set[int] = set()
     if cfg.attack.epsilon > 0.0:
@@ -310,34 +386,29 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
         )
     report = RunReport(config=config_to_dict(cfg))
     fewest = min_updates(cfg.aggregator)
-    for t in range(1, cfg.rounds + 1):
+    flip = cfg.attack.kind == "label_flip"
+    for t, (sampled, plan) in enumerate(schedule.rounds, 1):
         started = time.perf_counter()
-        sample_rng = rng.substream(cfg.seed, rng.SAMPLING, t)
-        sampled = sorted(
-            int(c) for c in sample_rng.choice(cfg.clients, cfg.sampled_per_round, replace=False)
-        )
         bad_sampled = [cid for cid in sampled if cid in malicious]
-        flip = cfg.attack.kind == "label_flip"
-        shards = [
-            attacks.rotate_labels(clients[cid]) if flip and cid in bad_sampled else clients[cid]
+        round_shards = [
+            attacks.rotate_labels(shards[cid]) if flip and cid in bad_sampled else shards[cid]
             for cid in sampled
         ]
         # Positional: a caller may wrap `local_training` and read its arguments.
         trained = local_training(
-            shards, template, global_vector, cfg.sgd, cfg.local_epochs, cfg.batch,
-            [rng.substream(cfg.seed, rng.CLIENT_TRAIN, t, cid) for cid in sampled],
+            round_shards, template, global_vector, cfg.sgd, cfg.local_epochs, cfg.batch, plan
         )
         deltas = {cid: delta for cid, (delta, _) in zip(sampled, trained)}
         counts = {cid: count for cid, (_, count) in zip(sampled, trained)}
         payloads = _apply_attack(
-            cfg, t, sampled, bad_sampled, deltas, clients, template, global_vector
+            cfg, t, sampled, bad_sampled, deltas, shards, template, global_vector
         )
         candidates = {cid: global_vector + payloads[cid] for cid in sampled}
         gan_iters = 0
         if cfg.defense is not None:
             classifier = template.with_params(global_vector)
             gen, gan_iters = defense.train_generator(
-                classifier, cfg.defense, cfg.seed, t, lo, hi
+                classifier, cfg.defense, cfg.seed, t, schedule.lo, schedule.hi
             )
             probe = defense.synthesize(gen, cfg.defense.q, cfg.seed, t)
             entries = defense.score_updates(
@@ -357,7 +428,7 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
                 fallback = "coord_median"
                 rule = AggregatorConfig(fallback)
             global_vector = aggregate(updates, rule)
-        acc = evaluate_global(global_vector, template, test)
+        acc = evaluate_global(global_vector, template, schedule.test)
         tpr, tnr = compute_tpr_tnr(set(sampled), accepted, malicious)
         wall_ms = (time.perf_counter() - started) * 1000.0
         record = RoundRecord(
@@ -379,7 +450,7 @@ def _run_experiment(cfg: ExperimentConfig) -> RunReport:
     if report.rounds:
         report.final_acc = report.rounds[-1].acc
     else:
-        report.final_acc = evaluate_global(global_vector, template, test)
+        report.final_acc = evaluate_global(global_vector, template, schedule.test)
     attack_rounds = [r for r in report.rounds if r.malicious_sampled]
     if attack_rounds:
         report.mean_tpr = sum(r.tpr for r in attack_rounds) / len(attack_rounds)

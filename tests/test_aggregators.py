@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bfl import aggregators as agg
+from bfl import oracles
 from bfl.aggregators import AggregatorConfig, ClientUpdate
 
 
@@ -91,6 +93,59 @@ def test_geometric_median_single_and_pair():
     out = agg.geometric_median(pair)
     mat = np.stack([u.params for u in pair])
     assert agg.geometric_objective(out, mat) <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("seed", [7, 14, 20, 50, 79])
+def test_geometric_median_matches_the_grid_where_a_median_sits_near_an_input(seed):
+    # Each of these seeds draws a case whose median lies near, not on, an
+    # input point, where Weiszfeld alone stalls short of the 1e-6 gap.
+    assert oracles.rule_mismatches("geometric_median", 20, seed) == []
+
+
+# Small integer coordinates give duplicates, collinear sets and medians on
+# an input point; the scale spreads them over six orders of magnitude.
+POINT_SETS = st.integers(1, 6).flatmap(
+    lambda dim: st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), min_size=1, max_size=9)
+)
+
+
+@settings(max_examples=150)
+@given(rows=POINT_SETS, scale=st.sampled_from([1e-3, 1.0, 250.0]), shift=st.floats(-2.0, 2.0))
+def test_geometric_median_is_optimal_and_beats_the_mean_and_every_input(rows, scale, shift):
+    mat = np.array(rows, dtype=float) * scale + shift
+    out = agg.geometric_median(updates_from(mat))
+    score = agg.geometric_objective(out, mat)
+    assert score <= agg.geometric_objective(mat.mean(axis=0), mat)
+    assert score <= min(agg.geometric_objective(row, mat) for row in mat) * (1.0 + 1e-12)
+    # Zero is a subgradient: the unit vectors to the other points sum to a
+    # norm no larger than the number of points sitting at the result (to
+    # within rounding of its coordinates).
+    diff = mat - out
+    dist = np.linalg.norm(diff, axis=1)
+    here = dist <= 1e-12 * (1.0 + np.abs(mat).max())
+    pull = np.linalg.norm((diff[~here] / dist[~here, None]).sum(axis=0))
+    assert pull <= here.sum() + 1e-6 * len(mat)
+
+
+def test_geometric_median_of_two_points_is_their_midpoint():
+    for a, b in (([0.0, 0.0], [2.0, 0.0]), ([1.5, -3.0, 0.25], [-7.0, 2.0, 9.5])):
+        out = agg.geometric_median(updates_from([a, b]))
+        np.testing.assert_allclose(out, (np.array(a) + np.array(b)) / 2.0, rtol=0.0, atol=1e-12)
+
+
+def test_geometric_median_of_coincident_points_is_that_point():
+    point = [0.1, -2.0 / 3.0, 1e-9]
+    assert agg.geometric_median(updates_from([point] * 3)).tolist() == point
+    # Three copies outweigh the pull of two others, so the copy is the median.
+    out = agg.geometric_median(updates_from([point] * 3 + [[5.0, 5.0, 5.0], [-4.0, 1.0, 0.0]]))
+    assert out.tolist() == point
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_geometric_median_of_a_non_finite_input_is_not_finite(bad):
+    out = agg.geometric_median(updates_from([[0.0, 1.0], [bad, 2.0], [3.0, 0.5]]))
+    assert out.shape == (2,)
+    assert not np.isfinite(out).all()
 
 
 def test_aggregate_dispatch_covers_all_rules():

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from bfl import aggregators, cli
+from bfl import aggregators, cli, orchestrator
 from bfl.cli import main
+from bfl.config import config_from_dict
+from bfl.orchestrator import emit_report, run_experiment
 
 TINY = {
     "seed": 4,
@@ -187,10 +189,10 @@ def test_sweep_output_is_identical_for_every_job_count(tmp_path, capsys):
 def test_sweep_stops_at_the_first_failing_cell(tmp_path, monkeypatch, capsys, jobs):
     real = cli.run_experiment
 
-    def fail_on_defense(cfg):  # forked workers inherit this patch
+    def fail_on_defense(cfg, schedule=None):  # forked workers inherit this patch
         if cfg.defense is not None:
             raise RuntimeError("cell failed")
-        return real(cfg)
+        return real(cfg, schedule)
 
     monkeypatch.setattr(cli, "run_experiment", fail_on_defense)
     out = tmp_path / "sweep"
@@ -423,3 +425,68 @@ def test_negative_seeds_exit_2_at_load(tmp_path, capsys, overrides, argv, messag
     assert main(["run", "--config", cfg, "--out-dir", str(out), *argv]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+# Cells of one seed and alpha share a schedule: two attacks, an undefended
+# mean, the geometric median and a defended filter over each of four keys.
+SHARED_GRID = {
+    "attack": ["label_flip", "ipm"],
+    "seed": [3, 4],
+    "partition.alpha": [0.1, 100],
+    "rule": [
+        {"name": "fedavg", "aggregator": {"kind": "fedavg"}},
+        {"name": "geomed", "aggregator": {"kind": "geometric_median"}},
+        {"name": "adaptive", "defense": {"filter": "adaptive", "q": 9, "gen_max_iter": 30}},
+    ],
+}
+SHARED_BASE = {"clients": 6, "sampled_per_round": 4, "attack": {"kind": "ipm", "epsilon": 0.34}}
+
+
+def count_schedule_builds(monkeypatch):
+    built = []
+    real = orchestrator.Schedule.build
+
+    def build(cfg):
+        built.append(orchestrator.schedule_key(cfg))
+        return real(cfg)
+
+    monkeypatch.setattr(orchestrator.Schedule, "build", staticmethod(build))
+    return built
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_cells_sharing_a_schedule_match_cells_run_alone(tmp_path, monkeypatch, jobs):
+    built = count_schedule_builds(monkeypatch)
+    cfg = write_config(tmp_path, **SHARED_BASE)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(SHARED_GRID))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--grid", str(path), "--out-dir", str(out), "--jobs", jobs]) == 0
+    assert cli.SCHEDULES == {}
+    cells = cli._grid_cells(config_from_dict({**TINY, **SHARED_BASE}), SHARED_GRID)
+    assert len(cells) == 24
+    if jobs == "1":  # forked workers build theirs out of sight
+        assert sorted(built) == sorted({orchestrator.schedule_key(c) for _, c in cells})
+    built.clear()
+    for name, cell in cells:
+        emit_report(run_experiment(cell), str(tmp_path / "alone"), name)
+    assert len(built) == 24
+    assert read_dir(out) == read_dir(tmp_path / "alone")
+
+
+def test_the_schedule_memo_is_emptied_when_a_cell_raises(tmp_path, monkeypatch):
+    real = cli.run_experiment
+    held = []
+
+    def fail_on_the_third(cfg, schedule=None):
+        held.append(len(cli.SCHEDULES))
+        if len(held) == 3:
+            raise RuntimeError("cell failed")
+        return real(cfg, schedule)
+
+    monkeypatch.setattr(cli, "run_experiment", fail_on_the_third)
+    with pytest.raises(RuntimeError, match="cell failed"):
+        run_sweep(tmp_path, {"seed": [1, 2, 3]}, tmp_path / "sweep", "--jobs", "1")
+    assert held == [1, 2, 3]
+    assert cli.SCHEDULES == {}
+

@@ -302,6 +302,18 @@ def test_attack_gamma_must_be_positive_at_load(kind, gamma):
     assert config_from_dict({"attack": {"kind": kind, "gamma": 0.5}}).attack.gamma == 0.5
 
 
+@pytest.mark.parametrize("grid", [[-3.0, 0.0], [1.0, 0.0], [-0.5]])
+def test_attack_gamma_grid_entries_must_be_positive_at_load(tmp_path, capsys, grid):
+    # A negative gamma turns the IPM payload toward the benign direction.
+    with pytest.raises(ConfigError, match=r"^attack\.gamma_grid: entries must be positive$"):
+        config_from_dict({"attack": {"kind": "ipm", "epsilon": 0.4, "gamma_grid": grid}})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"rounds": 1, "attack": {"kind": "ipm", "epsilon": 0.4, "gamma_grid": grid}}))
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: attack.gamma_grid: entries must be positive\n"
+    assert config_from_dict({"attack": {"kind": "ipm", "gamma_grid": [0.5, 3.0]}}).attack.gamma_grid == (0.5, 3.0)
+
+
 def test_seeds_must_be_non_negative_at_load():
     with pytest.raises(ConfigError, match=r"^seed: must be >= 0$"):
         config_from_dict({"seed": -1})

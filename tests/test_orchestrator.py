@@ -82,7 +82,7 @@ def test_local_training_shapes_and_count():
     vec = model.params
     [(delta, count)] = orchestrator.local_training(
         [shard], model, vec, nn.SgdConfig(), epochs=1, batch=16,
-        train_rngs=[rng.substream(0, rng.CLIENT_TRAIN, 1, 0)],
+        plan=orchestrator.batch_plan([len(shard)], [rng.substream(0, rng.CLIENT_TRAIN, 1, 0)], 1, 16),
     )
     assert delta.shape == vec.shape
     assert count == 60
@@ -98,7 +98,7 @@ def test_local_training_deterministic():
     for _ in range(2):
         [(delta, _)] = orchestrator.local_training(
             [shard], model, vec, nn.SgdConfig(), epochs=2, batch=16,
-            train_rngs=[rng.substream(9, rng.CLIENT_TRAIN, 4, 2)],
+            plan=orchestrator.batch_plan([len(shard)], [rng.substream(9, rng.CLIENT_TRAIN, 4, 2)], 2, 16),
         )
         out.append(delta)
     np.testing.assert_array_equal(out[0], out[1])
@@ -110,7 +110,7 @@ def test_local_training_reduces_loss():
     vec = model.params
     [(delta, _)] = orchestrator.local_training(
         [shard], model, vec, nn.SgdConfig(learning_rate=0.05), epochs=10, batch=60,
-        train_rngs=[rng.substream(1, rng.CLIENT_TRAIN, 1, 0)],
+        plan=orchestrator.batch_plan([len(shard)], [rng.substream(1, rng.CLIENT_TRAIN, 1, 0)], 10, 60),
     )
     before, _ = nn.softmax_cross_entropy(nn.forward(model, shard.features), shard.labels)
     trained = model.with_params(vec + delta)
@@ -124,11 +124,11 @@ def test_local_training_batch_clamps_to_shard():
     vec = model.params
     [(big, _)] = orchestrator.local_training(
         [shard], model, vec, nn.SgdConfig(), 1, 10_000,
-        [rng.substream(0, rng.CLIENT_TRAIN, 1, 0)],
+        orchestrator.batch_plan([len(shard)], [rng.substream(0, rng.CLIENT_TRAIN, 1, 0)], 1, 10_000),
     )
     [(exact, _)] = orchestrator.local_training(
         [shard], model, vec, nn.SgdConfig(), 1, 60,
-        [rng.substream(0, rng.CLIENT_TRAIN, 1, 0)],
+        orchestrator.batch_plan([len(shard)], [rng.substream(0, rng.CLIENT_TRAIN, 1, 0)], 1, 60),
     )
     np.testing.assert_array_equal(big, exact)
 
@@ -159,7 +159,8 @@ def test_lockstep_matches_one_client_at_a_time(shards, batch, epochs):
     vec = model.params
     streams = lambda: [rng.substream(3, rng.CLIENT_TRAIN, epochs, k) for k in range(len(clients))]
     lockstep = orchestrator.local_training(
-        clients, model, vec, nn.SgdConfig(), epochs, batch, streams()
+        clients, model, vec, nn.SgdConfig(), epochs, batch,
+        orchestrator.batch_plan([len(c) for c in clients], streams(), epochs, batch),
     )
     for client, train_rng, (delta, count) in zip(clients, streams(), lockstep):
         want, want_count = nn_oracles.local_training_one_client(
@@ -279,6 +280,23 @@ def test_run_benign_no_defense_accepts_everyone():
         assert 0.0 <= rec.acc <= 1.0
     assert report.final_acc == report.rounds[-1].acc
     assert report.mean_tpr == 0.0 and report.mean_tnr == 1.0
+
+
+def test_a_schedule_is_read_only_and_kept_to_its_key():
+    schedule = orchestrator.Schedule.build(small_config())
+    with pytest.raises(ValueError, match="read-only"):
+        schedule.template.params[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        schedule.template.layers[0].weight[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        schedule.shards[0].features[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        schedule.test.labels[0] = 0
+    # Another attack, aggregator or defense may share it; another seed may not.
+    shared = small_config(attack={"kind": "sign_flip", "epsilon": 0.4}, aggregator={"kind": "coord_median"})
+    assert orchestrator.run_experiment(shared, schedule).rounds == orchestrator.run_experiment(shared).rounds
+    with pytest.raises(ValueError, match="other schedule fields"):
+        orchestrator.run_experiment(small_config(seed=6), schedule)
 
 
 def test_run_is_deterministic():

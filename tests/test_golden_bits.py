@@ -4,7 +4,8 @@ Every other test compares floats with a tolerance, or reruns the same code
 twice; neither notices when a change reorders a float operation or a random
 draw.  The sha256 digests below pin the exact bytes of one local-training
 delta, three generator fits (iteration count and final parameters: one
-stops on its loss, one on a loss plateau, one runs to `gen_max_iter`) and
+stops on its loss, one on a loss plateau, one runs to `gen_max_iter`), the
+probe set sampled from the first of them, one client partition and
 the emitted reports of two short
 defended cells, of one undefended cell on ragged shards and of a defended
 Krum cell whose last round falls back to the median.  A digest may
@@ -17,7 +18,7 @@ import hashlib
 import numpy as np
 
 import nn_oracles
-from bfl import defense, nn, orchestrator, rng
+from bfl import data, defense, nn, orchestrator, rng
 from bfl.config import config_from_dict
 from bfl.defense import DefenseConfig
 from bfl.orchestrator import emit_report, run_experiment
@@ -27,6 +28,11 @@ SEED = 7
 LOCAL_DELTA = "819d3018f7a7de1da0537c95a6975f1b36674934a2af0ffd7f4e444b3620e0bf"
 GEN_ITERS = 79
 GEN_PARAMS = "4eb8ac97338765d4c4ac225d08715dadfec888e65a02e06a9340a08a0e9d6077"
+# `synthesize`'s probe from that generator: its features, and its labels as int64.
+PROBE = (
+    "f2b946b50efaef28ed9e347999822264838f03f9bab011623ee2f9c35dbe0437",
+    "c28e6bc011fe0164f4d8356fff2317883832038a7abfff9caa57b2407fa1e240",
+)
 # An 8-D noise fit whose loss never drops below 1e-4: it stops at the cap.
 CAPPED_CFG = DefenseConfig(noise_dim=8, gen_max_iter=150, early_stop_loss=1e-4)
 CAPPED_PARAMS = "0ddc18a7095f7fc9c3bab7e5d081c95224b2421e4748004be9ee39477fdd7a5d"
@@ -48,6 +54,9 @@ RAGGED_REPORT = (
     "710b50ca807052df6b7344dcf11ce6c686728be48e46de3e8840549db01458fa",
     "ac7be8f7611d532ccea9c6be6fc74d831a6ec4cd77519a65994071fe19c05eb7",
 )
+# The client shards of RAGGED_CELL (seed 42, alpha 0.05), their index arrays
+# concatenated in client order as int64.
+RAGGED_PARTITION = "067824876676b8c6d958eae043e47303957eaab6fe82a8e80f069239ea923e23"
 FALLBACK_REPORT = (
     "b518fdf51cbd1a9fe7b559c27b2f11ce2f976650159d2bd8fbb54bf2b560e7ad",
     "c06022b2d6ec455a03796da974395a4f01da975e057cb8ef4946ebcb5fc39070",
@@ -88,8 +97,8 @@ FALLBACK_CELL = {
 }
 
 
-def digest(array: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(array, dtype="<f8").tobytes()).hexdigest()
+def digest(array: np.ndarray, dtype: str = "<f8") -> str:
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
 
 
 def file_digest(path: str) -> str:
@@ -125,6 +134,23 @@ def test_train_generator_bits():
     gen, iters = defense.train_generator(classifier, DefenseConfig(), SEED, 4, lo, hi)
     assert iters == GEN_ITERS
     assert digest(gen.backbone.params) == GEN_PARAMS
+
+
+def test_probe_bits():
+    template, vector, delta, lo, hi = _trained_classifier()
+    classifier = template.with_params(vector + delta)
+    gen, _ = defense.train_generator(classifier, DefenseConfig(), SEED, 4, lo, hi)
+    probe = defense.synthesize(gen, DefenseConfig().q, SEED, 4)
+    assert (digest(probe.features), digest(probe.labels, "<i8")) == PROBE
+
+
+def test_ragged_partition_bits():
+    cfg = config_from_dict(RAGGED_CELL)
+    train, _, _, _ = orchestrator.build_datasets(cfg)
+    shards = data.dirichlet_partition(
+        train, cfg.clients, cfg.partition.alpha, rng.subseed(cfg.seed, rng.PARTITION)
+    )
+    assert digest(np.concatenate([c.indices for c in shards]), "<i8") == RAGGED_PARTITION
 
 
 def test_capped_generator_fit_bits():

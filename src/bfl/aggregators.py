@@ -92,11 +92,7 @@ def geometric_objective(point: np.ndarray, mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat - point, axis=1).sum())
 
 
-def geometric_median(
-    updates: Sequence[ClientUpdate],
-    tol: float = 1e-9,
-    max_iter: int = 1000,
-) -> np.ndarray:
+def geometric_median(updates: Sequence[ClientUpdate], tol: float, max_iter: int) -> np.ndarray:
     """The Euclidean geometric median: the point with the least total
     distance to the updates, duplicates counted with multiplicity.
 
@@ -200,6 +196,12 @@ def min_updates(cfg: AggregatorConfig) -> int:
     return n
 
 
+def _pairwise_sq(mat: np.ndarray) -> np.ndarray:
+    """[i, j]: the squared Euclidean distance between rows i and j."""
+    diffs = mat[:, None, :] - mat[None, :, :]
+    return (diffs * diffs).sum(axis=2)
+
+
 def multi_krum_scores(updates: Sequence[ClientUpdate], beta: float) -> List[float]:
     """Per-update sum of squared distances to its n - M - 2 nearest peers."""
     mat = _stack(updates)
@@ -207,8 +209,7 @@ def multi_krum_scores(updates: Sequence[ClientUpdate], beta: float) -> List[floa
     closest = _krum_peers(n, beta)
     if closest < 1:
         raise ValueError(f"n={n}, beta={beta} leaves no peers to score against")
-    diffs = mat[:, None, :] - mat[None, :, :]
-    sq = (diffs * diffs).sum(axis=2)
+    sq = _pairwise_sq(mat)
     scores = []
     for i in range(n):
         others = np.delete(sq[i], i)
@@ -247,8 +248,7 @@ def nnm_mix(updates: Sequence[ClientUpdate], beta: float) -> List[ClientUpdate]:
     neighborhood = n - m_cap
     if neighborhood < 1:
         raise ValueError(f"n={n}, beta={beta} leaves an empty neighborhood")
-    diffs = mat[:, None, :] - mat[None, :, :]
-    sq = (diffs * diffs).sum(axis=2)
+    sq = _pairwise_sq(mat)
     mixed = []
     for i in range(n):
         order = sorted(range(n), key=lambda j: (sq[i][j], updates[j].client_id))

@@ -17,23 +17,21 @@ import numpy as np
 
 from . import nn
 from .data import Dataset
+from .defense import eval_update
 
 ATTACK_KINDS = ("none", "random_noise", "sign_flip", "label_flip", "ipm")
 IPM_OBJECTIVES = ("surrogate_loss", "inner_product")
 
-DEFAULT_SIGMA = 0.5
-DEFAULT_SIGN_FLIP_GAMMA = 5.0
-DEFAULT_LABEL_FLIP_GAMMA = 4.0
-DEFAULT_IPM_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
+FLIP_GAMMA = {"sign_flip": 5.0, "label_flip": 4.0}  # `gamma` when a config leaves it unset
 
 
 @dataclass
 class AttackConfig:
     kind: str = "none"
     epsilon: float = 0.0  # compromised fraction of the client population
-    sigma: float = DEFAULT_SIGMA  # noise scale for random_noise
+    sigma: float = 0.5  # noise scale for random_noise
     gamma: Optional[float] = None  # scaling for sign_flip / label_flip
-    gamma_grid: Tuple[float, ...] = DEFAULT_IPM_GRID
+    gamma_grid: Tuple[float, ...] = (0.5, 1.0, 2.0, 5.0, 10.0)
     # "surrogate_loss" picks the grid point whose simulated aggregate hurts a
     # proxy dataset most; "inner_product" is the literal most-opposed-update
     # reading and picks the largest grid point outright.
@@ -47,10 +45,7 @@ class AttackConfig:
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
         if self.gamma is None:
-            if self.kind == "sign_flip":
-                self.gamma = DEFAULT_SIGN_FLIP_GAMMA
-            elif self.kind == "label_flip":
-                self.gamma = DEFAULT_LABEL_FLIP_GAMMA
+            self.gamma = FLIP_GAMMA.get(self.kind)
         elif self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
         if self.kind == "ipm" and not self.gamma_grid:
@@ -83,7 +78,7 @@ def random_noise_attack(reference_delta: np.ndarray, shared_noise: np.ndarray) -
     return reference_delta + shared_noise
 
 
-def sign_flip_attack(delta: np.ndarray, gamma: float = DEFAULT_SIGN_FLIP_GAMMA) -> np.ndarray:
+def sign_flip_attack(delta: np.ndarray, gamma: float) -> np.ndarray:
     """Negate and amplify the client's own honest delta."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -99,7 +94,7 @@ def rotate_labels(dataset: Dataset) -> Dataset:
     )
 
 
-def scale_delta(delta: np.ndarray, gamma: float = DEFAULT_LABEL_FLIP_GAMMA) -> np.ndarray:
+def scale_delta(delta: np.ndarray, gamma: float) -> np.ndarray:
     """Amplify a (mislabeled-training) delta to strengthen its pull."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -129,7 +124,8 @@ def ipm_line_search(
     For each candidate gamma the attacker simulates next round's aggregate,
     w_global + ((n - m) * est + m * (-gamma * est)) / n, and scores its mean
     cross-entropy on the proxy dataset (the union of the compromised clients'
-    own data).  Returns the argmax gamma, ties going to the larger value,
+    own data) with `defense.eval_update`, as the server scores a candidate
+    on its probe set.  Returns the argmax gamma, ties going to the larger value,
     along with the per-grid-point losses.  Every sampled client may be
     compromised (m = n): the simulated aggregate is then the payload itself.
     """
@@ -137,14 +133,13 @@ def ipm_line_search(
         raise ValueError("gamma_grid must not be empty")
     if not 0 < n_malicious <= n_sampled:
         raise ValueError("need 0 < compromised <= sampled clients")
-    losses = []
-    for gamma in gamma_grid:
-        agg = simulated_aggregate_delta(benign_estimate, gamma, n_sampled, n_malicious)
-        candidate = template.with_params(global_vector + agg)
-        loss, _ = nn.softmax_cross_entropy(
-            nn.forward(candidate, proxy.features), proxy.labels
+    losses = [
+        eval_update(
+            global_vector + simulated_aggregate_delta(benign_estimate, gamma, n_sampled, n_malicious),
+            template, proxy, "loss",
         )
-        losses.append(loss)
+        for gamma in gamma_grid
+    ]
     best = max(range(len(losses)), key=lambda i: (losses[i], gamma_grid[i]))
     return float(gamma_grid[best]), losses
 

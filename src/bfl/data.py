@@ -1,8 +1,9 @@
 """Datasets: synthetic Gaussian blobs, IDX file ingestion, client partitioning.
 
 Features are float64 matrices of shape (n, dim) and labels are int64 vectors
-with values in [0, num_classes).  Client shards hold index views into the
-parent dataset so partitions can be checked for disjointness exactly.
+with values in [0, num_classes).  A partition gives each client a sorted
+index array into the parent dataset, so it can be checked for being an
+exact disjoint cover.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -65,34 +66,7 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass
-class ClientDataset:
-    """One client's shard, kept as indices into the parent dataset."""
-
-    client_id: int
-    parent: Dataset
-    indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return self.indices.size
-
-    @property
-    def features(self) -> np.ndarray:
-        return self.parent.features[self.indices]
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.parent.labels[self.indices]
-
-    @property
-    def num_classes(self) -> int:
-        return self.parent.num_classes
-
-
-def polygon_centers(num_classes: int, radius: float = 3.0) -> np.ndarray:
+def polygon_centers(num_classes: int, radius: float) -> np.ndarray:
     """Class centers at the vertices of a regular polygon in the plane."""
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
     return np.column_stack([radius * np.cos(angles), radius * np.sin(angles)])
@@ -102,17 +76,16 @@ def make_toy_blobs(
     seed: int,
     num_classes: int,
     per_class: int,
-    centers: Optional[np.ndarray] = None,
-    spread: float = 0.6,
-    dims: int = 2,
+    centers: np.ndarray,
+    spread: float,
+    dims: int,
 ) -> Dataset:
-    """Isotropic Gaussian blobs, one per class, `per_class` samples each.
+    """Isotropic Gaussian blobs around `centers`, one per class, `per_class`
+    samples each.
 
-    Defaults place the centers on a regular polygon of radius 3 so classes
-    stay well separated at the default spread of 0.6.  When `dims` exceeds
-    the center dimension the centers are zero-padded, which buries the class
-    signal in a low-dimensional subspace and leaves the remaining axes as
-    pure noise.  Same seed, same bytes.
+    When `dims` exceeds the center dimension the centers are zero-padded,
+    which buries the class signal in a low-dimensional subspace and leaves
+    the remaining axes as pure noise.  Same seed, same bytes.
     """
     if num_classes < 2:
         raise ValueError("need at least two classes")
@@ -120,8 +93,6 @@ def make_toy_blobs(
         raise ValueError("per_class must be >= 1")
     if spread <= 0.0:
         raise ValueError("spread must be positive")
-    if centers is None:
-        centers = polygon_centers(num_classes)
     centers = np.asarray(centers, dtype=np.float64)
     if centers.shape[0] != num_classes:
         raise ValueError("one center per class required")
@@ -184,7 +155,7 @@ def _largest_remainder(fractions: np.ndarray, total: int) -> np.ndarray:
 
 def dirichlet_partition(
     dataset: Dataset, num_clients: int, alpha: float, seed: int
-) -> List[ClientDataset]:
+) -> List[np.ndarray]:
     """Split a dataset across clients with class-wise Dirichlet proportions.
 
     For each class, client shares are drawn from Dirichlet(alpha, ..., alpha)
@@ -192,6 +163,7 @@ def dirichlet_partition(
     the shards are an exact disjoint cover of the dataset.  Small alpha means
     each client sees few classes; large alpha approaches a uniform split.
     Clients left empty are re-dealt one sample from the largest client.
+    Returns each client's sorted int64 indices into `dataset`.
     """
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
@@ -225,9 +197,7 @@ def dirichlet_partition(
             donor = int(np.argmax(sizes))
             shards[j] = shards[donor][-1:]
             shards[donor] = shards[donor][:-1]
-    return [
-        ClientDataset(j, dataset, np.sort(shards[j])) for j in range(num_clients)
-    ]
+    return [np.sort(shard) for shard in shards]
 
 
 def _read_exact(fh, count: int, path: str) -> bytes:

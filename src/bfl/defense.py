@@ -19,6 +19,7 @@ clients' updates survive to aggregation.
 from __future__ import annotations
 
 import collections
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -276,12 +277,12 @@ def score_updates(
     """Evaluate every (client_id, params) candidate, ordered by client id.
 
     Accuracy keeps its sign; loss is negated, so higher score is always
-    better regardless of metric.
+    better regardless of metric.  A NaN or infinite metric scores -inf.
     """
     entries = []
     for client_id, params in sorted(candidates, key=lambda c: c[0]):
         raw = eval_update(params, template, probe, metric)
-        score = raw if metric == "accuracy" else -raw
+        score = (raw if metric == "accuracy" else -raw) if math.isfinite(raw) else -math.inf
         entries.append(ScoreEntry(client_id, raw, score))
     return entries
 
@@ -331,29 +332,31 @@ def filter_updates(
 ) -> Set[int]:
     """Decide which client ids survive, marking entries in place.
 
+    A non-finite score is rejected under every policy, and the others see
+    only the finite scores:
+
     fixed:     keep scores strictly above the constant threshold tau.
-    adaptive:  keep scores strictly above the mean score of the round.
+    adaptive:  keep scores strictly above their mean.
     cluster:   exact two-means over scores; keep the cluster that contains
                the best-scoring client (so it is never rejected itself).
-    Any policy may reject everyone except cluster, which always keeps at
-    least the best scorer.
+    adaptive and cluster keep a lone finite score.  Any policy rejects
+    everyone when no score is finite; fixed and adaptive may reject
+    everyone otherwise too.
     """
     if policy not in FILTER_KINDS:
         raise ValueError(f"unknown filter {policy!r}")
-    if not entries:
-        return set()
+    finite = [e for e in entries if math.isfinite(e.score)]
     if policy == "fixed":
-        accepted = {e.client_id for e in entries if e.score > tau}
+        accepted = {e.client_id for e in finite if e.score > tau}
+    elif len(finite) < 2:
+        accepted = {e.client_id for e in finite}
     elif policy == "adaptive":
-        mean = sum(e.score for e in entries) / len(entries)
-        accepted = {e.client_id for e in entries if e.score > mean}
+        mean = sum(e.score for e in finite) / len(finite)
+        accepted = {e.client_id for e in finite if e.score > mean}
     else:
-        if len(entries) == 1:
-            accepted = {entries[0].client_id}
-        else:
-            lower, upper = kmeans_1d_two([(e.client_id, e.score) for e in entries])
-            best = max(entries, key=lambda e: (e.score, -e.client_id))
-            accepted = set(upper if best.client_id in upper else lower)
+        lower, upper = kmeans_1d_two([(e.client_id, e.score) for e in finite])
+        best = max(finite, key=lambda e: (e.score, -e.client_id))
+        accepted = set(upper if best.client_id in upper else lower)
     for e in entries:
         e.accepted = e.client_id in accepted
     return accepted

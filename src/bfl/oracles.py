@@ -156,7 +156,8 @@ def _case_matches(rule: str, rng: np.random.Generator) -> bool:
     `aggregators` module at call time, so a replaced rule is what gets checked.
     """
     beta = float(rng.choice([0.1, 0.2, 0.3]))
-    low = max(2, aggregators.min_updates(aggregators.AggregatorConfig(rule, beta)))
+    cfg = aggregators.AggregatorConfig(rule, beta)
+    low = max(2, aggregators.min_updates(cfg))
     n = int(rng.integers(low, 10))
     if rule == "geometric_median":
         mat = rng.standard_normal((n, 2)) * rng.uniform(0.5, 3.0)
@@ -183,7 +184,7 @@ def _case_matches(rule: str, rng: np.random.Generator) -> bool:
         return bool(np.array_equal(aggregators.coord_median(updates), sort_based_median(vectors)))
     if rule == "trimmed_mean":
         return _close(aggregators.trimmed_mean(updates, beta), sort_based_trimmed_mean(vectors, beta))
-    found = aggregators.geometric_median(updates)
+    found = aggregators.geometric_median(updates, cfg.weiszfeld_tol, cfg.weiszfeld_max_iter)
     _, want_objective = grid_search_geometric_median(mat)
     return abs(aggregators.geometric_objective(found, mat) - want_objective) <= 1e-6
 

@@ -131,18 +131,17 @@ def local_training(
     epochs: int,
     batch: int,
     plan: BatchPlan,
-) -> List[Tuple[np.ndarray, int]]:
+) -> List[np.ndarray]:
     """Run epochs of mini-batch SGD on every shard from the broadcast weights.
 
     The clients train in lockstep as one stack of models (see `nn`), one
     row per client, walking `plan`, which must have been built for these
     shard sizes, `epochs` and `batch`.  Each run of a step trains in place,
     on a view of the stack, so each client gets bit for bit the weights it
-    would get training alone.  Returns (delta, sample_count) per shard, in
-    order, where delta is the local weights minus the broadcast vector.
+    would get training alone.  Returns one delta per shard, in order: the
+    local weights minus the broadcast vector.
     """
-    counts = [len(shard) for shard in shards]
-    if (tuple(counts), epochs, batch) != plan[:3]:
+    if (tuple(len(shard) for shard in shards), epochs, batch) != plan[:3]:
         raise ValueError("the batch plan was built for other shards, epochs or batch")
     feats = np.concatenate([shards[k].features for k in plan.rows])
     labels = np.concatenate([shards[k].labels for k in plan.rows])
@@ -164,10 +163,7 @@ def local_training(
             grads, _ = nn.backprop_through(model, trace, dout, input_grad=False)
             nn.sgd_step(model, grads, sgd_cfg, sgd)
     params -= global_vector
-    trained = [None] * len(shards)
-    for delta, k in zip(params, plan.rows):
-        trained[k] = (delta, counts[k])
-    return trained
+    return list(params[np.argsort(plan.rows)])
 
 
 def _stacks(lengths: List[int]) -> List[Tuple[int, int]]:
@@ -287,8 +283,10 @@ class Schedule:
             if cfg.partition.seed is not None
             else rng.subseed(cfg.seed, rng.PARTITION)
         )
-        clients = dirichlet_partition(train, cfg.clients, cfg.partition.alpha, part_seed)
-        shards = tuple(Dataset(c.features, c.labels, c.num_classes) for c in clients)
+        shards = tuple(
+            Dataset(train.features[idx], train.labels[idx], train.num_classes)
+            for idx in dirichlet_partition(train, cfg.clients, cfg.partition.alpha, part_seed)
+        )
         model = nn.init_mlp(
             [train.dim, *cfg.hidden_dims, train.num_classes],
             "relu",
@@ -398,8 +396,7 @@ def _run_experiment(cfg: ExperimentConfig, schedule: Schedule) -> RunReport:
         trained = local_training(
             round_shards, template, global_vector, cfg.sgd, cfg.local_epochs, cfg.batch, plan
         )
-        deltas = {cid: delta for cid, (delta, _) in zip(sampled, trained)}
-        counts = {cid: count for cid, (_, count) in zip(sampled, trained)}
+        deltas = dict(zip(sampled, trained))
         payloads = _apply_attack(
             cfg, t, sampled, bad_sampled, deltas, shards, template, global_vector
         )
@@ -420,7 +417,7 @@ def _run_experiment(cfg: ExperimentConfig, schedule: Schedule) -> RunReport:
         fallback = None
         if accepted:
             updates = [
-                ClientUpdate(cid, candidates[cid], counts[cid])
+                ClientUpdate(cid, candidates[cid], len(shards[cid]))
                 for cid in sorted(accepted)
             ]
             rule = cfg.aggregator

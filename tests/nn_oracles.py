@@ -72,13 +72,13 @@ def local_training_one_client(
     epochs: int,
     batch: int,
     train_rng: np.random.Generator,
-) -> Tuple[np.ndarray, int]:
+) -> np.ndarray:
     """One client's local SGD on its own, unstacked: the reference for the
     lockstep `orchestrator.local_training`.
 
     The client's samples are reshuffled every epoch and walked in batches of
-    min(batch, len(client)); returns (local weights minus the broadcast
-    vector, sample count).
+    min(batch, len(client)); returns the local weights minus the broadcast
+    vector.
     """
     count = len(client)
     model = template.with_params(global_vector.copy())
@@ -93,7 +93,7 @@ def local_training_one_client(
             _, dout = nn.softmax_cross_entropy(out, labels[sel])
             grads, _ = nn.backprop_through(model, trace, dout, input_grad=False)
             nn.sgd_step(model, grads, sgd_cfg, state)
-    return model.params - global_vector, count
+    return model.params - global_vector
 
 
 def generator_fit(

@@ -54,7 +54,8 @@ def test_draw_shared_noise_scale():
 
 def test_sign_flip_is_negated_and_amplified():
     delta = np.array([1.0, -2.0, 0.5])
-    np.testing.assert_array_equal(attacks.sign_flip_attack(delta), [-5.0, 10.0, -2.5])
+    gamma = attacks.AttackConfig(kind="sign_flip").gamma
+    np.testing.assert_array_equal(attacks.sign_flip_attack(delta, gamma), [-5.0, 10.0, -2.5])
     np.testing.assert_array_equal(
         attacks.sign_flip_attack(delta, gamma=2.0), [-2.0, 4.0, -1.0]
     )
@@ -72,7 +73,8 @@ def test_rotate_labels_cycles_classes():
 
 def test_scale_delta():
     delta = np.array([0.5, -1.0])
-    np.testing.assert_array_equal(attacks.scale_delta(delta), [2.0, -4.0])
+    gamma = attacks.AttackConfig(kind="label_flip").gamma
+    np.testing.assert_array_equal(attacks.scale_delta(delta, gamma), [2.0, -4.0])
 
 
 def test_simulated_aggregate_matches_hand_formula():
@@ -96,7 +98,7 @@ def _line_search_case(rng, dim=6, classes=3):
 def test_ipm_line_search_matches_exhaustive_oracle_20_cases():
     """The picked scaling attains the max surrogate loss on every case."""
     rng = np.random.default_rng(77)
-    grid = attacks.DEFAULT_IPM_GRID
+    grid = attacks.AttackConfig().gamma_grid
     for case in range(20):
         template, vector, estimate, proxy = _line_search_case(rng)
         n, m = 10, int(rng.integers(1, 5))
@@ -158,7 +160,7 @@ def test_ipm_line_search_validates_counts():
     with pytest.raises(ValueError):
         attacks.ipm_line_search(vector, template, estimate, proxy, (), 5, 2)
     # Every sampled client compromised: the aggregate is the payload itself.
-    grid = attacks.DEFAULT_IPM_GRID
+    grid = attacks.AttackConfig().gamma_grid
     gamma_star, losses = attacks.ipm_line_search(vector, template, estimate, proxy, grid, 5, 5)
     oracle = nn_oracles.surrogate_loss_per_gamma(
         vector, template, estimate, proxy.features, proxy.labels, grid, 5, 5

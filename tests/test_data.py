@@ -4,6 +4,16 @@ import numpy as np
 import pytest
 
 from bfl import data
+from bfl.config import ToyDatasetSpec
+
+TOY = ToyDatasetSpec()
+
+
+def blobs(seed, num_classes, per_class, spread=TOY.spread, dims=TOY.dims):
+    """`data.make_toy_blobs` with the toy dataset's centers, spread and dims
+    unless given."""
+    centers = data.polygon_centers(num_classes, TOY.radius)
+    return data.make_toy_blobs(seed, num_classes, per_class, centers, spread, dims)
 
 
 def test_polygon_centers_on_circle():
@@ -15,32 +25,32 @@ def test_polygon_centers_on_circle():
 
 
 def test_make_toy_blobs_counts_and_determinism():
-    ds = data.make_toy_blobs(seed=5, num_classes=3, per_class=40)
+    ds = blobs(seed=5, num_classes=3, per_class=40)
     assert len(ds) == 120
     assert ds.dim == 2
     np.testing.assert_array_equal(np.bincount(ds.labels), [40, 40, 40])
-    again = data.make_toy_blobs(seed=5, num_classes=3, per_class=40)
+    again = blobs(seed=5, num_classes=3, per_class=40)
     np.testing.assert_array_equal(ds.features, again.features)
-    other = data.make_toy_blobs(seed=6, num_classes=3, per_class=40)
+    other = blobs(seed=6, num_classes=3, per_class=40)
     assert not np.array_equal(ds.features, other.features)
 
 
 def test_make_toy_blobs_clusters_near_centers():
-    centers = data.polygon_centers(3)
-    ds = data.make_toy_blobs(seed=0, num_classes=3, per_class=200, spread=0.3)
+    centers = data.polygon_centers(3, TOY.radius)
+    ds = blobs(seed=0, num_classes=3, per_class=200, spread=0.3)
     for c in range(3):
         mean = ds.features[ds.labels == c].mean(axis=0)
         assert np.linalg.norm(mean - centers[c]) < 0.15
 
 
 def test_make_toy_blobs_extra_dims_are_centered_noise():
-    ds = data.make_toy_blobs(seed=1, num_classes=3, per_class=300, spread=0.5, dims=7)
+    ds = blobs(seed=1, num_classes=3, per_class=300, spread=0.5, dims=7)
     assert ds.dim == 7
     tail = ds.features[:, 2:]
     np.testing.assert_allclose(tail.mean(axis=0), 0.0, atol=0.1)
     np.testing.assert_allclose(tail.std(axis=0), 0.5, atol=0.1)
     # first two axes still carry the class structure
-    centers = data.polygon_centers(3)
+    centers = data.polygon_centers(3, TOY.radius)
     for c in range(3):
         mean = ds.features[ds.labels == c, :2].mean(axis=0)
         assert np.linalg.norm(mean - centers[c]) < 0.2
@@ -48,17 +58,17 @@ def test_make_toy_blobs_extra_dims_are_centered_noise():
 
 def test_make_toy_blobs_validation():
     with pytest.raises(ValueError):
-        data.make_toy_blobs(seed=0, num_classes=1, per_class=5)
+        blobs(seed=0, num_classes=1, per_class=5)
     with pytest.raises(ValueError):
-        data.make_toy_blobs(seed=0, num_classes=3, per_class=0)
+        blobs(seed=0, num_classes=3, per_class=0)
     with pytest.raises(ValueError):
-        data.make_toy_blobs(seed=0, num_classes=3, per_class=5, spread=-1.0)
+        blobs(seed=0, num_classes=3, per_class=5, spread=-1.0)
     with pytest.raises(ValueError):
-        data.make_toy_blobs(seed=0, num_classes=3, per_class=5, dims=1)
+        blobs(seed=0, num_classes=3, per_class=5, dims=1)
 
 
 def test_train_test_split_stratified():
-    ds = data.make_toy_blobs(seed=2, num_classes=3, per_class=300)
+    ds = blobs(seed=2, num_classes=3, per_class=300)
     train, test = data.train_test_split(ds, 1.0 / 3.0, seed=7)
     assert len(train) == 600 and len(test) == 300
     np.testing.assert_array_equal(np.bincount(train.labels), [200, 200, 200])
@@ -69,7 +79,7 @@ def test_train_test_split_stratified():
 
 
 def test_train_test_split_deterministic():
-    ds = data.make_toy_blobs(seed=2, num_classes=3, per_class=50)
+    ds = blobs(seed=2, num_classes=3, per_class=50)
     a1, b1 = data.train_test_split(ds, 0.2, seed=3)
     a2, b2 = data.train_test_split(ds, 0.2, seed=3)
     np.testing.assert_array_equal(a1.features, a2.features)
@@ -90,24 +100,25 @@ def test_largest_remainder_tie_prefers_lower_index():
 
 
 def test_dirichlet_partition_covers_every_sample_once():
-    ds = data.make_toy_blobs(seed=10, num_classes=3, per_class=100)
+    ds = blobs(seed=10, num_classes=3, per_class=100)
     clients = data.dirichlet_partition(ds, 8, 0.5, seed=4)
     assert len(clients) == 8
-    seen = np.concatenate([c.indices for c in clients])
+    seen = np.concatenate(clients)
+    assert seen.dtype == np.int64
     assert sorted(seen.tolist()) == list(range(300))
     for c in clients:
-        assert list(c.indices) == sorted(c.indices)
+        assert list(c) == sorted(c)
         assert len(c) >= 1
 
 
 def test_dirichlet_partition_alpha_controls_skew():
-    ds = data.make_toy_blobs(seed=11, num_classes=3, per_class=200)
+    ds = blobs(seed=11, num_classes=3, per_class=200)
 
     def mean_top_class_share(alpha):
         clients = data.dirichlet_partition(ds, 10, alpha, seed=4)
         shares = []
         for c in clients:
-            counts = np.bincount(c.labels, minlength=3)
+            counts = np.bincount(ds.labels[c], minlength=3)
             shares.append(counts.max() / counts.sum())
         return np.mean(shares)
 
@@ -117,25 +128,25 @@ def test_dirichlet_partition_alpha_controls_skew():
 
 
 def test_dirichlet_partition_no_empty_clients_when_scarce():
-    ds = data.make_toy_blobs(seed=12, num_classes=2, per_class=4)
+    ds = blobs(seed=12, num_classes=2, per_class=4)
     clients = data.dirichlet_partition(ds, 6, 100.0, seed=1)
     assert len(clients) == 6
     assert all(len(c) >= 1 for c in clients)
-    seen = sorted(np.concatenate([c.indices for c in clients]).tolist())
+    seen = sorted(np.concatenate(clients).tolist())
     assert seen == list(range(8))
 
 
 def test_dirichlet_partition_deterministic():
-    ds = data.make_toy_blobs(seed=10, num_classes=3, per_class=60)
+    ds = blobs(seed=10, num_classes=3, per_class=60)
     a = data.dirichlet_partition(ds, 5, 1.0, seed=9)
     b = data.dirichlet_partition(ds, 5, 1.0, seed=9)
     for ca, cb in zip(a, b):
-        np.testing.assert_array_equal(ca.indices, cb.indices)
+        np.testing.assert_array_equal(ca, cb)
 
 
 @pytest.mark.parametrize("num_clients, alpha", [(0, 1.0), (3, 0.0), (61, 1.0)])
 def test_dirichlet_partition_rejects_bad_arguments(num_clients, alpha):
-    ds = data.make_toy_blobs(seed=10, num_classes=3, per_class=20)
+    ds = blobs(seed=10, num_classes=3, per_class=20)
     with pytest.raises(ValueError):
         data.dirichlet_partition(ds, num_clients, alpha, seed=9)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -209,6 +211,33 @@ def test_score_updates_sorted_by_id_and_loss_negated():
         assert e.score == -e.raw_metric
 
 
+@pytest.mark.parametrize("metric", defense.METRIC_KINDS)
+def test_score_updates_scores_a_non_finite_metric_minus_inf(metric, monkeypatch):
+    # The fake metric of a candidate is its first coordinate.
+    monkeypatch.setattr(defense, "eval_update", lambda params, *_: float(params[0]))
+    raws = [0.25, math.nan, math.inf, -math.inf]
+    entries = defense.score_updates(
+        [(k, np.array([raw])) for k, raw in enumerate(raws)], None, None, metric
+    )
+    assert [e.score for e in entries] == [0.25 if metric == "accuracy" else -0.25] + [-math.inf] * 3
+    assert entries[0].raw_metric == 0.25 and math.isnan(entries[1].raw_metric)
+
+
+def test_score_updates_scores_a_nan_model_minus_inf():
+    rng = np.random.default_rng(8)
+    cls = make_classifier(rng)
+    probe = defense.synthesize(
+        defense.new_generator(cls, DefenseConfig(), rng, np.array([-4.0, -4.0]), np.array([4.0, 4.0])),
+        8, master_seed=3, round_index=1,
+    )
+    broken = cls.params.copy()
+    broken[0] = np.nan
+    with np.errstate(invalid="ignore"):
+        [good, bad] = defense.score_updates([(0, cls.params), (1, broken)], cls, probe, "loss")
+    assert math.isnan(bad.raw_metric) and bad.score == -math.inf
+    assert math.isfinite(good.score)
+
+
 def test_kmeans_1d_two_matches_exhaustive_oracle_50_sets():
     """Exact split-scan equals the literal WCSS minimum, 50 random sets."""
     rng = np.random.default_rng(50)
@@ -285,6 +314,28 @@ def test_filter_cluster_single_entry_accepts_it():
     assert defense.filter_updates(entries, "cluster", 0.0) == {0}
 
 
+@pytest.mark.parametrize("policy", defense.FILTER_KINDS)
+def test_filter_rejects_non_finite_scores_and_ignores_them(policy):
+    # Over the finite scores alone every policy keeps 0.9 and 0.8: above
+    # tau, above their mean 0.6, and the upper of the two clusters.
+    entries = entries_from([0.9, math.nan, 0.8, -math.inf, math.inf, 0.1])
+    assert defense.filter_updates(entries, policy, 0.5) == {0, 2}
+    assert [e.accepted for e in entries] == [True, False, True, False, False, False]
+
+
+@pytest.mark.parametrize("policy", ["adaptive", "cluster"])
+def test_filter_keeps_a_lone_finite_score(policy):
+    assert defense.filter_updates(entries_from([math.nan, -0.3, -math.inf]), policy, 0.0) == {1}
+    assert defense.filter_updates(entries_from([-0.3]), policy, 0.0) == {0}
+
+
+@pytest.mark.parametrize("policy", defense.FILTER_KINDS)
+def test_filter_without_a_finite_score_accepts_nobody(policy):
+    entries = entries_from([math.nan, -math.inf, math.inf])
+    assert defense.filter_updates(entries, policy, -1.0) == set()
+    assert not any(e.accepted for e in entries)
+
+
 def test_filters_match_set_builder_definitions_50_sets():
     """fixed/adaptive rebuilt as one-line set comprehensions, 50 sets."""
     rng = np.random.default_rng(51)
@@ -298,7 +349,7 @@ def test_filters_match_set_builder_definitions_50_sets():
         entries = entries_from(scores)
         got_adaptive = defense.filter_updates(entries, "adaptive", tau)
         mean = sum(scores) / n
-        assert got_adaptive == {i for i, s in enumerate(scores) if s > mean}
+        assert got_adaptive == {i for i, s in enumerate(scores) if s > mean or n == 1}
 
 
 def test_filter_updates_unknown_policy():

@@ -1,12 +1,14 @@
 import json
+import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nn_oracles
-from bfl import attacks, nn, orchestrator, rng
+from bfl import attacks, defense, nn, orchestrator, rng
 from bfl.cli import main
 from bfl.config import (
     ConfigError,
@@ -14,8 +16,9 @@ from bfl.config import (
     ExperimentConfig,
     IdxDatasetSpec,
     config_from_dict,
+    load_json,
 )
-from bfl.data import ClientDataset, make_toy_blobs, polygon_centers
+from bfl.data import Dataset, make_toy_blobs, polygon_centers
 
 
 def small_config(**overrides):
@@ -72,20 +75,19 @@ def test_accepted_must_be_sampled():
 
 
 def shard_fixture():
-    data = make_toy_blobs(3, 3, 20, polygon_centers(3, 3.0), 0.5)
+    data = make_toy_blobs(3, 3, 20, polygon_centers(3, 3.0), 0.5, 2)
     return data
 
 
-def test_local_training_shapes_and_count():
+def test_local_training_shapes():
     shard = shard_fixture()
     model = nn.init_mlp([2, 8, 3], "relu", rng.substream(0, rng.MODEL_INIT))
     vec = model.params
-    [(delta, count)] = orchestrator.local_training(
+    [delta] = orchestrator.local_training(
         [shard], model, vec, nn.SgdConfig(), epochs=1, batch=16,
         plan=orchestrator.batch_plan([len(shard)], [rng.substream(0, rng.CLIENT_TRAIN, 1, 0)], 1, 16),
     )
     assert delta.shape == vec.shape
-    assert count == 60
     assert np.all(np.isfinite(delta))
     assert np.linalg.norm(delta) > 0.0
 
@@ -96,7 +98,7 @@ def test_local_training_deterministic():
     vec = model.params
     out = []
     for _ in range(2):
-        [(delta, _)] = orchestrator.local_training(
+        [delta] = orchestrator.local_training(
             [shard], model, vec, nn.SgdConfig(), epochs=2, batch=16,
             plan=orchestrator.batch_plan([len(shard)], [rng.substream(9, rng.CLIENT_TRAIN, 4, 2)], 2, 16),
         )
@@ -108,7 +110,7 @@ def test_local_training_reduces_loss():
     shard = shard_fixture()
     model = nn.init_mlp([2, 8, 3], "relu", rng.substream(1, rng.MODEL_INIT))
     vec = model.params
-    [(delta, _)] = orchestrator.local_training(
+    [delta] = orchestrator.local_training(
         [shard], model, vec, nn.SgdConfig(learning_rate=0.05), epochs=10, batch=60,
         plan=orchestrator.batch_plan([len(shard)], [rng.substream(1, rng.CLIENT_TRAIN, 1, 0)], 10, 60),
     )
@@ -122,11 +124,11 @@ def test_local_training_batch_clamps_to_shard():
     shard = shard_fixture()
     model = nn.init_mlp([2, 8, 3], "relu", rng.substream(0, rng.MODEL_INIT))
     vec = model.params
-    [(big, _)] = orchestrator.local_training(
+    [big] = orchestrator.local_training(
         [shard], model, vec, nn.SgdConfig(), 1, 10_000,
         orchestrator.batch_plan([len(shard)], [rng.substream(0, rng.CLIENT_TRAIN, 1, 0)], 1, 10_000),
     )
-    [(exact, _)] = orchestrator.local_training(
+    [exact] = orchestrator.local_training(
         [shard], model, vec, nn.SgdConfig(), 1, 60,
         orchestrator.batch_plan([len(shard)], [rng.substream(0, rng.CLIENT_TRAIN, 1, 0)], 1, 60),
     )
@@ -149,11 +151,12 @@ SHARD_ROWS = st.one_of(st.integers(1, 4), st.integers(1, 300))
 def test_lockstep_matches_one_client_at_a_time(shards, batch, epochs):
     # Shards of 1-300 rows, some with rotated labels, give one-row batches
     # next to taller ones, ragged last batches and clients that finish early.
-    parent = make_toy_blobs(4, 3, 200, polygon_centers(3, 3.0), 0.6, dims=12)
+    parent = make_toy_blobs(4, 3, 200, polygon_centers(3, 3.0), 0.6, 12)
     draw = np.random.default_rng(len(shards) * 1000 + batch)
     clients = []
     for k, (size, flip) in enumerate(shards):
-        client = ClientDataset(k, parent, np.sort(draw.choice(len(parent), size, replace=False)))
+        idx = np.sort(draw.choice(len(parent), size, replace=False))
+        client = Dataset(parent.features[idx], parent.labels[idx], parent.num_classes)
         clients.append(attacks.rotate_labels(client) if flip else client)
     model = nn.init_mlp([12, 16, 16, 3], "relu", rng.substream(3, rng.MODEL_INIT))
     vec = model.params
@@ -162,11 +165,11 @@ def test_lockstep_matches_one_client_at_a_time(shards, batch, epochs):
         clients, model, vec, nn.SgdConfig(), epochs, batch,
         orchestrator.batch_plan([len(c) for c in clients], streams(), epochs, batch),
     )
-    for client, train_rng, (delta, count) in zip(clients, streams(), lockstep):
-        want, want_count = nn_oracles.local_training_one_client(
+    assert len(lockstep) == len(clients)
+    for client, train_rng, delta in zip(clients, streams(), lockstep):
+        want = nn_oracles.local_training_one_client(
             client, model, vec, nn.SgdConfig(), epochs, batch, train_rng
         )
-        assert count == want_count
         assert delta.tobytes() == want.tobytes()
 
 
@@ -380,6 +383,50 @@ def test_defended_run_mixes_accept_and_reject():
         assert len(rec.accepted) + len(rec.rejected) == 4
         # strictly-above-mean acceptance can never keep everyone
         assert 0 < len(rec.accepted) < 4
+
+
+def test_mnist_shaped_config_runs_a_round():
+    cell = load_json(str(Path(__file__).resolve().parent.parent / "configs" / "mnist_shaped.json"))
+    cell["rounds"] = 1
+    cell["defense"]["gen_max_iter"] = 50
+    cfg = config_from_dict(cell)
+    assert (cfg.dataset.dims, cfg.dataset.num_classes, cfg.hidden_dims) == (784, 10, (128, 128))
+    [record] = orchestrator.run_experiment(cfg).rounds
+    assert 0 < record.gan_iters <= 50 and math.isfinite(record.acc)
+    assert len(record.accepted) + len(record.rejected) == cfg.sampled_per_round
+
+
+# A sign flip that overflows: attackers' candidates score NaN on the loss.
+OVERFLOW_CELL = {
+    "seed": 0, "rounds": 5, "clients": 10, "sampled_per_round": 5, "local_epochs": 2,
+    "attack": {"kind": "sign_flip", "epsilon": 0.3, "gamma": 1e200},
+    "defense": {"metric": "loss", "gen_max_iter": 100},
+}
+
+
+@pytest.mark.parametrize("policy", ["adaptive", "cluster"])
+def test_no_nan_scored_attacker_reaches_the_global_model(policy, monkeypatch):
+    decisions, weights = [], []
+    filter_updates, evaluate_global = defense.filter_updates, orchestrator.evaluate_global
+
+    def spy_filter(entries, *args):
+        decisions.append(entries)
+        return filter_updates(entries, *args)
+
+    def spy_evaluate(params, *args):
+        weights.append(params.copy())
+        return evaluate_global(params, *args)
+
+    monkeypatch.setattr(defense, "filter_updates", spy_filter)
+    monkeypatch.setattr(orchestrator, "evaluate_global", spy_evaluate)
+    cfg = config_from_dict({**OVERFLOW_CELL, "defense": {**OVERFLOW_CELL["defense"], "filter": policy}})
+    report = orchestrator.run_experiment(cfg)
+    nan_scored = [e for entries in decisions for e in entries if math.isnan(e.raw_metric)]
+    attackers = {cid for rec in report.rounds for cid in rec.malicious_sampled}
+    assert nan_scored and {e.client_id for e in nan_scored} <= attackers
+    assert not any(e.accepted for e in nan_scored)
+    assert all(rec.tpr == 1.0 for rec in report.rounds if rec.malicious_sampled)
+    assert len(weights) == 5 and all(np.isfinite(w).all() for w in weights)
 
 
 # --------------------------------------------------------------- reports

@@ -11,6 +11,7 @@ finite, and emit the same bytes when it runs again.
 import itertools
 import math
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -21,12 +22,11 @@ from bfl.attacks import ATTACK_KINDS
 from bfl.config import config_from_dict
 from bfl.defense import FILTER_KINDS, METRIC_KINDS
 
-
 COMBOS = list(itertools.product(ATTACK_KINDS, FILTER_KINDS, AGGREGATOR_KINDS, METRIC_KINDS))
 
 
 def make_cell(kind, policy, aggregator, metric, seed=0, rounds=2, clients=6, sampled=None,
-         epochs=1, batch=8, epsilon=0.3, gamma=None, q=5, gen_max_iter=20):
+              epochs=1, batch=8, epsilon=0.3, gamma=None, q=5, gen_max_iter=20):
     attack = {"kind": kind, "epsilon": epsilon}
     if gamma is not None and kind in ("sign_flip", "label_flip"):
         attack["gamma"] = gamma
@@ -73,7 +73,7 @@ def every_combo(test):
 
 
 def _emitted_bytes(report, out_dir):
-    return [open(path, "rb").read() for path in orchestrator.emit_report(report, out_dir, "cell")]
+    return [Path(path).read_bytes() for path in orchestrator.emit_report(report, out_dir, "cell")]
 
 
 @settings(max_examples=40)
@@ -96,7 +96,7 @@ def test_small_defended_cells(cell):
     for rec, (sampled, _), (entries, accepted) in zip(report.rounds, schedule.rounds, decisions):
         assert set(rec.accepted) == accepted <= set(sampled)
         assert sorted(rec.accepted + rec.rejected) == list(sampled)
-        assert all(math.isfinite(e.score) for e in entries if e.accepted)
+        assert all(math.isfinite(e.score) for e in entries if e.client_id in accepted)
     with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as again:
         assert _emitted_bytes(report, first) == _emitted_bytes(
             orchestrator.run_experiment(cfg), again

@@ -7,7 +7,7 @@ that set.  Classic robust aggregation rules and standard poisoning attacks
 are included for comparison.
 """
 
-from .aggregators import AggregatorConfig, ClientUpdate
+from .aggregators import AggregatorConfig
 from .attacks import AttackConfig
 from .config import ConfigError, ExperimentConfig, load_config
 from .data import Dataset
@@ -18,7 +18,6 @@ from .orchestrator import RoundRecord, RunReport, emit_report, run_experiment
 __all__ = [
     "AggregatorConfig",
     "AttackConfig",
-    "ClientUpdate",
     "ConfigError",
     "Dataset",
     "DefenseConfig",

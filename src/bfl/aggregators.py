@@ -1,9 +1,10 @@
 """Server-side aggregation rules over full client weight vectors.
 
-Each rule maps a non-empty list of `ClientUpdate`s with equal-length params
-to a single parameter vector.  Sample counts weight plain federated
-averaging only; every robust rule treats clients uniformly.  Duplicated
-update vectors are legal and count with multiplicity.
+Each rule maps a non-empty (n, d) matrix of candidate vectors, one row per
+client in ascending client id, to a single parameter vector.  Sample counts
+weight plain federated averaging only; every robust rule treats the rows
+uniformly, and its ties break toward the lower row.  Duplicated rows are
+legal and count with multiplicity.
 """
 
 from __future__ import annotations
@@ -26,20 +27,6 @@ AGGREGATOR_KINDS = (
 
 
 @dataclass
-class ClientUpdate:
-    client_id: int
-    params: np.ndarray  # reconstructed full weights, (d,)
-    sample_count: int
-
-    def __post_init__(self) -> None:
-        self.params = np.asarray(self.params, dtype=np.float64)
-        if self.params.ndim != 1:
-            raise ValueError("params must be a flat vector")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-
-
-@dataclass
 class AggregatorConfig:
     kind: str = "fedavg"
     beta: float = 0.1  # assumed compromised fraction for trimming / scoring
@@ -57,29 +44,19 @@ class AggregatorConfig:
             raise ValueError("bad Weiszfeld settings")
 
 
-def _stack(updates: Sequence[ClientUpdate]) -> np.ndarray:
-    if not updates:
-        raise ValueError("no updates to aggregate")
-    if len({u.params.shape[0] for u in updates}) != 1:
-        raise ValueError("updates have mixed dimensions")
-    return np.stack([u.params for u in updates])
-
-
-def fedavg(updates: Sequence[ClientUpdate]) -> np.ndarray:
+def fedavg(mat: np.ndarray, counts: Sequence[int]) -> np.ndarray:
     """Sample-count-weighted mean: sum(|D_i| * w_i) / sum(|D_i|)."""
-    mat = _stack(updates)
-    weights = np.array([u.sample_count for u in updates], dtype=np.float64)
+    weights = np.asarray(counts, dtype=np.float64)
     return (weights[:, None] * mat).sum(axis=0) / weights.sum()
 
 
-def coord_median(updates: Sequence[ClientUpdate]) -> np.ndarray:
+def coord_median(mat: np.ndarray) -> np.ndarray:
     """Coordinate-wise median; even counts take the midpoint of the middle two."""
-    return np.median(_stack(updates), axis=0)
+    return np.median(mat, axis=0)
 
 
-def trimmed_mean(updates: Sequence[ClientUpdate], beta: float) -> np.ndarray:
+def trimmed_mean(mat: np.ndarray, beta: float) -> np.ndarray:
     """Coordinate-wise mean after dropping the k = floor(beta*n) extremes per side."""
-    mat = _stack(updates)
     n = mat.shape[0]
     k = int(math.floor(beta * n))
     if n - 2 * k < 1:
@@ -92,9 +69,9 @@ def geometric_objective(point: np.ndarray, mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat - point, axis=1).sum())
 
 
-def geometric_median(updates: Sequence[ClientUpdate], tol: float, max_iter: int) -> np.ndarray:
+def geometric_median(mat: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """The Euclidean geometric median: the point with the least total
-    distance to the updates, duplicates counted with multiplicity.
+    distance to the rows, duplicates counted with multiplicity.
 
     The median lies in the affine hull of the distinct points, so the
     search runs in the at most n - 1 coordinates of that hull (a QR of the
@@ -110,7 +87,6 @@ def geometric_median(updates: Sequence[ClientUpdate], tol: float, max_iter: int)
     result never scores worse than the mean or the best input point.  An
     input holding inf or NaN gives the mean, which is not finite either.
     """
-    mat = _stack(updates)
     mean = mat.mean(axis=0)
     if not np.isfinite(mat).all():
         return mean
@@ -202,9 +178,8 @@ def _pairwise_sq(mat: np.ndarray) -> np.ndarray:
     return (diffs * diffs).sum(axis=2)
 
 
-def multi_krum_scores(updates: Sequence[ClientUpdate], beta: float) -> List[float]:
-    """Per-update sum of squared distances to its n - M - 2 nearest peers."""
-    mat = _stack(updates)
+def multi_krum_scores(mat: np.ndarray, beta: float) -> List[float]:
+    """Per-row sum of squared distances to its n - M - 2 nearest peers."""
     n = mat.shape[0]
     closest = _krum_peers(n, beta)
     if closest < 1:
@@ -217,67 +192,55 @@ def multi_krum_scores(updates: Sequence[ClientUpdate], beta: float) -> List[floa
     return scores
 
 
-def multi_krum(
-    updates: Sequence[ClientUpdate], beta: float
-) -> Tuple[Set[int], np.ndarray]:
-    """Keep the n - ceil(beta*n) lowest-scoring updates and average them.
+def multi_krum(mat: np.ndarray, beta: float) -> Tuple[Set[int], np.ndarray]:
+    """Keep the n - ceil(beta*n) lowest-scoring rows and average them;
+    returns the kept rows and their average.
 
-    Score ties break toward the lower client id.  The average is unweighted:
-    selection already encodes the trust judgement, so sample counts do not
-    get a second vote.
+    Score ties break toward the lower row.  The kept rows are averaged in
+    score order.  The average is unweighted: selection already encodes the
+    trust judgement, so sample counts do not get a second vote.
     """
-    scores = multi_krum_scores(updates, beta)
-    n = len(updates)
-    keep = n - _krum_cap(n, beta)
-    order = sorted(range(n), key=lambda i: (scores[i], updates[i].client_id))
-    chosen = order[:keep]
-    selected_ids = {updates[i].client_id for i in chosen}
-    mixed = np.stack([updates[i].params for i in chosen])
-    return selected_ids, mixed.mean(axis=0)
+    scores = multi_krum_scores(mat, beta)
+    n = len(mat)
+    chosen = sorted(range(n), key=lambda i: (scores[i], i))[: n - _krum_cap(n, beta)]
+    return set(chosen), mat[chosen].mean(axis=0)
 
 
-def nnm_mix(updates: Sequence[ClientUpdate], beta: float) -> List[ClientUpdate]:
-    """Replace each update by the mean of its n - M nearest updates (self included).
+def nnm_mix(mat: np.ndarray, beta: float) -> np.ndarray:
+    """Replace each row by the mean of its n - M nearest rows (itself included).
 
-    Distance ties break toward the lower client id.  The mixed updates keep
-    their original ids and sample counts.
+    Distance ties break toward the lower row.
     """
-    mat = _stack(updates)
     n = mat.shape[0]
-    m_cap = _krum_cap(n, beta)
-    neighborhood = n - m_cap
+    neighborhood = n - _krum_cap(n, beta)
     if neighborhood < 1:
         raise ValueError(f"n={n}, beta={beta} leaves an empty neighborhood")
-    sq = _pairwise_sq(mat)
-    mixed = []
-    for i in range(n):
-        order = sorted(range(n), key=lambda j: (sq[i][j], updates[j].client_id))
-        sel = order[:neighborhood]
-        mixed.append(
-            ClientUpdate(updates[i].client_id, mat[sel].mean(axis=0), updates[i].sample_count)
-        )
-    return mixed
+    nearest = np.argsort(_pairwise_sq(mat), axis=1, kind="stable")[:, :neighborhood]
+    return mat[nearest].mean(axis=1)
 
 
-def nnm_krum(
-    updates: Sequence[ClientUpdate], beta: float
-) -> Tuple[Set[int], np.ndarray]:
-    """Nearest-neighbor mixing followed by multi-krum on the mixed updates."""
-    return multi_krum(nnm_mix(updates, beta), beta)
+def nnm_krum(mat: np.ndarray, beta: float) -> Tuple[Set[int], np.ndarray]:
+    """Nearest-neighbor mixing followed by multi-krum on the mixed rows."""
+    return multi_krum(nnm_mix(mat, beta), beta)
 
 
-def aggregate(updates: Sequence[ClientUpdate], cfg: AggregatorConfig) -> np.ndarray:
-    """Dispatch to the configured rule and return the new global vector."""
+def aggregate(mat: np.ndarray, cfg: AggregatorConfig, counts: Sequence[int]) -> np.ndarray:
+    """Dispatch to the configured rule and return the new global vector.
+
+    `mat` holds one candidate vector per row, in ascending client id, and
+    `counts` each row's sample count, which only fedavg reads."""
+    if len(mat) == 0:
+        raise ValueError("no updates to aggregate")
     if cfg.kind == "fedavg":
-        return fedavg(updates)
+        return fedavg(mat, counts)
     if cfg.kind == "coord_median":
-        return coord_median(updates)
+        return coord_median(mat)
     if cfg.kind == "trimmed_mean":
-        return trimmed_mean(updates, cfg.beta)
+        return trimmed_mean(mat, cfg.beta)
     if cfg.kind == "geometric_median":
-        return geometric_median(updates, cfg.weiszfeld_tol, cfg.weiszfeld_max_iter)
+        return geometric_median(mat, cfg.weiszfeld_tol, cfg.weiszfeld_max_iter)
     if cfg.kind == "multi_krum":
-        return multi_krum(updates, cfg.beta)[1]
+        return multi_krum(mat, cfg.beta)[1]
     if cfg.kind == "nnm_krum":
-        return nnm_krum(updates, cfg.beta)[1]
+        return nnm_krum(mat, cfg.beta)[1]
     raise ValueError(f"unknown aggregator {cfg.kind!r}")

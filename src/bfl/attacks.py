@@ -44,6 +44,7 @@ class AttackConfig:
             raise ValueError("epsilon must be in [0, 1)")
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
+        self.gamma_set = self.gamma is not None  # else it is the kind's, and follows the kind
         if self.gamma is None:
             self.gamma = FLIP_GAMMA.get(self.kind)
         elif self.gamma <= 0.0:
@@ -124,22 +125,21 @@ def ipm_line_search(
     For each candidate gamma the attacker simulates next round's aggregate,
     w_global + ((n - m) * est + m * (-gamma * est)) / n, and scores its mean
     cross-entropy on the proxy dataset (the union of the compromised clients'
-    own data) with `defense.eval_update`, as the server scores a candidate
-    on its probe set.  Returns the argmax gamma, ties going to the larger value,
-    along with the per-grid-point losses.  Every sampled client may be
-    compromised (m = n): the simulated aggregate is then the payload itself.
+    own data) with one `defense.eval_update` call over the whole grid, as
+    the server scores its candidates on its probe set.  Returns the argmax
+    gamma, ties going to the larger value, along with the per-grid-point
+    losses.  Every sampled client may be compromised (m = n): the simulated
+    aggregate is then the payload itself.
     """
     if not gamma_grid:
         raise ValueError("gamma_grid must not be empty")
     if not 0 < n_malicious <= n_sampled:
         raise ValueError("need 0 < compromised <= sampled clients")
-    losses = [
-        eval_update(
-            global_vector + simulated_aggregate_delta(benign_estimate, gamma, n_sampled, n_malicious),
-            template, proxy, "loss",
-        )
+    stack = np.stack([
+        global_vector + simulated_aggregate_delta(benign_estimate, gamma, n_sampled, n_malicious)
         for gamma in gamma_grid
-    ]
+    ])
+    losses = eval_update(stack, template, proxy, "loss").tolist()
     best = max(range(len(losses)), key=lambda i: (losses[i], gamma_grid[i]))
     return float(gamma_grid[best]), losses
 

@@ -256,35 +256,47 @@ class ScoreEntry:
 
 def eval_update(
     params: np.ndarray, template: nn.MlpModel, probe: Dataset, metric: str
-) -> float:
-    """Score one candidate vector, read in the template's layout, on the
-    synthetic probe set."""
-    logits = nn.forward(template.with_params(params), probe.features)
+) -> float | np.ndarray:
+    """Score a candidate vector, or each row of an (m, P) stack, read in
+    the template's layout, on the synthetic probe set.
+
+    A stack runs as one stacked forward pass over the probe, broadcast to
+    every row, and gives one metric per row, bit for bit what that row
+    scores alone.  The accuracy of a model whose probe logits are not all
+    finite is NaN.
+    """
+    lead = np.shape(params)[:-1]
+    labels = np.broadcast_to(probe.labels, lead + probe.labels.shape)
+    logits = nn.forward(
+        template.with_params(params), np.broadcast_to(probe.features, lead + probe.features.shape)
+    )
     if metric == "accuracy":
-        return float((logits.argmax(axis=1) == probe.labels).mean())
+        hits = (logits.argmax(axis=-1) == labels).mean(axis=-1)
+        acc = np.where(np.isfinite(logits).all(axis=(-2, -1)), hits, np.nan)
+        return acc if lead else float(acc)
     if metric == "loss":
-        loss, _ = nn.softmax_cross_entropy(logits, probe.labels)
+        loss, _ = nn.softmax_cross_entropy(logits, labels)
         return loss
     raise ValueError(f"unknown metric {metric!r}")
 
 
 def score_updates(
-    candidates: Sequence[Tuple[int, np.ndarray]],
+    ids: Sequence[int],
+    candidates: np.ndarray,
     template: nn.MlpModel,
     probe: Dataset,
     metric: str,
 ) -> List[ScoreEntry]:
-    """Evaluate every (client_id, params) candidate, ordered by client id.
+    """Evaluate the (m, P) stack of candidates, row r that of client
+    `ids[r]`, in one `eval_update` call; one entry per row, in row order.
 
     Accuracy keeps its sign; loss is negated, so higher score is always
     better regardless of metric.  A NaN or infinite metric scores -inf.
     """
-    entries = []
-    for client_id, params in sorted(candidates, key=lambda c: c[0]):
-        raw = eval_update(params, template, probe, metric)
-        score = (raw if metric == "accuracy" else -raw) if math.isfinite(raw) else -math.inf
-        entries.append(ScoreEntry(client_id, raw, score))
-    return entries
+    raws = eval_update(candidates, template, probe, metric).tolist()
+    sign = 1.0 if metric == "accuracy" else -1.0
+    return [ScoreEntry(cid, raw, sign * raw if math.isfinite(raw) else -math.inf)
+            for cid, raw in zip(ids, raws)]
 
 
 def kmeans_1d_two(
@@ -295,13 +307,15 @@ def kmeans_1d_two(
 
     Sorts the points and scans every split position; with sorted data the
     optimal 2-means partition is always such a prefix/suffix split, so the
-    scan is exhaustive.  WCSS ties break toward the split putting more
-    members alongside the highest score (the smaller lower cluster).
+    scan is exhaustive.  Equal scores sort by descending id, so among them
+    the lowest id counts as the highest score, as the cluster filter's best
+    scorer does.  WCSS ties break toward the split putting more members
+    alongside the highest score (the smaller lower cluster).
     Returns (lower ids, upper ids).
     """
     if len(points) < 2:
         raise ValueError("need at least two points to cluster")
-    order = sorted(points, key=lambda p: (p[1], p[0]))
+    order = sorted(points, key=lambda p: (p[1], -p[0]))
     values = np.array([p[1] for p in order], dtype=np.float64)
     n = len(values)
     prefix = np.concatenate([[0.0], np.cumsum(values)])
@@ -336,27 +350,31 @@ def filter_updates(
     only the finite scores:
 
     fixed:     keep scores strictly above the constant threshold tau.
-    adaptive:  keep scores strictly above their mean.
-    cluster:   exact two-means over scores; keep the cluster that contains
-               the best-scoring client (so it is never rejected itself).
-    adaptive and cluster keep a lone finite score.  Any policy rejects
-    everyone when no score is finite; fixed and adaptive may reject
-    everyone otherwise too.
+    adaptive:  keep scores strictly above their mean (which does not
+               overflow while the scores are finite).
+    cluster:   exact two-means over scores; keep the upper cluster, which
+               holds the best-scoring client (the lowest id among ties).
+    adaptive and cluster keep every finite score when they are all equal
+    (a lone one included).  Any policy rejects everyone when no score is
+    finite; fixed, and adaptive where rounding lifts the mean to the top
+    score, may reject everyone otherwise too.
     """
     if policy not in FILTER_KINDS:
         raise ValueError(f"unknown filter {policy!r}")
     finite = [e for e in entries if math.isfinite(e.score)]
+    scores = [e.score for e in finite]
     if policy == "fixed":
         accepted = {e.client_id for e in finite if e.score > tau}
-    elif len(finite) < 2:
+    elif len(set(scores)) < 2:
         accepted = {e.client_id for e in finite}
     elif policy == "adaptive":
-        mean = sum(e.score for e in finite) / len(finite)
+        # Where the sum of finite scores overflows, the scores divided by the
+        # largest magnitude cannot; elsewhere `top` is 1 and changes no bit.
+        top = 1.0 if math.isfinite(sum(scores)) else max(map(abs, scores))
+        mean = top * (sum(s / top for s in scores) / len(scores))
         accepted = {e.client_id for e in finite if e.score > mean}
     else:
-        lower, upper = kmeans_1d_two([(e.client_id, e.score) for e in finite])
-        best = max(finite, key=lambda e: (e.score, -e.client_id))
-        accepted = set(upper if best.client_id in upper else lower)
+        accepted = set(kmeans_1d_two([(e.client_id, e.score) for e in finite])[1])
     for e in entries:
         e.accepted = e.client_id in accepted
     return accepted

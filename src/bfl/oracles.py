@@ -151,9 +151,10 @@ def _case_matches(rule: str, rng: np.random.Generator) -> bool:
 
     beta is one of 0.1, 0.2, 0.3; n runs from the rule's smallest aggregable
     set (at least 2) to 9; vectors have 1-5 standard normal coordinates and
-    sample counts 1-49.  geometric_median takes 2-D points scaled by
-    U(0.5, 3), since its grid oracle is 2-D.  The rules are looked up on the
-    `aggregators` module at call time, so a replaced rule is what gets checked.
+    sample counts 1-49, which no robust rule reads.  geometric_median takes
+    2-D points scaled by U(0.5, 3), since its grid oracle is 2-D.  The rules
+    are looked up on the `aggregators` module at call time, so a replaced
+    rule is what gets checked.
     """
     beta = float(rng.choice([0.1, 0.2, 0.3]))
     cfg = aggregators.AggregatorConfig(rule, beta)
@@ -163,28 +164,26 @@ def _case_matches(rule: str, rng: np.random.Generator) -> bool:
         mat = rng.standard_normal((n, 2)) * rng.uniform(0.5, 3.0)
     else:
         mat = rng.standard_normal((n, int(rng.integers(1, 6))))
-    updates = [
-        aggregators.ClientUpdate(i, row, int(rng.integers(1, 50))) for i, row in enumerate(mat)
-    ]
+    rng.integers(1, 50, size=n)  # the sample counts: drawn, so each seed keeps its cases
     vectors = list(mat)
     ids = list(range(n))
     if rule == "multi_krum":
-        got_ids, got = aggregators.multi_krum(updates, beta)
+        got_ids, got = aggregators.multi_krum(mat, beta)
         want_ids, want = brute_force_multi_krum(vectors, ids, beta)
         return got_ids == want_ids and _close(got, want)
     if rule == "nnm_krum":
-        mixed = aggregators.nnm_mix(updates, beta)
+        mixed = aggregators.nnm_mix(mat, beta)
         want_mixed = brute_force_nnm_mix(vectors, ids, beta)
-        if not all(_close(m.params, w) for m, w in zip(mixed, want_mixed)):
+        if not all(_close(m, w) for m, w in zip(mixed, want_mixed)):
             return False
-        got_ids, got = aggregators.nnm_krum(updates, beta)
-        want_ids, want = brute_force_multi_krum([m.params for m in mixed], ids, beta)
+        got_ids, got = aggregators.nnm_krum(mat, beta)
+        want_ids, want = brute_force_multi_krum(list(mixed), ids, beta)
         return got_ids == want_ids and _close(got, want)
     if rule == "coord_median":
-        return bool(np.array_equal(aggregators.coord_median(updates), sort_based_median(vectors)))
+        return bool(np.array_equal(aggregators.coord_median(mat), sort_based_median(vectors)))
     if rule == "trimmed_mean":
-        return _close(aggregators.trimmed_mean(updates, beta), sort_based_trimmed_mean(vectors, beta))
-    found = aggregators.geometric_median(updates, cfg.weiszfeld_tol, cfg.weiszfeld_max_iter)
+        return _close(aggregators.trimmed_mean(mat, beta), sort_based_trimmed_mean(vectors, beta))
+    found = aggregators.geometric_median(mat, cfg.weiszfeld_tol, cfg.weiszfeld_max_iter)
     _, want_objective = grid_search_geometric_median(mat)
     return abs(aggregators.geometric_objective(found, mat) - want_objective) <= 1e-6
 

@@ -4,7 +4,10 @@ Per round the server broadcasts the current weights, every sampled client
 runs local SGD and returns a delta, compromised clients swap in their
 poisoned payloads, the optional defense scores each candidate vector (read
 as a model, without a copy) on generated data and filters them, and the
-surviving updates are aggregated into the next global model.  A
+surviving updates are aggregated into the next global model.  The round's
+updates are one (n, P) matrix throughout, a row per sampled client in
+ascending id: the attack overwrites rows of the local training's deltas in
+place, and the defense and the aggregator read rows of it.  A
 rejected-everything round carries the previous weights forward, and a round
 that leaves fewer survivors than the configured rule can aggregate (the
 Krum rules need at least four) falls back to the coordinate-wise median.
@@ -36,7 +39,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import attacks, defense, nn, rng
-from .aggregators import AggregatorConfig, ClientUpdate, aggregate, min_updates
+from .aggregators import AggregatorConfig, aggregate, min_updates
 from .config import ExperimentConfig, IdxDatasetSpec, config_to_dict
 from .data import (
     Dataset,
@@ -131,15 +134,15 @@ def local_training(
     epochs: int,
     batch: int,
     plan: BatchPlan,
-) -> List[np.ndarray]:
+) -> np.ndarray:
     """Run epochs of mini-batch SGD on every shard from the broadcast weights.
 
     The clients train in lockstep as one stack of models (see `nn`), one
     row per client, walking `plan`, which must have been built for these
     shard sizes, `epochs` and `batch`.  Each run of a step trains in place,
     on a view of the stack, so each client gets bit for bit the weights it
-    would get training alone.  Returns one delta per shard, in order: the
-    local weights minus the broadcast vector.
+    would get training alone.  Returns the (n, P) stack of deltas, row k
+    for shard k: the local weights minus the broadcast vector.
     """
     if (tuple(len(shard) for shard in shards), epochs, batch) != plan[:3]:
         raise ValueError("the batch plan was built for other shards, epochs or batch")
@@ -163,7 +166,7 @@ def local_training(
             grads, _ = nn.backprop_through(model, trace, dout, input_grad=False)
             nn.sgd_step(model, grads, sgd_cfg, sgd)
     params -= global_vector
-    return list(params[np.argsort(plan.rows)])
+    return params[np.argsort(plan.rows)]
 
 
 def _stacks(lengths: List[int]) -> List[Tuple[int, int]]:
@@ -208,8 +211,9 @@ def evaluate_global(
     params: np.ndarray, template: nn.MlpModel, dataset: Dataset
 ) -> float:
     """Top-1 accuracy of `params` in the template's layout (argmax ties to
-    the lowest class)."""
-    return defense.eval_update(params, template, dataset, "accuracy")
+    the lowest class, so a NaN model predicts class 0)."""
+    logits = nn.forward(template.with_params(params), dataset.features)
+    return float((logits.argmax(axis=1) == dataset.labels).mean())
 
 
 def build_datasets(cfg: ExperimentConfig) -> Tuple[Dataset, Dataset, np.ndarray, np.ndarray]:
@@ -316,45 +320,38 @@ def _apply_attack(
     cfg: ExperimentConfig,
     round_index: int,
     sampled: Sequence[int],
-    bad_sampled: List[int],
-    deltas: Dict[int, np.ndarray],
+    bad_rows: List[int],
+    deltas: np.ndarray,
     clients: Sequence[Dataset],
     template: nn.MlpModel,
     global_vector: np.ndarray,
-) -> Dict[int, np.ndarray]:
-    """Replace compromised clients' honest deltas with attack payloads."""
+) -> None:
+    """Overwrite the compromised rows of the round's delta stack, whose
+    rows are the `sampled` clients, with their attack payloads."""
     acfg = cfg.attack
-    payloads = dict(deltas)
-    if not bad_sampled or acfg.kind == "none":
-        return payloads
+    if not bad_rows or acfg.kind == "none":
+        return
     if acfg.kind == "random_noise":
         noise_rng = rng.substream(cfg.seed, rng.ATTACK, round_index)
         shared = attacks.draw_shared_noise(global_vector.size, acfg.sigma, noise_rng)
-        reference = deltas[min(bad_sampled)]
-        payload = attacks.random_noise_attack(reference, shared)
-        for cid in bad_sampled:
-            payloads[cid] = payload
+        deltas[bad_rows] = attacks.random_noise_attack(deltas[bad_rows[0]], shared)
     elif acfg.kind == "sign_flip":
-        for cid in bad_sampled:
-            payloads[cid] = attacks.sign_flip_attack(deltas[cid], acfg.gamma)
+        deltas[bad_rows] = attacks.sign_flip_attack(deltas[bad_rows], acfg.gamma)
     elif acfg.kind == "label_flip":
-        for cid in bad_sampled:
-            payloads[cid] = attacks.scale_delta(deltas[cid], acfg.gamma)
+        deltas[bad_rows] = attacks.scale_delta(deltas[bad_rows], acfg.gamma)
     elif acfg.kind == "ipm":
-        estimate = np.mean([deltas[cid] for cid in bad_sampled], axis=0)
+        bad = [clients[sampled[r]] for r in bad_rows]
         proxy = Dataset(
-            np.vstack([clients[cid].features for cid in bad_sampled]),
-            np.concatenate([clients[cid].labels for cid in bad_sampled]),
+            np.vstack([shard.features for shard in bad]),
+            np.concatenate([shard.labels for shard in bad]),
             clients[0].num_classes,
         )
         payload, gamma_star = attacks.ipm_attack(
-            global_vector, template, estimate, proxy, acfg,
-            len(sampled), len(bad_sampled),
+            global_vector, template, deltas[bad_rows].mean(axis=0), proxy, acfg,
+            len(sampled), len(bad_rows),
         )
         log.debug("round %d ipm gamma*=%g", round_index, gamma_star)
-        for cid in bad_sampled:
-            payloads[cid] = payload
-    return payloads
+        deltas[bad_rows] = payload
 
 
 def run_experiment(cfg: ExperimentConfig, schedule: Optional[Schedule] = None) -> RunReport:
@@ -387,20 +384,18 @@ def _run_experiment(cfg: ExperimentConfig, schedule: Schedule) -> RunReport:
     flip = cfg.attack.kind == "label_flip"
     for t, (sampled, plan) in enumerate(schedule.rounds, 1):
         started = time.perf_counter()
-        bad_sampled = [cid for cid in sampled if cid in malicious]
+        bad_rows = [r for r, cid in enumerate(sampled) if cid in malicious]
+        bad_sampled = [sampled[r] for r in bad_rows]
         round_shards = [
-            attacks.rotate_labels(shards[cid]) if flip and cid in bad_sampled else shards[cid]
+            attacks.rotate_labels(shards[cid]) if flip and cid in malicious else shards[cid]
             for cid in sampled
         ]
         # Positional: a caller may wrap `local_training` and read its arguments.
-        trained = local_training(
+        deltas = local_training(
             round_shards, template, global_vector, cfg.sgd, cfg.local_epochs, cfg.batch, plan
         )
-        deltas = dict(zip(sampled, trained))
-        payloads = _apply_attack(
-            cfg, t, sampled, bad_sampled, deltas, shards, template, global_vector
-        )
-        candidates = {cid: global_vector + payloads[cid] for cid in sampled}
+        _apply_attack(cfg, t, sampled, bad_rows, deltas, shards, template, global_vector)
+        candidates = np.add(deltas, global_vector, out=deltas)
         gan_iters = 0
         if cfg.defense is not None:
             classifier = template.with_params(global_vector)
@@ -408,23 +403,19 @@ def _run_experiment(cfg: ExperimentConfig, schedule: Schedule) -> RunReport:
                 classifier, cfg.defense, cfg.seed, t, schedule.lo, schedule.hi
             )
             probe = defense.synthesize(gen, cfg.defense.q, cfg.seed, t)
-            entries = defense.score_updates(
-                sorted(candidates.items()), template, probe, cfg.defense.metric
-            )
+            entries = defense.score_updates(sampled, candidates, template, probe, cfg.defense.metric)
             accepted = defense.filter_updates(entries, cfg.defense.filter, cfg.defense.tau)
         else:
             accepted = set(sampled)
         fallback = None
         if accepted:
-            updates = [
-                ClientUpdate(cid, candidates[cid], len(shards[cid]))
-                for cid in sorted(accepted)
-            ]
+            rows = [r for r, cid in enumerate(sampled) if cid in accepted]
             rule = cfg.aggregator
-            if len(updates) < fewest:
+            if len(rows) < fewest:
                 fallback = "coord_median"
                 rule = AggregatorConfig(fallback)
-            global_vector = aggregate(updates, rule)
+            # Positional: a caller may wrap `aggregate` and read the rule.
+            global_vector = aggregate(candidates[rows], rule, np.take(plan.sizes, rows))
         acc = evaluate_global(global_vector, template, schedule.test)
         tpr, tnr = compute_tpr_tnr(set(sampled), accepted, malicious)
         wall_ms = (time.perf_counter() - started) * 1000.0

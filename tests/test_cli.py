@@ -8,7 +8,8 @@ import pytest
 
 from bfl import aggregators, cli, orchestrator
 from bfl.cli import main
-from bfl.config import config_from_dict
+from bfl.attacks import FLIP_GAMMA
+from bfl.config import config_from_dict, config_to_dict
 from bfl.orchestrator import emit_report, run_experiment
 
 TINY = {
@@ -292,7 +293,7 @@ def test_oracle_cases_must_be_positive(cases):
 def test_oracle_reports_a_broken_rule(monkeypatch, capsys):
     # The shared suite looks rules up on bfl.aggregators, so criteria 4/5
     # would see this replacement too.
-    monkeypatch.setattr(aggregators, "coord_median", aggregators.fedavg)
+    monkeypatch.setattr(aggregators, "coord_median", lambda mat: mat.mean(axis=0))
     assert main(["oracle", "coord_median", "--cases", "10", "--seed", "1"]) == 1
     captured = capsys.readouterr()
     assert "MISMATCHES" in captured.out
@@ -306,9 +307,9 @@ def test_oracle_rejects_unknown_rule():
 
 
 def test_sweep_with_a_defended_krum_cell_completes(tmp_path, capsys):
-    # The cluster filter leaves one or two ipm survivors per round, fewer
-    # than multi_krum needs, so the cell's rounds fall back to coord_median.
-    cfg = write_config(tmp_path, seed=0, clients=10, sampled_per_round=5, rounds=3)
+    # The cluster filter leaves one ipm survivor in rounds 1 and 3, fewer
+    # than multi_krum needs, so those rounds fall back to coord_median.
+    cfg = write_config(tmp_path, seed=2, clients=10, sampled_per_round=5, rounds=3)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({
         "attack": ["ipm"],
@@ -316,7 +317,7 @@ def test_sweep_with_a_defended_krum_cell_completes(tmp_path, capsys):
         "rule": [
             {"name": "fedavg"},
             {"name": "krum_gan", "aggregator": {"kind": "multi_krum"},
-             "defense": {"filter": "cluster", "q": 9, "gen_max_iter": 30}},
+             "defense": {"filter": "cluster", "metric": "loss", "q": 9, "gen_max_iter": 30}},
         ],
     }))
     out = tmp_path / "sweep"
@@ -346,6 +347,18 @@ def test_path_axes_run_between_epsilon_and_rule_in_file_order(tmp_path):
         assert name.startswith(f"sign_flip_eps0.2_seed{cfg.seed}_alpha{cfg.partition.alpha:g}_")
         assert cfg.aggregator.kind == ("coord_median" if name.endswith("median") else "fedavg")
         assert cfg.dataset.per_class == 24  # the rest of the base is kept
+
+
+@pytest.mark.parametrize("attack", [{"kind": "sign_flip"}, {"kind": "sign_flip", "gamma": 5.0}])
+@pytest.mark.parametrize("switch", ["label_flip", "ipm", "none"])
+def test_a_grid_cell_equals_the_config_that_writes_its_fields(tmp_path, attack, switch):
+    # An unset gamma is the attack kind's default, so it follows the kind
+    # the grid switches to; a gamma the base writes stays.
+    base = {**TINY, "attack": {**attack, "epsilon": 0.3}}
+    [(_, cell)] = cli._grid_cells(cli.load_config(write_config(tmp_path, **base)), {"attack": [switch]})
+    written = config_from_dict({**base, "attack": {**base["attack"], "kind": switch}})
+    assert config_to_dict(cell) == config_to_dict(written)
+    assert cell.attack.gamma == attack.get("gamma", FLIP_GAMMA.get(switch))
 
 
 def test_alpha_by_seed_sweep_writes_one_report_per_cell(tmp_path, capsys):

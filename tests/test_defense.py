@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import nn_oracles
 from bfl import defense, nn
+from bfl.data import Dataset
 from bfl.defense import DefenseConfig, ScoreEntry
 
 
@@ -182,8 +184,6 @@ def test_eval_update_accuracy_and_loss_orientation():
     cls = sector_classifier()
     params = cls.params
     feats = rng.standard_normal((64, 2)) * 2.0
-    from bfl.data import Dataset
-
     probe = Dataset(feats, nn.forward(cls, feats).argmax(axis=1), 3)
     acc = defense.eval_update(params, cls, probe, "accuracy")
     loss = defense.eval_update(params, cls, probe, "loss")
@@ -195,47 +195,74 @@ def test_eval_update_accuracy_and_loss_orientation():
         defense.eval_update(params, cls, probe, "auc")
 
 
-def test_score_updates_sorted_by_id_and_loss_negated():
+def _probe(rng, cls):
+    gen = defense.new_generator(cls, DefenseConfig(), rng, np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
+    return defense.synthesize(gen, 8, master_seed=3, round_index=1)
+
+
+def test_score_updates_keeps_row_order_and_negates_loss():
     rng = np.random.default_rng(8)
     cls = make_classifier(rng)
     params = cls.params
-    probe = defense.synthesize(
-        defense.new_generator(cls, DefenseConfig(), rng, np.array([-4.0, -4.0]), np.array([4.0, 4.0])),
-        8, master_seed=3, round_index=1,
-    )
+    probe = _probe(rng, cls)
     entries = defense.score_updates(
-        [(5, params), (1, params * 0.5), (3, params)], cls, probe, "loss"
+        [1, 3, 5], np.stack([params * 0.5, params, params]), cls, probe, "loss"
     )
     assert [e.client_id for e in entries] == [1, 3, 5]
+    assert entries[1].raw_metric == defense.eval_update(params, cls, probe, "loss")
     for e in entries:
         assert e.score == -e.raw_metric
 
 
 @pytest.mark.parametrize("metric", defense.METRIC_KINDS)
 def test_score_updates_scores_a_non_finite_metric_minus_inf(metric, monkeypatch):
-    # The fake metric of a candidate is its first coordinate.
-    monkeypatch.setattr(defense, "eval_update", lambda params, *_: float(params[0]))
+    # The fake metric of a candidate row is its first coordinate.
+    monkeypatch.setattr(defense, "eval_update", lambda stack, *_: stack[:, 0])
     raws = [0.25, math.nan, math.inf, -math.inf]
-    entries = defense.score_updates(
-        [(k, np.array([raw])) for k, raw in enumerate(raws)], None, None, metric
-    )
+    entries = defense.score_updates(range(4), np.array(raws)[:, None], None, None, metric)
     assert [e.score for e in entries] == [0.25 if metric == "accuracy" else -0.25] + [-math.inf] * 3
     assert entries[0].raw_metric == 0.25 and math.isnan(entries[1].raw_metric)
 
 
 def test_score_updates_scores_a_nan_model_minus_inf():
+    # argmax over NaN logits picks class 0, which would score an accuracy
+    # of 1/C on the class-balanced probe: a non-finite logit makes it NaN.
     rng = np.random.default_rng(8)
     cls = make_classifier(rng)
-    probe = defense.synthesize(
-        defense.new_generator(cls, DefenseConfig(), rng, np.array([-4.0, -4.0]), np.array([4.0, 4.0])),
-        8, master_seed=3, round_index=1,
-    )
-    broken = cls.params.copy()
-    broken[0] = np.nan
-    with np.errstate(invalid="ignore"):
-        [good, bad] = defense.score_updates([(0, cls.params), (1, broken)], cls, probe, "loss")
-    assert math.isnan(bad.raw_metric) and bad.score == -math.inf
-    assert math.isfinite(good.score)
+    probe = _probe(rng, cls)
+    for metric, bad in itertools.product(defense.METRIC_KINDS, [math.nan, math.inf]):
+        broken = cls.params.copy()
+        broken[cls.spans[-1][1]] = bad  # every output bias
+        with np.errstate(invalid="ignore"):
+            good, worse = defense.score_updates([0, 1], np.stack([cls.params, broken]), cls, probe, metric)
+        assert math.isnan(worse.raw_metric) and worse.score == -math.inf, (metric, bad)
+        assert math.isfinite(good.score)
+
+
+# Stacks of 1-11 candidates, some of them NaN or inf, on probes of 1-40
+# rows (a one-row IPM proxy included) in 2, 12 or 784 dimensions.
+STACK_CASES = st.tuples(
+    st.integers(0, 2**32 - 1), st.sampled_from([2, 12, 784]), st.sampled_from([3, 10]),
+    st.integers(1, 11), st.sampled_from([1, 2, 7, 40]),
+)
+
+
+@settings(max_examples=60)
+@example(case=(0, 784, 10, 3, 1))
+@given(case=STACK_CASES)
+def test_stacked_eval_update_rows_match_single_calls_bit_for_bit(case):
+    seed, dim, classes, m, rows = case
+    rng = np.random.default_rng(seed)
+    cls = nn.init_mlp([dim, 16, 16, classes], "relu", rng)
+    stack = cls.params + rng.standard_normal((m, cls.params.size)) * rng.choice([0.01, 1.0, 30.0])
+    stack[rng.random(m) < 0.2, int(rng.integers(cls.params.size))] = rng.choice([np.nan, np.inf])
+    probe = Dataset(rng.standard_normal((rows, dim)), rng.integers(0, classes, rows), classes)
+    for metric in defense.METRIC_KINDS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = defense.eval_update(stack, cls, probe, metric)
+            single = [defense.eval_update(row, cls, probe, metric) for row in stack]
+        assert stacked.shape == (m,)
+        assert stacked.tobytes() == np.array(single).tobytes(), metric
 
 
 def test_kmeans_1d_two_matches_exhaustive_oracle_50_sets():
@@ -272,9 +299,10 @@ def test_kmeans_1d_two_obvious_gap():
 
 
 def test_kmeans_1d_two_all_equal_prefers_large_upper_cluster():
+    # Equal scores rank the lowest id highest, as the cluster filter's best
+    # scorer does, so the lone lower member is the highest id.
     lower, upper = defense.kmeans_1d_two([(i, 1.0) for i in range(4)])
-    assert len(lower) == 1
-    assert len(upper) == 3
+    assert (lower, upper) == ([3], [0, 1, 2])
 
 
 def test_kmeans_1d_two_needs_two_points():
@@ -297,11 +325,24 @@ def test_filter_adaptive_strictly_above_mean():
     assert defense.filter_updates(entries, "adaptive", 0.0) == {2}
 
 
-def test_filter_adaptive_all_equal_rejects_all():
-    # 0.5 is exactly representable, so the mean equals the scores and the
-    # strict comparison drops every entry.
-    entries = entries_from([0.5, 0.5, 0.5])
-    assert defense.filter_updates(entries, "adaptive", 0.0) == set()
+@pytest.mark.parametrize("policy", ["adaptive", "cluster"])
+def test_filter_accepts_every_finite_score_when_they_are_all_equal(policy):
+    # Accuracy on a small probe is coarse, so honest candidates tie.  The
+    # mean equals the tied score, and two-means would split off one of them.
+    entries = entries_from([0.5] * 5)
+    assert defense.filter_updates(entries, policy, 0.0) == set(range(5))
+    entries = entries_from([math.nan, 0.5, -math.inf, 0.5])
+    assert defense.filter_updates(entries, policy, 0.0) == {1, 3}
+
+
+def test_filter_fixed_keeps_its_threshold_on_tied_scores():
+    assert defense.filter_updates(entries_from([0.5] * 5), "fixed", 0.5) == set()
+
+
+def test_filter_adaptive_mean_does_not_overflow():
+    # The plain sum of these finite scores is -inf, which every score beats.
+    entries = entries_from([-1e308, -1e308, -0.3, -0.2, -0.25])
+    assert defense.filter_updates(entries, "adaptive", 0.0) == {2, 3, 4}
 
 
 def test_filter_cluster_keeps_best_scorers_cluster():

@@ -8,7 +8,7 @@ stops on its loss, one on a loss plateau, one runs to `gen_max_iter`), the
 probe set sampled from the first of them, one client partition and
 the emitted reports of two short
 defended cells, of one undefended cell on ragged shards and of a defended
-Krum cell whose last round falls back to the median.  A digest may
+Krum cell whose middle round falls back to the median.  A digest may
 change only with a deliberate change of the arithmetic, recorded in
 CHANGES.md.
 """
@@ -58,8 +58,8 @@ RAGGED_REPORT = (
 # concatenated in client order as int64.
 RAGGED_PARTITION = "067824876676b8c6d958eae043e47303957eaab6fe82a8e80f069239ea923e23"
 FALLBACK_REPORT = (
-    "b518fdf51cbd1a9fe7b559c27b2f11ce2f976650159d2bd8fbb54bf2b560e7ad",
-    "c06022b2d6ec455a03796da974395a4f01da975e057cb8ef4946ebcb5fc39070",
+    "1c88e7fe9de3a1623c8c68a902ea3a47f40bb08d75f4a734a2e82eedaf121b07",
+    "a2e13577d0cee070536d7b1ece43a79d1fb661e88103fd5a0c1e6ba17ca8197d",
 )
 
 CELLS = {
@@ -86,8 +86,9 @@ CELLS = {
 # three of 136-172 rows.  In batches of 16 the large shards take several
 # steps per epoch, and most shards end an epoch on a short batch.
 RAGGED_CELL = {"seed": 42, "rounds": 10, "batch": 16, "partition": {"alpha": 0.05}}
-# Its rounds accept 0, 0 and 3 updates: only the last carries the optional
-# "aggregator_fallback" key, so the pin holds the JSON with and without it.
+# Its rounds accept 5, 2 and 5 updates (the first and last on tied accuracy
+# scores): only the middle one carries the optional "aggregator_fallback"
+# key, so the pin holds the JSON with and without it.
 FALLBACK_CELL = {
     **KRUM_CELL,
     "aggregator": {"kind": "multi_krum"},
@@ -190,7 +191,7 @@ def test_ragged_report_bits(tmp_path):
 def test_fallback_report_bits(tmp_path):
     report = run_experiment(config_from_dict(FALLBACK_CELL))
     assert [(len(r.accepted), r.aggregator_fallback) for r in report.rounds] == [
-        (0, None), (0, None), (3, "coord_median")
+        (5, None), (2, "coord_median"), (5, None)
     ]
     csv_path, json_path = emit_report(report, str(tmp_path), "fallback")
     assert (file_digest(csv_path), file_digest(json_path)) == FALLBACK_REPORT

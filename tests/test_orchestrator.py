@@ -509,8 +509,9 @@ def test_evaluate_global_matches_direct_accuracy():
 
 
 # At epsilon 0.9, with 10 clients and 5 sampled, the filter leaves fewer
-# than the four updates a Krum rule needs in most rounds of these cells.
-KRUM_CELL = {"seed": 0, "clients": 10, "sampled_per_round": 5, "rounds": 3}
+# than the four updates a Krum rule needs in some rounds of these cells and
+# accepts all five in the others.
+KRUM_CELL = {"seed": 1, "clients": 10, "sampled_per_round": 5, "rounds": 3}
 
 
 @pytest.mark.parametrize("rule", ["multi_krum", "nnm_krum"])
@@ -521,21 +522,23 @@ def test_defended_krum_falls_back_to_median_when_few_survive(
     calls = []
     real = orchestrator.aggregate
 
-    def spy(updates, cfg):
-        calls.append((len(updates), cfg.kind))
-        return real(updates, cfg)
+    def spy(mat, cfg, counts):
+        calls.append((len(mat), cfg.kind))
+        return real(mat, cfg, counts)
 
     monkeypatch.setattr(orchestrator, "aggregate", spy)
     cfg = config_from_dict({
         **KRUM_CELL,
         "aggregator": {"kind": rule},
         "attack": {"kind": attack, "epsilon": 0.9},
-        "defense": {"filter": filt, "q": 9, "gen_max_iter": 30},
+        # Loss scores seldom tie, so the cluster filter can leave one survivor.
+        "defense": {"filter": filt, "metric": "accuracy" if filt == "adaptive" else "loss",
+                    "q": 9, "gen_max_iter": 30},
     })
     report = orchestrator.run_experiment(cfg)
     assert len(report.rounds) == 3
     fell = [r.aggregator_fallback for r in report.rounds if r.accepted]
-    assert "coord_median" in fell
+    assert "coord_median" in fell and None in fell
     assert calls == [
         (len(r.accepted), r.aggregator_fallback or rule) for r in report.rounds if r.accepted
     ]

@@ -5,7 +5,10 @@ generator iterations and 9 probe samples per class, drawn over every
 attack x filter x aggregator x metric.  A sign flip or label flip may
 scale by 1e200, which overflows the logits.  Every run must complete,
 accept only sampled clients, never accept a candidate whose score is not
-finite, and emit the same bytes when it runs again.
+finite, keep a finite global vector, and emit the same bytes when it runs
+again.  Under the adaptive and cluster filters a round with no attacker
+sampled accepts someone; the fixed filter's constant threshold may reject
+honest candidates too.
 """
 
 import itertools
@@ -14,6 +17,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from bfl import defense, orchestrator
@@ -78,25 +82,38 @@ def _emitted_bytes(report, out_dir):
 
 @settings(max_examples=40)
 @every_combo
+# An accuracy of 1/C once scored the NaN models of this cell as finite,
+# and the cluster filter accepted them.
+@example(cell=make_cell("sign_flip", "cluster", "fedavg", "accuracy", seed=1, rounds=3, gamma=1e200))
+# Honest candidates tie on accuracy here, and adaptive once rejected them all.
+@example(cell=make_cell("none", "adaptive", "fedavg", "accuracy", seed=2, rounds=3, epsilon=0.0))
 @given(cell=cells())
 def test_small_defended_cells(cell):
     cfg = config_from_dict(cell)
     schedule = orchestrator.Schedule.build(cfg)
-    decisions = []
-    filter_updates = defense.filter_updates
+    decisions, finite = [], []
+    filter_updates, evaluate_global = defense.filter_updates, orchestrator.evaluate_global
 
     def spy_filter(entries, *args):
         accepted = filter_updates(entries, *args)
         decisions.append((entries, accepted))
         return accepted
 
-    with mock.patch.object(defense, "filter_updates", spy_filter):
+    def spy_evaluate(params, *args):
+        finite.append(bool(np.isfinite(params).all()))
+        return evaluate_global(params, *args)
+
+    with mock.patch.object(defense, "filter_updates", spy_filter), \
+            mock.patch.object(orchestrator, "evaluate_global", spy_evaluate):
         report = orchestrator.run_experiment(cfg, schedule)
     assert len(report.rounds) == len(decisions) == cfg.rounds
+    assert finite == [True] * cfg.rounds
     for rec, (sampled, _), (entries, accepted) in zip(report.rounds, schedule.rounds, decisions):
         assert set(rec.accepted) == accepted <= set(sampled)
         assert sorted(rec.accepted + rec.rejected) == list(sampled)
         assert all(math.isfinite(e.score) for e in entries if e.client_id in accepted)
+        if cfg.defense.filter != "fixed" and not rec.malicious_sampled:
+            assert accepted
     with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as again:
         assert _emitted_bytes(report, first) == _emitted_bytes(
             orchestrator.run_experiment(cfg), again

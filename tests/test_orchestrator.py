@@ -531,7 +531,8 @@ def test_defended_krum_falls_back_to_median_when_few_survive(
         **KRUM_CELL,
         "aggregator": {"kind": rule},
         "attack": {"kind": attack, "epsilon": 0.9},
-        # Loss scores seldom tie, so the cluster filter can leave one survivor.
+        # At this seed, adaptive on accuracy and cluster on loss each leave
+        # one or two survivors in one round.
         "defense": {"filter": filt, "metric": "accuracy" if filt == "adaptive" else "loss",
                     "q": 9, "gen_max_iter": 30},
     })

@@ -5,8 +5,8 @@ twice; neither notices when a change reorders a float operation or a random
 draw.  The sha256 digests below pin the exact bytes of one local-training
 delta, three generator fits (iteration count and final parameters: one
 stops on its loss, one on a loss plateau, one runs to `gen_max_iter`), the
-probe set sampled from the first of them, one client partition and
-the emitted reports of two short
+probe set sampled from the first of them, one client partition, the
+lockstep batch plans of two schedules and the emitted reports of two short
 defended cells, of one undefended cell on ragged shards and of a defended
 Krum cell whose middle round falls back to the median.  A digest may
 change only with a deliberate change of the arithmetic, recorded in
@@ -57,6 +57,9 @@ RAGGED_REPORT = (
 # The client shards of RAGGED_CELL (seed 42, alpha 0.05), their index arrays
 # concatenated in client order as int64.
 RAGGED_PARTITION = "067824876676b8c6d958eae043e47303957eaab6fe82a8e80f069239ea923e23"
+# Every round's lockstep batch plan (see `plan_digest`) of RAGGED_CELL and
+# of PLAN_CELL.
+PLANS = "8c310fb4765ef0f919f62d067b6a4fb5718f7246215689655117540b1ce09fa2"
 FALLBACK_REPORT = (
     "1c88e7fe9de3a1623c8c68a902ea3a47f40bb08d75f4a734a2e82eedaf121b07",
     "a2e13577d0cee070536d7b1ece43a79d1fb661e88103fd5a0c1e6ba17ca8197d",
@@ -86,6 +89,10 @@ CELLS = {
 # three of 136-172 rows.  In batches of 16 the large shards take several
 # steps per epoch, and most shards end an epoch on a short batch.
 RAGGED_CELL = {"seed": 42, "rounds": 10, "batch": 16, "partition": {"alpha": 0.05}}
+# The benchmark's skewed shards (alpha 0.1, 12-D, five epochs in batches of
+# 128): shards of one to a few hundred rows.
+PLAN_CELL = {"seed": 42, "rounds": 10, "local_epochs": 5, "dataset": {"dims": 12},
+             "partition": {"alpha": 0.1}}
 # Its rounds accept 5, 2 and 5 updates (the first and last on tied accuracy
 # scores): only the middle one carries the optional "aggregator_fallback"
 # key, so the pin holds the JSON with and without it.
@@ -104,6 +111,20 @@ def digest(array: np.ndarray, dtype: str = "<f8") -> str:
 def file_digest(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def plan_digest(plans) -> str:
+    """One digest of batch plans: their fields, and per run of each step its
+    rows of the stack, its index matrix (dtype, shape and bytes) and its
+    batch lengths."""
+    h = hashlib.sha256()
+    for plan in plans:
+        h.update(repr((plan.sizes, plan.epochs, plan.batch, plan.rows)).encode())
+        for runs in plan.steps:
+            for run, sel, real in runs:
+                h.update(repr((run, sel.dtype.str, sel.shape)).encode() + sel.tobytes())
+                h.update(b"-" if real is None else real.dtype.str.encode() + real.tobytes())
+    return h.hexdigest()
 
 
 def _trained_classifier():
@@ -172,6 +193,12 @@ def test_plateau_generator_fit_bits():
     _, _, losses = nn_oracles.generator_fit(classifier, cfg, SEED, 4, lo, hi)
     window = losses[-cfg.early_stop_patience:]
     assert len(losses) == iters and sum(window) / len(window) >= cfg.early_stop_loss
+
+
+def test_batch_plan_bits():
+    plans = [plan for cell in (RAGGED_CELL, PLAN_CELL)
+             for _, plan in orchestrator.Schedule.build(config_from_dict(cell)).rounds]
+    assert plan_digest(plans) == PLANS
 
 
 def test_defended_report_bits(tmp_path):

@@ -114,7 +114,7 @@ def geometric_median(mat: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
             push = inv @ d[far]
             step = push / inv.sum() * max(0.0, 1.0 - weight[~far].sum() / np.linalg.norm(push))
         y = y + step
-        if np.linalg.norm(step) < tol:
+        if math.sqrt(step @ step) < tol:
             break
     y = _newton_polish(pts, weight, y, tol, max_iter)
     best = points[int(np.argmin(weight @ dist))]
@@ -137,11 +137,11 @@ def _newton_polish(
         u, w = d / r[:, None], weight / r
         hess = np.eye(len(y)) * w.sum() - (u.T * w) @ u
         step = np.linalg.lstsq(hess, -(weight @ u), rcond=None)[0]
-        while (trial := objective(y + step)) >= value and np.linalg.norm(step) >= tol:
+        while (trial := objective(y + step)) >= value and math.sqrt(step @ step) >= tol:
             step *= 0.5
         if trial < value:
             y, value = y + step, trial
-        if np.linalg.norm(step) < tol:
+        if math.sqrt(step @ step) < tol:
             break
     return y
 

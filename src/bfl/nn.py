@@ -24,6 +24,15 @@ then gets bit for bit the gradient it would get alone, with one exception:
 numpy multiplies a one-row operand with gemv rather than gemm, so a one-row
 batch keeps its bits only in a stack of one-row batches.
 
+A stack takes faster numpy calls than one model where those keep the bits.
+Its cross-entropy shift folds `np.maximum` over the class columns, where one
+model takes `maximum.reduce`; the two may differ in which of +0 and -0, or
+which NaN, is the maximum, but exp(+0) = exp(-0), so no gradient bit
+changes.  Its bias gradients are summed with einsum, except at layers of
+width 1, where einsum sums in another order than `add.reduce`.  Weight decay
+is one pass masked to the weight entries (`MlpModel.weight_mask`), for one
+model or a stack, so a bias, even an infinite one, never decays.
+
 Aliasing.  Nothing here copies a parameter vector:
 
 * `MlpModel(...)` and `with_params` wrap the given vector or stack;
@@ -92,7 +101,8 @@ class MlpModel:
     `dims` lists the widths [in, h1, ..., out] and `activations` one
     activation per layer.  The model wraps `params`, a (P,) vector or an
     (m, P) stack of m models, without copying it; `spans[l]` holds the
-    (weight, bias) slices of layer l along its last axis.
+    (weight, bias) slices of layer l along its last axis, and
+    `weight_mask` (P,) marks the weight entries.
     """
 
     def __init__(
@@ -107,6 +117,9 @@ class MlpModel:
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
         self.dims, self.activations, self.spans = dims, activations, _spans(dims)
+        self.weight_mask = np.zeros(self.spans[-1][1].stop, dtype=bool)
+        for w, _ in self.spans:
+            self.weight_mask[w] = True
         self._wrap(params)
 
     def _wrap(self, params: np.ndarray) -> "MlpModel":
@@ -129,6 +142,7 @@ class MlpModel:
         shape of `params` is checked."""
         model = object.__new__(MlpModel)
         model.dims, model.activations, model.spans = self.dims, self.activations, self.spans
+        model.weight_mask = self.weight_mask
         return model._wrap(params)
 
     @property
@@ -216,9 +230,10 @@ class Trace:
         self.dz = [None if act == "identity" else np.empty_like(z)
                    for z, act in zip(self.z, model.activations)]
         self.da = [np.empty((*self.shape, d)) for d in model.dims[:-1]]
-        # Per layer, last layer first: (dz, weight grad, bias grad, keepdims, da).
-        self.back = [(dz, gw, gb, gb.ndim == z.ndim, da) for dz, (gw, gb), z, da
-                     in zip(self.dz, _views(model, self.grads), self.z, self.da)][::-1]
+        # Per layer, last layer first: (dz, weight grad, bias grad, its
+        # stacked (m, out) view where einsum sums it, else None, da).
+        self.back = [(dz, gw, gb, gb[:, 0] if gb.ndim == 3 and gb.shape[-1] > 1 else None, da)
+                     for dz, (gw, gb), da in zip(self.dz, _views(model, self.grads), self.da)][::-1]
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
         """The forward pass of `batch`, of the trace's shape; returns the
@@ -249,7 +264,7 @@ class Trace:
         if self.grads is None:
             self._allocate_backward()
         grads, da = (self.grads if param_grads else None), dout
-        for (act, weight, _, _, z, a, x), (dz, gw, gb, keep, out) in zip(
+        for (act, weight, _, _, z, a, x), (dz, gw, gb, gb2, out) in zip(
             reversed(self.steps), self.back
         ):
             if act == "relu":
@@ -263,7 +278,10 @@ class Trace:
                 dz = da
             if param_grads:
                 np.matmul(dz.mT, self.batch if x is None else x, out=gw)
-                np.add.reduce(dz, axis=-2, out=gb, keepdims=keep)
+                if gb2 is None:
+                    np.add.reduce(dz, axis=-2, out=gb, keepdims=gb.ndim == 3)
+                else:
+                    np.einsum("mrk->mk", dz, out=gb2)
             if x is None and not input_grad:
                 return grads, None
             da = np.matmul(dz, weight, out=out)
@@ -318,7 +336,12 @@ def _cross_entropy(
     """The arithmetic of `softmax_cross_entropy`, in the given buffers."""
     shifted, column, dlogits, flat, offsets, picks, picked = buffers
     n = labels.shape[-1]
-    np.maximum.reduce(logits, axis=-1, keepdims=True, out=column)
+    if logits.ndim == 2:
+        np.maximum.reduce(logits, axis=-1, keepdims=True, out=column)
+    else:  # a stacked maximum.reduce is several times slower than this fold
+        np.maximum(logits[..., :1], logits[..., -1:], out=column)
+        for c in range(1, logits.shape[-1] - 1):
+            np.maximum(column, logits[..., c:c + 1], out=column)
     np.subtract(logits, column, out=shifted)
     np.exp(shifted, out=dlogits)
     np.add.reduce(dlogits, axis=-1, keepdims=True, out=column)
@@ -436,9 +459,9 @@ def sgd_step(
     if grads.shape != params.shape or velocity.shape != params.shape:
         raise ValueError("grads/state must match the parameter vector")
     if cfg.weight_decay != 0.0:
-        for w, _ in model.spans:
-            np.multiply(cfg.weight_decay, params[..., w], out=scratch[..., w])
-            grads[..., w] += scratch[..., w]
+        mask = model.weight_mask
+        np.multiply(cfg.weight_decay, params, out=scratch, where=mask)
+        np.add(grads, scratch, out=grads, where=mask)
     velocity *= cfg.momentum
     velocity += grads
     np.multiply(cfg.learning_rate, velocity, out=scratch)

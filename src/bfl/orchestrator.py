@@ -103,25 +103,28 @@ def batch_plan(
     if min(sizes) < 1:
         raise ValueError("client has no data")
     rows = sorted(range(len(sizes)), key=sizes.__getitem__)
-    batches: List[List[np.ndarray]] = []  # per row, over all its epochs
-    start = 0
-    for k in rows:
-        batches.append([])
-        for _ in range(epochs):
-            perm = train_rngs[k].permutation(sizes[k]) + start
-            batches[-1] += np.split(perm, range(min(batch, sizes[k]), sizes[k], batch))
-        start += sizes[k]
-    counts = [len(b) for b in batches]  # non-decreasing, as the rows are
+    size = np.array([sizes[k] for k in rows])
+    bsz = np.minimum(batch, size)
+    per_epoch = -(-size // bsz)
+    starts = np.cumsum(size) - size  # each row's first sample
+    # Per row, its shuffles of all epochs, one after another.
+    order = np.concatenate(
+        [train_rngs[k].permutation(sizes[k]) + s for k, s in zip(rows, starts) for _ in range(epochs)]
+    )
+    counts = (epochs * per_epoch).tolist()  # non-decreasing, as the rows are
     steps = []
     for step in range(counts[-1]):
         first = bisect.bisect_right(counts, step)
-        now = [b[step] for b in batches[first:]]
-        runs = []
-        for lo, hi in _stacks([len(b) for b in now]):
-            real = [len(b) for b in now[lo:hi]]
+        epoch, lo = np.divmod(step, per_epoch[first:])
+        lo *= bsz[first:]
+        lengths = np.minimum(bsz[first:], size[first:] - lo)
+        begin = epochs * starts[first:] + epoch * size[first:] + lo  # the batches in `order`
+        runs, listed = [], lengths.tolist()
+        for a, b in _stacks(listed):
+            real, width = lengths[a:b], max(listed[a:b])
             # Short batches are padded with repeats of their own last row.
-            sel = np.stack([b[np.minimum(np.arange(max(real)), len(b) - 1)] for b in now[lo:hi]])
-            runs.append(((first + lo, first + hi), sel, np.array(real) if min(real) < max(real) else None))
+            sel = order[begin[a:b, None] + np.minimum(np.arange(width), real[:, None] - 1)]
+            runs.append(((first + a, first + b), sel, real if min(listed[a:b]) < width else None))
         steps.append(tuple(runs))
     return BatchPlan(tuple(sizes), epochs, batch, tuple(rows), tuple(steps))
 
@@ -160,10 +163,15 @@ def local_training(
                     nn.SgdState(state.velocity[slice(*run)], state.scratch[slice(*run)]),
                 )
             model, sgd = views[run]
-            _, trace = nn.forward_cached(model, feats[sel], traces.get(sel.shape))
-            traces[sel.shape] = trace
+            trace = traces.get(sel.shape)
+            if trace is None:
+                trace = traces[sel.shape] = nn.Trace(model, sel.shape)
+            elif trace.model is not model:
+                trace.bind(model)
+            # The plan fixes every shape, so the unchecked passes run.
+            trace.forward(feats[sel])
             _, dout = trace.cross_entropy(labels[sel], real)
-            grads, _ = nn.backprop_through(model, trace, dout, input_grad=False)
+            grads, _ = trace.backward(dout, input_grad=False)
             nn.sgd_step(model, grads, sgd_cfg, sgd)
     params -= global_vector
     return params[np.argsort(plan.rows)]

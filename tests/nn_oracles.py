@@ -2,7 +2,8 @@
 built on it.
 
 Each one favors obviousness over speed: an explicit triple loop, finite
-differences, a closed form, one client trained at a time, a generator fit
+differences, a closed form, an SGD step one layer at a time, one client
+trained at a time, a generator fit
 composed from the checked public passes, an exhaustive two-means split, the
 IPM line-search objective spelled out.  The aggregation oracles that
 `bfl oracle` replays stay in `bfl.oracles`.
@@ -62,6 +63,19 @@ def constant_gradient_momentum_value(
     """
     total = sum((1.0 - mu**k) / (1.0 - mu) for k in range(1, steps + 1))
     return w0 - lr * g * total
+
+
+def sgd_step_per_layer(
+    model: nn.MlpModel, grads: np.ndarray, cfg: nn.SgdConfig, velocity: np.ndarray
+) -> None:
+    """`nn.sgd_step` spelled out: g <- g + wd * w on each layer's weight
+    slice in turn (biases untouched), then v <- mu * v + g and
+    w <- w - lr * v, all in place."""
+    if cfg.weight_decay != 0.0:
+        for w, _ in model.spans:
+            grads[..., w] = grads[..., w] + cfg.weight_decay * model.params[..., w]
+    velocity[...] = cfg.momentum * velocity + grads
+    model.params[...] = model.params - cfg.learning_rate * velocity
 
 
 def local_training_one_client(

@@ -99,6 +99,23 @@ def test_geometric_median_matches_the_grid_where_a_median_sits_near_an_input(see
     assert oracles.rule_mismatches("geometric_median", 20, seed) == []
 
 
+def test_krum_oracle_forgives_a_tie_at_the_cut():
+    # Case 55 of seed 53: two mixed rows tie on their Krum score up to
+    # rounding, and the rule and the oracle order them differently.
+    assert oracles.rule_mismatches("nnm_krum", 56, 53) == []
+
+
+def test_krum_oracle_still_fails_a_rule_that_keeps_the_wrong_rows(monkeypatch):
+    def keep_the_worst(mat, beta):
+        scores = agg.multi_krum_scores(mat, beta)
+        worst = sorted(range(len(mat)), key=lambda i: -scores[i])[: len(mat) - agg._krum_cap(len(mat), beta)]
+        return set(worst), mat[worst].mean(axis=0)
+
+    monkeypatch.setattr(agg, "multi_krum", keep_the_worst)
+    assert len(oracles.rule_mismatches("multi_krum", 20, 0)) == 20
+    assert len(oracles.rule_mismatches("nnm_krum", 20, 0)) > 0
+
+
 # Small integer coordinates give duplicates, collinear sets and medians on
 # an input point; the scale spreads them over six orders of magnitude.
 POINT_SETS = st.integers(1, 6).flatmap(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bfl import nn
 
@@ -283,3 +284,90 @@ def test_padding_rows_get_no_gradient_and_stay_out_of_the_mean():
         loss, grad = nn.softmax_cross_entropy(logits[k, :n], labels[k, :n])
         assert dlogits[k, :n].tobytes() == grad.tobytes()
         assert losses[k] == pytest.approx(loss, rel=1e-15)
+
+
+@settings(max_examples=80)
+@given(
+    hidden=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    classes=st.integers(2, 10),
+    rows=st.integers(2, 40),
+    models=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_step_matches_each_model_alone_at_narrow_widths(hidden, classes, rows, models, seed):
+    # Layers of width 1-3 and 2-10 classes: the stacked cross-entropy shift,
+    # the bias sums (einsum from width 2, add.reduce at width 1) and the
+    # masked weight decay give each model the bits it gets alone.
+    rng = np.random.default_rng(seed)
+    template = nn.init_mlp([3, *hidden, classes], "relu", rng)
+    stack = rng.standard_normal((models, template.params.size))
+    batches = rng.standard_normal((models, rows, 3))
+    labels = rng.integers(0, classes, size=(models, rows))
+    cfg = nn.SgdConfig(weight_decay=0.01)
+    stacked = template.with_params(stack.copy())
+    out, trace = nn.forward_cached(stacked, batches)
+    losses, dout = nn.softmax_cross_entropy(out, labels)
+    grads, _ = nn.backprop_through(stacked, trace, dout, input_grad=False)
+    grads = grads.copy()
+    nn.sgd_step(stacked, trace.grads, cfg, nn.init_momentum(stacked))
+    for k in range(models):
+        alone = template.with_params(stack[k].copy())
+        out, trace = nn.forward_cached(alone, batches[k])
+        loss, dout = nn.softmax_cross_entropy(out, labels[k])
+        grad, _ = nn.backprop_through(alone, trace, dout, input_grad=False)
+        assert grads[k].tobytes() == grad.tobytes()
+        nn.sgd_step(alone, grad, cfg, nn.init_momentum(alone))
+        assert losses[k] == loss
+        assert stacked.params[k].tobytes() == alone.params.tobytes()
+
+
+def test_stacked_cross_entropy_gradient_keeps_its_bits_on_ties_and_non_finite_logits():
+    # The stacked shift folds np.maximum over the class columns; it may
+    # pick the other of +0 and -0, or another NaN, than maximum.reduce, but
+    # no gradient bit and no finite loss changes.
+    rng = np.random.default_rng(41)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308])
+    for classes in range(1, 11):
+        logits = rng.choice([0.0, -0.0, -1.0, 2.0], size=(4, 9, classes))
+        logits[rng.random(logits.shape) < 0.1] = rng.choice(specials)
+        labels = rng.integers(0, classes, size=(4, 9))
+        with np.errstate(invalid="ignore", over="ignore"):
+            losses, dlogits = nn.softmax_cross_entropy(logits, labels)
+        for k in range(4):
+            with np.errstate(invalid="ignore", over="ignore"):
+                loss, grad = nn.softmax_cross_entropy(logits[k], labels[k])
+            same_nan = np.where(np.isnan(dlogits[k]), np.nan, dlogits[k])
+            assert same_nan.tobytes() == np.where(np.isnan(grad), np.nan, grad).tobytes()
+            assert losses[k] == loss or (np.isnan(losses[k]) and np.isnan(loss))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4, 0.5])
+def test_sgd_step_matches_the_per_layer_reference_on_non_finite_parameters(stacked, weight_decay):
+    rng = np.random.default_rng(43)
+    template = nn.init_mlp([3, 4, 2, 3], "relu", rng)
+    shape = (3, template.params.size) if stacked else (template.params.size,)
+    params = rng.standard_normal(shape)
+    grads = rng.standard_normal(shape)
+    for vec in (params, grads):
+        flat = vec.reshape(-1)
+        flat[rng.integers(0, flat.size, 12)] = rng.choice([np.inf, -np.inf, np.nan, -np.nan], 12)
+    # Every layer's bias holds an inf, so decaying it would show.
+    for _, b in template.spans:
+        params[..., b.start] = np.inf
+    velocity = rng.standard_normal(shape)
+    cfg = nn.SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=weight_decay)
+    model = template.with_params(params.copy())
+    got_grads = grads.copy()
+    state = nn.init_momentum(model)
+    state.velocity[...] = velocity
+    want = template.with_params(params.copy())
+    want_grads, want_velocity = grads.copy(), velocity.copy()
+    with np.errstate(invalid="ignore"):
+        nn.sgd_step(model, got_grads, cfg, state)
+        nn_oracles.sgd_step_per_layer(want, want_grads, cfg, want_velocity)
+    assert got_grads.tobytes() == want_grads.tobytes()
+    assert state.velocity.tobytes() == want_velocity.tobytes()
+    assert model.params.tobytes() == want.params.tobytes()
+    biases = ~model.weight_mask
+    assert got_grads[..., biases].tobytes() == grads[..., biases].tobytes()

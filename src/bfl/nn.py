@@ -29,9 +29,10 @@ Its cross-entropy shift folds `np.maximum` over the class columns, where one
 model takes `maximum.reduce`; the two may differ in which of +0 and -0, or
 which NaN, is the maximum, but exp(+0) = exp(-0), so no gradient bit
 changes.  Its bias gradients are summed with einsum, except at layers of
-width 1, where einsum sums in another order than `add.reduce`.  Weight decay
-is one pass masked to the weight entries (`MlpModel.weight_mask`), for one
-model or a stack, so a bias, even an infinite one, never decays.
+width 1, where einsum sums in another order than `add.reduce`.  Weight decay,
+for one model or a stack, is one multiply and one add over the whole
+vector, with -0.0 in place of each bias's decay term, so a bias, even an
+infinite one, never decays.
 
 Aliasing.  Nothing here copies a parameter vector:
 
@@ -101,8 +102,7 @@ class MlpModel:
     `dims` lists the widths [in, h1, ..., out] and `activations` one
     activation per layer.  The model wraps `params`, a (P,) vector or an
     (m, P) stack of m models, without copying it; `spans[l]` holds the
-    (weight, bias) slices of layer l along its last axis, and
-    `weight_mask` (P,) marks the weight entries.
+    (weight, bias) slices of layer l along its last axis.
     """
 
     def __init__(
@@ -117,9 +117,6 @@ class MlpModel:
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
         self.dims, self.activations, self.spans = dims, activations, _spans(dims)
-        self.weight_mask = np.zeros(self.spans[-1][1].stop, dtype=bool)
-        for w, _ in self.spans:
-            self.weight_mask[w] = True
         self._wrap(params)
 
     def _wrap(self, params: np.ndarray) -> "MlpModel":
@@ -142,7 +139,6 @@ class MlpModel:
         shape of `params` is checked."""
         model = object.__new__(MlpModel)
         model.dims, model.activations, model.spans = self.dims, self.activations, self.spans
-        model.weight_mask = self.weight_mask
         return model._wrap(params)
 
     @property
@@ -459,9 +455,10 @@ def sgd_step(
     if grads.shape != params.shape or velocity.shape != params.shape:
         raise ValueError("grads/state must match the parameter vector")
     if cfg.weight_decay != 0.0:
-        mask = model.weight_mask
-        np.multiply(cfg.weight_decay, params, out=scratch, where=mask)
-        np.add(grads, scratch, out=grads, where=mask)
+        np.multiply(cfg.weight_decay, params, out=scratch)
+        for _, b in model.spans:
+            scratch[..., b] = -0.0  # x + -0.0 is x for every x, inf and NaN included
+        grads += scratch
     velocity *= cfg.momentum
     velocity += grads
     np.multiply(cfg.learning_rate, velocity, out=scratch)

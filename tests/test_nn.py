@@ -351,10 +351,12 @@ def test_sgd_step_matches_the_per_layer_reference_on_non_finite_parameters(stack
     grads = rng.standard_normal(shape)
     for vec in (params, grads):
         flat = vec.reshape(-1)
-        flat[rng.integers(0, flat.size, 12)] = rng.choice([np.inf, -np.inf, np.nan, -np.nan], 12)
-    # Every layer's bias holds an inf, so decaying it would show.
+        flat[rng.integers(0, flat.size, 20)] = rng.choice([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0], 20)
+    # Every layer's bias holds an inf and a -0.0 gradient, so decaying it,
+    # or adding +0.0 to it, would show.
     for _, b in template.spans:
         params[..., b.start] = np.inf
+        grads[..., b.stop - 1] = -0.0
     velocity = rng.standard_normal(shape)
     cfg = nn.SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=weight_decay)
     model = template.with_params(params.copy())
@@ -369,5 +371,5 @@ def test_sgd_step_matches_the_per_layer_reference_on_non_finite_parameters(stack
     assert got_grads.tobytes() == want_grads.tobytes()
     assert state.velocity.tobytes() == want_velocity.tobytes()
     assert model.params.tobytes() == want.params.tobytes()
-    biases = ~model.weight_mask
-    assert got_grads[..., biases].tobytes() == grads[..., biases].tobytes()
+    for _, b in template.spans:
+        assert got_grads[..., b].tobytes() == grads[..., b].tobytes()

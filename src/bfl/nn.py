@@ -26,9 +26,9 @@ batch keeps its bits only in a stack of one-row batches.
 
 A stack takes faster numpy calls than one model where those keep the bits.
 Its cross-entropy shift folds `np.maximum` over the class columns, where one
-model takes `maximum.reduce`; the two may differ in which of +0 and -0, or
-which NaN, is the maximum, but exp(+0) = exp(-0), so no gradient bit
-changes.  Its bias gradients are summed with einsum, except at layers of
+model takes `maximum.reduce`.  The two may pick a different one of +0 and
+-0, which changes no gradient bit (exp(+0) = exp(-0)), or a different NaN,
+whose row's gradient is NaN either way.  Its bias gradients are summed with einsum, except at layers of
 width 1, where einsum sums in another order than `add.reduce`.  Weight decay,
 for one model or a stack, is one multiply and one add over the whole
 vector, with -0.0 in place of each bias's decay term, so a bias, even an

@@ -47,9 +47,10 @@ def brute_force_multi_krum(
     vectors: Sequence[np.ndarray], ids: Sequence[int], beta: float
 ) -> Tuple[Set[int], np.ndarray]:
     """Literal transcription of the selection rule, loops only."""
+    n = len(vectors)
     scores = brute_force_krum_scores(vectors, beta)
-    ranked = sorted(range(len(vectors)), key=lambda i: (scores[i], ids[i]))
-    chosen = ranked[: len(vectors) - math.ceil(beta * len(vectors))]
+    ranked = sorted(range(n), key=lambda i: (scores[i], ids[i]))
+    chosen = ranked[: n - math.ceil(beta * n)]
     avg = np.zeros_like(vectors[0])
     for i in chosen:
         avg = avg + vectors[i]

@@ -297,7 +297,7 @@ def test_padding_rows_get_no_gradient_and_stay_out_of_the_mean():
 def test_stacked_step_matches_each_model_alone_at_narrow_widths(hidden, classes, rows, models, seed):
     # Layers of width 1-3 and 2-10 classes: the stacked cross-entropy shift,
     # the bias sums (einsum from width 2, add.reduce at width 1) and the
-    # masked weight decay give each model the bits it gets alone.
+    # weight decay give each model the bits it gets alone.
     rng = np.random.default_rng(seed)
     template = nn.init_mlp([3, *hidden, classes], "relu", rng)
     stack = rng.standard_normal((models, template.params.size))
@@ -308,14 +308,14 @@ def test_stacked_step_matches_each_model_alone_at_narrow_widths(hidden, classes,
     out, trace = nn.forward_cached(stacked, batches)
     losses, dout = nn.softmax_cross_entropy(out, labels)
     grads, _ = nn.backprop_through(stacked, trace, dout, input_grad=False)
-    grads = grads.copy()
-    nn.sgd_step(stacked, trace.grads, cfg, nn.init_momentum(stacked))
+    raw = grads.copy()  # sgd_step adds the decay into grads
+    nn.sgd_step(stacked, grads, cfg, nn.init_momentum(stacked))
     for k in range(models):
         alone = template.with_params(stack[k].copy())
         out, trace = nn.forward_cached(alone, batches[k])
         loss, dout = nn.softmax_cross_entropy(out, labels[k])
         grad, _ = nn.backprop_through(alone, trace, dout, input_grad=False)
-        assert grads[k].tobytes() == grad.tobytes()
+        assert raw[k].tobytes() == grad.tobytes()
         nn.sgd_step(alone, grad, cfg, nn.init_momentum(alone))
         assert losses[k] == loss
         assert stacked.params[k].tobytes() == alone.params.tobytes()
@@ -324,7 +324,8 @@ def test_stacked_step_matches_each_model_alone_at_narrow_widths(hidden, classes,
 def test_stacked_cross_entropy_gradient_keeps_its_bits_on_ties_and_non_finite_logits():
     # The stacked shift folds np.maximum over the class columns; it may
     # pick the other of +0 and -0, or another NaN, than maximum.reduce, but
-    # no gradient bit and no finite loss changes.
+    # no finite loss and no gradient bit changes, apart from which NaN a
+    # NaN row carries.
     rng = np.random.default_rng(41)
     specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308])
     for classes in range(1, 11):

@@ -25,23 +25,22 @@ AGGREGATOR_KINDS = (
     "nnm_krum",
 )
 
+# geometric_median: Weiszfeld, then the Newton polish, each stop once a step
+# moves less than the tolerance or after at most this many steps.
+WEISZFELD_TOL = 1e-9
+WEISZFELD_MAX_ITER = 1000
+
 
 @dataclass
 class AggregatorConfig:
     kind: str = "fedavg"
     beta: float = 0.1  # assumed compromised fraction for trimming / scoring
-    # geometric_median: Weiszfeld, then the Newton polish, each stop once a
-    # step moves less than the tolerance or after at most max_iter steps.
-    weiszfeld_tol: float = 1e-9
-    weiszfeld_max_iter: int = 1000
 
     def __post_init__(self) -> None:
         if self.kind not in AGGREGATOR_KINDS:
             raise ValueError(f"unknown aggregator {self.kind!r}")
         if not 0.0 <= self.beta < 0.5:
             raise ValueError("beta must be in [0, 0.5)")
-        if self.weiszfeld_tol <= 0.0 or self.weiszfeld_max_iter < 1:
-            raise ValueError("bad Weiszfeld settings")
 
 
 def fedavg(mat: np.ndarray, counts: Sequence[int]) -> np.ndarray:
@@ -69,7 +68,7 @@ def geometric_objective(point: np.ndarray, mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat - point, axis=1).sum())
 
 
-def geometric_median(mat: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def geometric_median(mat: np.ndarray) -> np.ndarray:
     """The Euclidean geometric median: the point with the least total
     distance to the rows, duplicates counted with multiplicity.
 
@@ -80,12 +79,13 @@ def geometric_median(mat: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     strictly below its multiplicity is the median (Vardi & Zhang, 2000) and
     is returned as it is.  Otherwise Weiszfeld's iteration, in Vardi and
     Zhang's form for an iterate that lands on an input point, starts from
-    the coordinate-wise mean and stops once a step moves less than `tol` or
-    after `max_iter` steps.  Damped Newton steps under a backtracking line
-    search then polish the result; they stop once a step moves less than
-    `tol`, no step lowers the objective or `max_iter` steps have run.  The
-    result never scores worse than the mean or the best input point.  An
-    input holding inf or NaN gives the mean, which is not finite either.
+    the coordinate-wise mean and stops once a step moves less than
+    WEISZFELD_TOL or after WEISZFELD_MAX_ITER steps.  Damped Newton steps
+    under a backtracking line search then polish the result; they stop once
+    a step moves less than WEISZFELD_TOL, no step lowers the objective or
+    WEISZFELD_MAX_ITER steps have run.  The result never scores worse than
+    the mean or the best input point.  An input holding inf or NaN gives
+    the mean, which is not finite either.
     """
     mean = mat.mean(axis=0)
     if not np.isfinite(mat).all():
@@ -102,7 +102,7 @@ def geometric_median(mat: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     if on.size:
         return points[on[0]].copy()
     y = np.zeros(pts.shape[1])
-    for _ in range(max_iter):
+    for _ in range(WEISZFELD_MAX_ITER):
         d = pts - y
         r = np.sqrt((d * d).sum(axis=1))
         if r.all():
@@ -114,22 +114,20 @@ def geometric_median(mat: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
             push = inv @ d[far]
             step = push / inv.sum() * max(0.0, 1.0 - weight[~far].sum() / np.linalg.norm(push))
         y = y + step
-        if math.sqrt(step @ step) < tol:
+        if math.sqrt(step @ step) < WEISZFELD_TOL:
             break
-    y = _newton_polish(pts, weight, y, tol, max_iter)
+    y = _newton_polish(pts, weight, y)
     best = points[int(np.argmin(weight @ dist))]
     options = [mean + basis @ y, mean, best]
     return options[int(np.argmin([geometric_objective(x, mat) for x in options]))].copy()
 
 
-def _newton_polish(
-    pts: np.ndarray, weight: np.ndarray, y: np.ndarray, tol: float, max_iter: int
-) -> np.ndarray:
+def _newton_polish(pts: np.ndarray, weight: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Damped Newton steps on the weighted distance sum from `y`: each step
-    is halved until it lowers the sum or moves less than `tol`."""
+    is halved until it lowers the sum or moves less than WEISZFELD_TOL."""
     objective = lambda z: float(weight @ np.sqrt(((pts - z) ** 2).sum(axis=1)))  # noqa: E731
     value = objective(y)
-    for _ in range(max_iter):
+    for _ in range(WEISZFELD_MAX_ITER):
         d = y - pts
         r = np.sqrt((d * d).sum(axis=1))
         if not r.all():  # no gradient on an input point
@@ -137,11 +135,11 @@ def _newton_polish(
         u, w = d / r[:, None], weight / r
         hess = np.eye(len(y)) * w.sum() - (u.T * w) @ u
         step = np.linalg.lstsq(hess, -(weight @ u), rcond=None)[0]
-        while (trial := objective(y + step)) >= value and math.sqrt(step @ step) >= tol:
+        while (trial := objective(y + step)) >= value and math.sqrt(step @ step) >= WEISZFELD_TOL:
             step *= 0.5
         if trial < value:
             y, value = y + step, trial
-        if math.sqrt(step @ step) < tol:
+        if math.sqrt(step @ step) < WEISZFELD_TOL:
             break
     return y
 
@@ -238,7 +236,7 @@ def aggregate(mat: np.ndarray, cfg: AggregatorConfig, counts: Sequence[int]) -> 
     if cfg.kind == "trimmed_mean":
         return trimmed_mean(mat, cfg.beta)
     if cfg.kind == "geometric_median":
-        return geometric_median(mat, cfg.weiszfeld_tol, cfg.weiszfeld_max_iter)
+        return geometric_median(mat)
     if cfg.kind == "multi_krum":
         return multi_krum(mat, cfg.beta)[1]
     if cfg.kind == "nnm_krum":

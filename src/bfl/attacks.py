@@ -20,7 +20,6 @@ from .data import Dataset
 from .defense import eval_update
 
 ATTACK_KINDS = ("none", "random_noise", "sign_flip", "label_flip", "ipm")
-IPM_OBJECTIVES = ("surrogate_loss", "inner_product")
 
 FLIP_GAMMA = {"sign_flip": 5.0, "label_flip": 4.0}  # `gamma` when a config leaves it unset
 
@@ -31,11 +30,7 @@ class AttackConfig:
     epsilon: float = 0.0  # compromised fraction of the client population
     sigma: float = 0.5  # noise scale for random_noise
     gamma: Optional[float] = None  # scaling for sign_flip / label_flip
-    gamma_grid: Tuple[float, ...] = (0.5, 1.0, 2.0, 5.0, 10.0)
-    # "surrogate_loss" picks the grid point whose simulated aggregate hurts a
-    # proxy dataset most; "inner_product" is the literal most-opposed-update
-    # reading and picks the largest grid point outright.
-    ipm_objective: str = "surrogate_loss"
+    gamma_grid: Tuple[float, ...] = (0.5, 1.0, 2.0, 5.0, 10.0)  # ipm's line search
 
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
@@ -51,8 +46,6 @@ class AttackConfig:
             raise ValueError("gamma must be positive")
         if self.kind == "ipm" and not self.gamma_grid:
             raise ValueError("gamma_grid must not be empty")
-        if self.ipm_objective not in IPM_OBJECTIVES:
-            raise ValueError(f"unknown ipm_objective {self.ipm_objective!r}")
 
 
 def assign_roles(num_clients: int, epsilon: float, seed_rng: np.random.Generator) -> set:
@@ -155,21 +148,11 @@ def ipm_attack(
 ) -> Tuple[np.ndarray, float]:
     """Payload opposing the estimated benign direction: -gamma* x estimate.
 
-    gamma* comes from the surrogate-loss line search above, or is simply the
-    largest grid point under the literal inner-product objective (any gamma
-    opposes the benign mean equally in direction; bigger is more opposed).
-    All compromised clients submit the identical payload.
+    gamma* comes from the surrogate-loss line search above; a one-point
+    `gamma_grid` fixes it.  All compromised clients submit the identical
+    payload.
     """
-    if cfg.ipm_objective == "inner_product":
-        gamma_star = float(max(cfg.gamma_grid))
-    else:
-        gamma_star, _ = ipm_line_search(
-            global_vector,
-            template,
-            benign_estimate,
-            proxy,
-            cfg.gamma_grid,
-            n_sampled,
-            n_malicious,
-        )
+    gamma_star, _ = ipm_line_search(
+        global_vector, template, benign_estimate, proxy, cfg.gamma_grid, n_sampled, n_malicious
+    )
     return -gamma_star * benign_estimate, gamma_star

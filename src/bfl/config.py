@@ -49,6 +49,11 @@ class ToyDatasetSpec:
             raise ValueError("per_class must be >= 1")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
+        if stratified_test_count(self.per_class, self.test_fraction) < 1:
+            raise ValueError(
+                f"test_fraction: {self.test_fraction:g} of {self.per_class} rows per class "
+                "leaves no test rows"
+            )
         if self.radius <= 0.0 or self.spread <= 0.0:
             raise ValueError("radius and spread must be positive")
         if self.dims < 2:
@@ -72,9 +77,9 @@ class IdxDatasetSpec:
 
     def __post_init__(self) -> None:
         """Checks every file's header and size, so a cell never starts on an
-        IDX set that `data.load_idx` would refuse, and that no test label
-        lies beyond the training labels, which set the classifier's output
-        width."""
+        IDX set that `data.load_idx` would refuse, that there is a test
+        image, and that no test label lies beyond the training labels, which
+        set the classifier's output width."""
         paths = {f.name: getattr(self, f.name) for f in fields(self)}
         for name, path in paths.items():
             if not os.path.isfile(path):
@@ -86,6 +91,8 @@ class IdxDatasetSpec:
                 counts[name] = idx_count(path, magic)
             except IdxFormatError as exc:
                 raise ValueError(f"{name}: {exc}") from exc
+        if counts["test_images"] < 1:
+            raise ValueError("test_images: holds no images to test on")
         for split in ("train", "test"):
             images, labels = counts[f"{split}_images"], counts[f"{split}_labels"]
             if images != labels:

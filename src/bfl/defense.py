@@ -90,19 +90,6 @@ class GeneratorModel:
             raise ValueError("need out_lo < out_hi per feature")
         self.half = 0.5 * (self.out_hi - self.out_lo)
 
-    def generate(self, noise: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Map a noise batch plus labels to inputs inside [out_lo, out_hi]."""
-        raw = nn.forward(self.backbone, self._condition(noise, labels))
-        return self._scale(raw)
-
-    def _condition(self, noise: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """[noise, onehot(labels)] per row."""
-        out = np.empty((len(labels), self.noise_dim + self.num_classes))
-        out[:, : self.noise_dim] = noise
-        out[:, self.noise_dim :] = 0.0
-        out[np.arange(len(labels)), self.noise_dim + labels] = 1.0
-        return out
-
     def _scale(
         self, raw: np.ndarray, out: Optional[np.ndarray] = None,
         half: Optional[np.ndarray] = None, low: Optional[np.ndarray] = None,
@@ -182,8 +169,8 @@ def train_generator(
     noise = np.empty((GEN_BATCH, cfg.noise_dim))
     cond = np.empty((GEN_BATCH, cfg.noise_dim + num_classes))
     cond_noise, cond_onehot = cond[:, : cfg.noise_dim], cond[:, cfg.noise_dim :]
-    # `_condition` with flat indices: each row's one-hot entry for label 0,
-    # plus the label, is the entry that gets the 1.
+    # The one-hot columns by flat index: each row's entry for label 0, plus
+    # the label, is the entry that gets the 1.
     onehot_base = np.arange(GEN_BATCH) * cond.shape[1] + cfg.noise_dim
     hot, cond_flat = np.empty(GEN_BATCH, dtype=np.intp), cond.reshape(-1)
     synth = np.empty((GEN_BATCH, classifier.input_dim))
@@ -228,22 +215,21 @@ def synthesize(
     """Sample a class-balanced probe set: exactly q samples per class.
 
     Labels are the conditioning labels, whatever the classifier would say
-    about the generated points.  Rows are grouped by class, class 0 first.
+    about the generated points.  Rows are grouped by class, class 0 first:
+    each class's q rows are one generator pass over [noise, onehot(class)],
+    where only the noise varies from row to row.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     rng = substream(master_seed, SYNTH, round_index)
+    classes = gen.num_classes
+    cond = np.zeros((q, gen.noise_dim + classes))
     feats = []
-    labels = []
-    for c in range(gen.num_classes):
-        noise = rng.standard_normal((q, gen.noise_dim))
-        ys = np.full(q, c, dtype=np.int64)
-        feats.append(gen.generate(noise, ys))
-        labels.append(ys)
-    ds = Dataset(np.vstack(feats), np.concatenate(labels), gen.num_classes)
-    counts = np.bincount(ds.labels, minlength=gen.num_classes)
-    assert np.all(counts == q), "probe set must stay class-balanced"
-    return ds
+    for c in range(classes):
+        cond[:, : gen.noise_dim] = rng.standard_normal((q, gen.noise_dim))
+        cond[:, gen.noise_dim :] = np.arange(classes) == c
+        feats.append(gen._scale(nn.forward(gen.backbone, cond)))
+    return Dataset(np.vstack(feats), np.repeat(np.arange(classes), q), classes)
 
 
 @dataclass

@@ -362,6 +362,7 @@ def _apply_attack(
         deltas[bad_rows] = payload
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_experiment(cfg: ExperimentConfig, schedule: Optional[Schedule] = None) -> RunReport:
     """Execute the full simulation and return the per-round report.
 
@@ -373,13 +374,10 @@ def run_experiment(cfg: ExperimentConfig, schedule: Optional[Schedule] = None) -
     the resulting inf/nan models simply score badly and get rejected, so
     those warnings are suppressed for the duration of the run.
     """
-    if schedule is not None and schedule.key != schedule_key(cfg):
+    if schedule is None:
+        schedule = Schedule.build(cfg)
+    elif schedule.key != schedule_key(cfg):
         raise ValueError("the schedule was built for a config with other schedule fields")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _run_experiment(cfg, schedule or Schedule.build(cfg))
-
-
-def _run_experiment(cfg: ExperimentConfig, schedule: Schedule) -> RunReport:
     template, shards = schedule.template, schedule.shards
     global_vector = template.params
     malicious: Set[int] = set()

@@ -139,7 +139,8 @@ def generator_fit(
     for iterations in range(1, cfg.gen_max_iter + 1):
         train_rng.standard_normal(out=noise)
         labels = train_rng.integers(0, classifier.output_dim, size=defense.GEN_BATCH)
-        raw, gen_trace = nn.forward_cached(gen.backbone, gen._condition(noise, labels), gen_trace)
+        cond = np.hstack([noise, np.eye(classifier.output_dim)[labels]])
+        raw, gen_trace = nn.forward_cached(gen.backbone, cond, gen_trace)
         logits, cls_trace = nn.forward_cached(classifier, gen._scale(raw), cls_trace)
         loss, dlogits = nn.softmax_cross_entropy(logits, labels)
         _, dsynth = nn.backprop_through(classifier, cls_trace, dlogits, param_grads=False)

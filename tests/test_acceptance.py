@@ -16,7 +16,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from bfl import attacks, defense, nn, oracles, orchestrator, rng
-from bfl.aggregators import AggregatorConfig, geometric_median
+from bfl.aggregators import geometric_median
 from bfl.config import config_from_dict
 from bfl.data import Dataset
 from bfl.defense import ScoreEntry, filter_updates, kmeans_1d_two
@@ -135,8 +135,7 @@ def test_criterion_4_robust_rules_match_brute_force():
 def test_criterion_5_weiszfeld_matches_grid_search():
     bad = oracles.rule_mismatches("geometric_median", 20, seed=11)
     triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
-    cfg = AggregatorConfig("geometric_median")
-    center = geometric_median(triangle, cfg.weiszfeld_tol, cfg.weiszfeld_max_iter)
+    center = geometric_median(triangle)
     tri_ok = np.allclose(center, [0.5, 0.28868], atol=1e-3)
     verdict(
         5,

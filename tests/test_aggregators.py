@@ -12,8 +12,7 @@ def matrix(rows):
 
 
 def geometric_median(rows):
-    cfg = AggregatorConfig("geometric_median")
-    return agg.geometric_median(matrix(rows), cfg.weiszfeld_tol, cfg.weiszfeld_max_iter)
+    return agg.geometric_median(matrix(rows))
 
 
 def test_fedavg_weights_by_sample_count():

@@ -16,8 +16,6 @@ def test_attack_config_rejects_garbage():
         attacks.AttackConfig(kind="meteor", epsilon=0.1)
     with pytest.raises(ValueError):
         attacks.AttackConfig(kind="sign_flip", epsilon=1.5)
-    with pytest.raises(ValueError):
-        attacks.AttackConfig(kind="ipm", epsilon=0.1, ipm_objective="whatever")
 
 
 def test_assign_roles_count_rounds_half_up():
@@ -140,14 +138,16 @@ def test_ipm_attack_payload_opposes_estimate():
 
 
 def test_ipm_inner_product_objective_takes_max_grid_point():
+    # The literal most-opposed reading of IPM: a one-point grid at the
+    # default grid's maximum.
     rng = np.random.default_rng(8)
     template, vector, estimate, proxy = _line_search_case(rng)
-    cfg = attacks.AttackConfig(kind="ipm", epsilon=0.3, ipm_objective="inner_product")
+    cfg = attacks.AttackConfig(kind="ipm", epsilon=0.3, gamma_grid=(10.0,))
     payload, gamma_star = attacks.ipm_attack(
         vector, template, estimate, proxy, cfg, 10, 3
     )
-    assert gamma_star == max(cfg.gamma_grid)
-    np.testing.assert_allclose(payload, -10.0 * estimate)
+    assert gamma_star == 10.0 == max(attacks.AttackConfig().gamma_grid)
+    assert payload.tobytes() == (-10.0 * estimate).tobytes()
 
 
 def test_ipm_line_search_validates_counts():

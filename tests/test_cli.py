@@ -378,7 +378,7 @@ def test_a_path_axis_writes_into_each_rules_aggregator(tmp_path):
         "aggregator.beta": [0.0, 0.2],
         "rule": [
             {"name": "krum", "aggregator": {"kind": "multi_krum"}},
-            {"name": "nnm", "aggregator": {"kind": "nnm_krum", "weiszfeld_max_iter": 7}},
+            {"name": "nnm", "aggregator": {"kind": "nnm_krum"}},
             {"name": "gan", "defense": {"metric": "loss"}},
         ],
         "defense.q": [9],
@@ -393,8 +393,6 @@ def test_a_path_axis_writes_into_each_rules_aggregator(tmp_path):
     for name, cfg in cells.items():
         assert cfg.aggregator.kind == ("multi_krum" if name.endswith("krum") else "nnm_krum")
         assert cfg.aggregator.beta == (0.2 if "beta0.2" in name else 0.0)
-        # The fields a rule leaves out keep their defaults, not the base's.
-        assert cfg.aggregator.weiszfeld_max_iter == (1000 if name.endswith("krum") else 7)
 
 
 def test_a_path_axis_writes_into_each_rules_defense(tmp_path):
@@ -403,11 +401,14 @@ def test_a_path_axis_writes_into_each_rules_defense(tmp_path):
         "rule": [{"name": "adaptive", "defense": {"metric": "loss"}},
                  {"name": "cluster", "defense": {"filter": "cluster"}}],
     }
-    cells = dict(cli._grid_cells(cli.load_config(write_config(tmp_path)), grid))
+    base = cli.load_config(write_config(tmp_path, defense={"gen_lr": 0.05}))
+    cells = dict(cli._grid_cells(base, grid))
     assert list(cells) == ["none_eps0_q9_adaptive", "none_eps0_q9_cluster",
                            "none_eps0_q12_adaptive", "none_eps0_q12_cluster"]
     for name, cfg in cells.items():
         assert cfg.defense.q == int(name.split("_q")[1].split("_")[0])
+        # The fields a rule leaves out keep their defaults, not the base's.
+        assert cfg.defense.gen_lr == 0.01
         assert (cfg.defense.filter, cfg.defense.metric) == (
             ("adaptive", "loss") if name.endswith("adaptive") else ("cluster", "accuracy"))
 

@@ -156,6 +156,30 @@ def test_clients_must_not_outnumber_training_samples():
         config_from_dict({"clients": 7, "sampled_per_round": 1, "dataset": small})
 
 
+def test_a_split_with_no_test_rows_is_rejected_at_load():
+    # round(0.2 * 2) = 0 test rows per class: every round's accuracy would
+    # be the mean of an empty slice.
+    small = {"per_class": 2, "test_fraction": 0.2}
+    with pytest.raises(
+        ConfigError, match=r"^dataset: test_fraction: 0.2 of 2 rows per class leaves no test rows$"
+    ):
+        config_from_dict({"dataset": small, "clients": 2, "sampled_per_round": 1})
+    small["test_fraction"] = 0.25  # round(0.5) = 0 too
+    with pytest.raises(ConfigError, match=r"^dataset: test_fraction: "):
+        config_from_dict({"dataset": small, "clients": 2, "sampled_per_round": 1})
+    small["test_fraction"] = 0.3  # round(0.6) = 1
+    assert config_from_dict({"dataset": small, "clients": 2, "sampled_per_round": 1})
+
+
+@pytest.mark.parametrize(
+    "path", ["attack.ipm_objective", "aggregator.weiszfeld_tol", "aggregator.weiszfeld_max_iter"]
+)
+def test_removed_options_are_unknown_fields(path):
+    section, name = path.split(".")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: unknown field$"):
+        config_from_dict({section: {name: 1}})
+
+
 def test_hidden_dims_rejects_bool_and_zero():
     with pytest.raises(ConfigError, match=r"hidden_dims\[1\]"):
         config_from_dict({"hidden_dims": [8, True]})
@@ -234,6 +258,14 @@ def test_idx_pairs_with_unequal_counts_are_rejected_at_load(tmp_path):
     Path(paths["test_images"]).write_bytes(struct.pack(">IIII", 0x00000803, 4, 2, 2) + bytes(16))
     with pytest.raises(ConfigError, match=r"^dataset: test_labels: 3 labels for 4 test_images$"):
         config_from_dict({"dataset": dataset, "clients": 1, "sampled_per_round": 1})
+
+
+def test_idx_test_images_with_no_items_are_rejected_at_load(tmp_path):
+    paths = write_idx_files(tmp_path, 40)
+    Path(paths["test_images"]).write_bytes(struct.pack(">IIII", 0x00000803, 0, 2, 2))
+    Path(paths["test_labels"]).write_bytes(struct.pack(">II", 0x00000801, 0))
+    with pytest.raises(ConfigError, match=r"^dataset: test_images: holds no images to test on$"):
+        config_from_dict({"dataset": {"kind": "idx", **paths}, "clients": 1, "sampled_per_round": 1})
 
 
 def test_idx_test_labels_beyond_the_training_labels_are_rejected_at_load(tmp_path, capsys):

@@ -50,10 +50,10 @@ def test_generator_output_respects_box():
     lo = np.array([-2.0, 0.0])
     hi = np.array([3.0, 1.0])
     gen = defense.new_generator(cls, DefenseConfig(), rng, lo, hi)
-    noise = rng.standard_normal((500, 16))
-    labels = rng.integers(0, 3, size=500)
-    out = gen.generate(noise, labels)
-    assert out.shape == (500, 2)
+    probe = defense.synthesize(gen, 100, master_seed=0, round_index=1)
+    out = probe.features
+    assert out.shape == (300, 2)
+    np.testing.assert_array_equal(probe.labels, np.repeat([0, 1, 2], 100))
     assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
 
@@ -66,14 +66,6 @@ def test_generator_scaling_maps_tanh_extremes_to_box_edges():
     np.testing.assert_allclose(gen._scale(np.array([[-1.0, -1.0]])), [[-1.0, 2.0]])
     np.testing.assert_allclose(gen._scale(np.array([[1.0, 1.0]])), [[1.0, 6.0]])
     np.testing.assert_allclose(gen._scale(np.array([[0.0, 0.0]])), [[0.0, 4.0]])
-
-
-def test_generator_conditioning_appends_onehot():
-    rng = np.random.default_rng(2)
-    cls = make_classifier(rng)
-    gen = defense.new_generator(cls, DefenseConfig(noise_dim=4), rng, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    cond = gen._condition(np.zeros((2, 4)), np.array([2, 0]))
-    np.testing.assert_array_equal(cond[:, 4:], [[0, 0, 1], [1, 0, 0]])
 
 
 def test_train_generator_converges_on_sharp_classifier():

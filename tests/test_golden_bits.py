@@ -43,16 +43,16 @@ PLATEAU_PARAMS = "edbc721c30d54b98c13c6aed6c8b9393df99f6f89c270cb6b2de358ecdfcc6
 REPORTS = {
     "ipm_cluster": (
         "a163a54d445d12e336b1ddb4fb64fee6bc6ec32dc5c4e889423859d2741dcf6f",
-        "6c582303dd5270ef0c2eda3ffa9c3756685b5e780ef40e039d9c9c9f91596395",
+        "775bb083bb639fd751272a2301702781856264bf16c90201276991eb3e097490",
     ),
     "sign_flip_overflow": (
         "7b50004d42612cd013bf907b8f562c716dc745cbb51b62af02c65668c6a67ebf",
-        "5e8bfb119e2f0365ac3df135201908da6a161697cad341e4b58666c3214f1767",
+        "73d5a3261a6d237f847044f9f8462f3e1740ae2057c942bf0c7162dd40140704",
     ),
 }
 RAGGED_REPORT = (
     "710b50ca807052df6b7344dcf11ce6c686728be48e46de3e8840549db01458fa",
-    "ac7be8f7611d532ccea9c6be6fc74d831a6ec4cd77519a65994071fe19c05eb7",
+    "822c32114bc4824032e02c5de6ec1af220fe2e776f64aa5f8c71dbd46d56c9e0",
 )
 # The client shards of RAGGED_CELL (seed 42, alpha 0.05), their index arrays
 # concatenated in client order as int64.
@@ -62,7 +62,7 @@ RAGGED_PARTITION = "067824876676b8c6d958eae043e47303957eaab6fe82a8e80f069239ea92
 PLANS = "8c310fb4765ef0f919f62d067b6a4fb5718f7246215689655117540b1ce09fa2"
 FALLBACK_REPORT = (
     "1c88e7fe9de3a1623c8c68a902ea3a47f40bb08d75f4a734a2e82eedaf121b07",
-    "a2e13577d0cee070536d7b1ece43a79d1fb661e88103fd5a0c1e6ba17ca8197d",
+    "1a29cb7dfb038ce069ed87631795ffea9bb3d4f7ee4182e4fb07dbd2144435aa",
 )
 
 CELLS = {

@@ -19,7 +19,8 @@ are pure functions of (config, seed) and this process writes the reports in
 grid order, so the output is the same for every job count.
 `oracle` replays `oracles.rule_mismatches`, the equivalence suite that
 acceptance criteria 4 and 5 run, for one robust aggregation rule or all of
-them (--cases N, at least 1; geometric_median runs at most 20).
+them (--cases N, at least 1; geometric_median runs at most 20; --seed S,
+at least 0).
 Exit codes: 0 on success, 1 on an oracle mismatch, 2 on a config problem.
 """
 
@@ -175,11 +176,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(lowest: int) -> Callable[[str], int]:
+    """An argparse type: an int no less than `lowest`."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+
+    return integer
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -212,14 +218,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--grid", required=True)
     p_sweep.add_argument("--out-dir", default=None)
-    p_sweep.add_argument("--jobs", type=_positive_int, default=None,
+    p_sweep.add_argument("--jobs", type=_int_at_least(1), default=None,
                          help="worker processes (default: the usable CPUs, at most one per cell)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="replay brute-force aggregation checks")
     p_oracle.add_argument("rule", choices=oracles.ORACLE_RULES + ("all",))
-    p_oracle.add_argument("--cases", type=_positive_int, default=100)
-    p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.add_argument("--cases", type=_int_at_least(1), default=100)
+    p_oracle.add_argument("--seed", type=_int_at_least(0), default=0)
     p_oracle.set_defaults(func=_cmd_oracle)
 
     args = parser.parse_args(argv)

@@ -13,7 +13,7 @@ Sampling the trained generator with a balanced label schedule yields the
 synthetic validation set.  Every candidate vector is read as a full model
 (the template's layout over it, without a copy) and scored on that set;
 fixed-threshold, population-mean, or two-cluster policies then decide which
-clients' updates survive to aggregation.
+rows of the round's update matrix survive to aggregation.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import collections
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -232,14 +232,6 @@ def synthesize(
     return Dataset(np.vstack(feats), np.repeat(np.arange(classes), q), classes)
 
 
-@dataclass
-class ScoreEntry:
-    client_id: int
-    raw_metric: float  # accuracy or mean cross-entropy on the probe set
-    score: float  # oriented so that higher always means more trustworthy
-    accepted: bool = False
-
-
 def eval_update(
     params: np.ndarray, template: nn.MlpModel, probe: Dataset, metric: str
 ) -> float | np.ndarray:
@@ -267,70 +259,62 @@ def eval_update(
 
 
 def score_updates(
-    ids: Sequence[int],
-    candidates: np.ndarray,
-    template: nn.MlpModel,
-    probe: Dataset,
-    metric: str,
-) -> List[ScoreEntry]:
-    """Evaluate the (m, P) stack of candidates, row r that of client
-    `ids[r]`, in one `eval_update` call; one entry per row, in row order.
+    candidates: np.ndarray, template: nn.MlpModel, probe: Dataset, metric: str
+) -> np.ndarray:
+    """Score the (m, P) stack of candidates in one `eval_update` call: one
+    score per row, in row order.
 
     Accuracy keeps its sign; loss is negated, so higher score is always
     better regardless of metric.  A NaN or infinite metric scores -inf.
     """
-    raws = eval_update(candidates, template, probe, metric).tolist()
-    sign = 1.0 if metric == "accuracy" else -1.0
-    return [ScoreEntry(cid, raw, sign * raw if math.isfinite(raw) else -math.inf)
-            for cid, raw in zip(ids, raws)]
+    raws = eval_update(candidates, template, probe, metric)
+    scores = raws if metric == "accuracy" else -raws
+    return np.where(np.isfinite(scores), scores, -np.inf)
 
 
-def kmeans_1d_two(
-    points: Sequence[Tuple[int, float]]
-) -> Tuple[List[int], List[int]]:
+def kmeans_1d_two(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Exact two-cluster split of scalar scores, minimizing within-cluster
     sum of squares.
 
-    Sorts the points and scans every split position; with sorted data the
+    Ranks the scores and scans every split position; with sorted data the
     optimal 2-means partition is always such a prefix/suffix split, so the
-    scan is exhaustive.  Equal scores sort by descending id, so among them
-    the lowest id counts as the highest score, as the cluster filter's best
-    scorer does.  WCSS ties break toward the split putting more members
-    alongside the highest score (the smaller lower cluster).
-    Returns (lower ids, upper ids).
+    scan is exhaustive.  Equal scores rank by descending row, so among them
+    the lowest row counts as the highest score, as the cluster filter's best
+    scorer does.  WCSS ties break toward the first split, which puts more
+    members alongside the highest score (the smaller lower cluster).  When
+    the squares of the scores overflow, the scan runs on the scores divided
+    by their largest magnitude.  Returns (lower rows, upper rows), each
+    ascending.
     """
-    if len(points) < 2:
-        raise ValueError("need at least two points to cluster")
-    order = sorted(points, key=lambda p: (p[1], -p[0]))
-    values = np.array([p[1] for p in order], dtype=np.float64)
     n = len(values)
-    prefix = np.concatenate([[0.0], np.cumsum(values)])
-    prefix_sq = np.concatenate([[0.0], np.cumsum(values * values)])
+    if n < 2:
+        raise ValueError("need at least two points to cluster")
+    order = np.lexsort((-np.arange(n), values))
+    ranked = values[order]
+    with np.errstate(over="ignore"):
+        prefix_sq = np.concatenate([[0.0], np.cumsum(ranked * ranked)])
+    if not math.isfinite(prefix_sq[-1]):
+        ranked = ranked / np.abs(ranked).max()
+        prefix_sq = np.concatenate([[0.0], np.cumsum(ranked * ranked)])
+    prefix = np.concatenate([[0.0], np.cumsum(ranked)])
 
-    def wcss(lo: int, hi: int) -> float:
-        # Sum of squared deviations of values[lo:hi] around their mean.
+    def wcss(lo, hi):
+        # Sum of squared deviations of ranked[lo:hi] around their mean.
         s = prefix[hi] - prefix[lo]
         ss = prefix_sq[hi] - prefix_sq[lo]
         return ss - s * s / (hi - lo)
 
-    best_split = 1
-    best_cost = np.inf
-    for split in range(1, n):
-        cost = wcss(0, split) + wcss(split, n)
-        if cost < best_cost - 1e-12 or (
-            abs(cost - best_cost) <= 1e-12 and split < best_split
-        ):
-            best_cost = cost
-            best_split = split
-    lower = sorted(p[0] for p in order[:best_split])
-    upper = sorted(p[0] for p in order[best_split:])
-    return lower, upper
+    splits = np.arange(1, n)
+    best_split, best_cost = 1, math.inf
+    for split, cost in zip(splits.tolist(), (wcss(0, splits) + wcss(splits, n)).tolist()):
+        if cost < best_cost - 1e-12:
+            best_split, best_cost = split, cost
+    return np.sort(order[:best_split]), np.sort(order[best_split:])
 
 
-def filter_updates(
-    entries: Sequence[ScoreEntry], policy: str, tau: float
-) -> Set[int]:
-    """Decide which client ids survive, marking entries in place.
+def filter_updates(scores: np.ndarray, policy: str, tau: float) -> np.ndarray:
+    """Decide which rows of the (m,) `scores` survive; returns them in
+    ascending order.
 
     A non-finite score is rejected under every policy, and the others see
     only the finite scores:
@@ -339,7 +323,7 @@ def filter_updates(
     adaptive:  keep scores strictly above their mean (which does not
                overflow while the scores are finite).
     cluster:   exact two-means over scores; keep the upper cluster, which
-               holds the best-scoring client (the lowest id among ties).
+               holds the best-scoring row (the lowest row among ties).
     adaptive and cluster keep every finite score when they are all equal
     (a lone one included).  Any policy rejects everyone when no score is
     finite; fixed, and adaptive where rounding lifts the mean to the top
@@ -347,20 +331,17 @@ def filter_updates(
     """
     if policy not in FILTER_KINDS:
         raise ValueError(f"unknown filter {policy!r}")
-    finite = [e for e in entries if math.isfinite(e.score)]
-    scores = [e.score for e in finite]
+    rows = np.flatnonzero(np.isfinite(scores))
+    finite = scores[rows]
     if policy == "fixed":
-        accepted = {e.client_id for e in finite if e.score > tau}
-    elif len(set(scores)) < 2:
-        accepted = {e.client_id for e in finite}
-    elif policy == "adaptive":
+        return rows[finite > tau]
+    if np.all(finite == finite[:1]):  # none, or all equal to the first
+        return rows
+    if policy == "adaptive":
         # Where the sum of finite scores overflows, the scores divided by the
         # largest magnitude cannot; elsewhere `top` is 1 and changes no bit.
-        top = 1.0 if math.isfinite(sum(scores)) else max(map(abs, scores))
-        mean = top * (sum(s / top for s in scores) / len(scores))
-        accepted = {e.client_id for e in finite if e.score > mean}
-    else:
-        accepted = set(kmeans_1d_two([(e.client_id, e.score) for e in finite])[1])
-    for e in entries:
-        e.accepted = e.client_id in accepted
-    return accepted
+        listed = finite.tolist()
+        top = 1.0 if math.isfinite(sum(listed)) else max(map(abs, listed))
+        mean = top * (sum(s / top for s in listed) / len(listed))
+        return rows[finite > mean]
+    return rows[kmeans_1d_two(finite)[1]]

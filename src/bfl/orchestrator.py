@@ -6,8 +6,10 @@ poisoned payloads, the optional defense scores each candidate vector (read
 as a model, without a copy) on generated data and filters them, and the
 surviving updates are aggregated into the next global model.  The round's
 updates are one (n, P) matrix throughout, a row per sampled client in
-ascending id: the attack overwrites rows of the local training's deltas in
-place, and the defense and the aggregator read rows of it.  A
+ascending id, and the row is the only index inside a round: the attack
+overwrites rows of the local training's deltas in place, the defense scores
+every row and returns the rows it keeps, and the aggregator reads those
+rows.  Rows become client ids only in the round's record.  A
 rejected-everything round carries the previous weights forward, and a round
 that leaves fewer survivors than the configured rule can aggregate (the
 Krum rules need at least four) falls back to the coordinate-wise median.
@@ -327,15 +329,14 @@ class Schedule:
 def _apply_attack(
     cfg: ExperimentConfig,
     round_index: int,
-    sampled: Sequence[int],
     bad_rows: List[int],
     deltas: np.ndarray,
-    clients: Sequence[Dataset],
+    shards: Sequence[Dataset],
     template: nn.MlpModel,
     global_vector: np.ndarray,
 ) -> None:
-    """Overwrite the compromised rows of the round's delta stack, whose
-    rows are the `sampled` clients, with their attack payloads."""
+    """Overwrite the compromised rows of the round's delta stack with their
+    attack payloads; `shards[r]` is the shard row r trained on."""
     acfg = cfg.attack
     if not bad_rows or acfg.kind == "none":
         return
@@ -348,15 +349,15 @@ def _apply_attack(
     elif acfg.kind == "label_flip":
         deltas[bad_rows] = attacks.scale_delta(deltas[bad_rows], acfg.gamma)
     elif acfg.kind == "ipm":
-        bad = [clients[sampled[r]] for r in bad_rows]
+        bad = [shards[r] for r in bad_rows]
         proxy = Dataset(
             np.vstack([shard.features for shard in bad]),
             np.concatenate([shard.labels for shard in bad]),
-            clients[0].num_classes,
+            bad[0].num_classes,
         )
         payload, gamma_star = attacks.ipm_attack(
             global_vector, template, deltas[bad_rows].mean(axis=0), proxy, acfg,
-            len(sampled), len(bad_rows),
+            len(deltas), len(bad_rows),
         )
         log.debug("round %d ipm gamma*=%g", round_index, gamma_star)
         deltas[bad_rows] = payload
@@ -400,7 +401,7 @@ def run_experiment(cfg: ExperimentConfig, schedule: Optional[Schedule] = None) -
         deltas = local_training(
             round_shards, template, global_vector, cfg.sgd, cfg.local_epochs, cfg.batch, plan
         )
-        _apply_attack(cfg, t, sampled, bad_rows, deltas, shards, template, global_vector)
+        _apply_attack(cfg, t, bad_rows, deltas, round_shards, template, global_vector)
         candidates = np.add(deltas, global_vector, out=deltas)
         gan_iters = 0
         if cfg.defense is not None:
@@ -409,29 +410,29 @@ def run_experiment(cfg: ExperimentConfig, schedule: Optional[Schedule] = None) -
                 classifier, cfg.defense, cfg.seed, t, schedule.lo, schedule.hi
             )
             probe = defense.synthesize(gen, cfg.defense.q, cfg.seed, t)
-            entries = defense.score_updates(sampled, candidates, template, probe, cfg.defense.metric)
-            accepted = defense.filter_updates(entries, cfg.defense.filter, cfg.defense.tau)
+            scores = defense.score_updates(candidates, template, probe, cfg.defense.metric)
+            rows = defense.filter_updates(scores, cfg.defense.filter, cfg.defense.tau)
         else:
-            accepted = set(sampled)
+            rows = np.arange(len(sampled))
         fallback = None
-        if accepted:
-            rows = [r for r, cid in enumerate(sampled) if cid in accepted]
+        if len(rows):
             rule = cfg.aggregator
             if len(rows) < fewest:
                 fallback = "coord_median"
                 rule = AggregatorConfig(fallback)
             # Positional: a caller may wrap `aggregate` and read the rule.
             global_vector = aggregate(candidates[rows], rule, np.take(plan.sizes, rows))
+        accepted = [sampled[r] for r in rows.tolist()]
         acc = evaluate_global(global_vector, template, schedule.test)
-        tpr, tnr = compute_tpr_tnr(set(sampled), accepted, malicious)
+        tpr, tnr = compute_tpr_tnr(set(sampled), set(accepted), malicious)
         wall_ms = (time.perf_counter() - started) * 1000.0
         record = RoundRecord(
             round=t,
             acc=acc,
             tpr=tpr,
             tnr=tnr,
-            accepted=sorted(accepted),
-            rejected=sorted(set(sampled) - accepted),
+            accepted=accepted,
+            rejected=sorted(set(sampled).difference(accepted)),
             malicious_sampled=bad_sampled,
             gan_iters=gan_iters,
             aggregator_fallback=fallback,

@@ -19,7 +19,7 @@ from bfl import attacks, defense, nn, oracles, orchestrator, rng
 from bfl.aggregators import geometric_median
 from bfl.config import config_from_dict
 from bfl.data import Dataset
-from bfl.defense import ScoreEntry, filter_updates, kmeans_1d_two
+from bfl.defense import filter_updates, kmeans_1d_two
 from bfl.orchestrator import compute_tpr_tnr, emit_report, run_experiment
 
 import nn_oracles
@@ -193,19 +193,18 @@ def test_criterion_7_filters_match_their_definitions():
         scores = gen.standard_normal(n) * float(gen.uniform(0.1, 3.0))
         if case % 3 == 0 and n >= 4:
             scores[: n // 2] += 10.0
-        lower, upper = kmeans_1d_two(list(enumerate(scores)))
+        lower, upper = kmeans_1d_two(scores)
         got_cost = _ssd(scores[lower]) + _ssd(scores[upper])
         _, want_cost = nn_oracles.exhaustive_min_wcss_split(scores)
-        if abs(got_cost - want_cost) <= 1e-9 and sorted(lower + upper) == list(range(n)):
+        if abs(got_cost - want_cost) <= 1e-9 and sorted([*lower, *upper]) == list(range(n)):
             cluster_ok += 1
 
-        entries = [ScoreEntry(i, s, s) for i, s in enumerate(scores)]
-        got_adaptive = filter_updates(entries, "adaptive", 0.0)
-        if got_adaptive == {i for i, s in enumerate(scores) if s > np.mean(scores)}:
+        got_adaptive = filter_updates(scores, "adaptive", 0.0).tolist()
+        if got_adaptive == [i for i, s in enumerate(scores) if s > np.mean(scores)]:
             adaptive_ok += 1
         tau = float(gen.uniform(-1.0, 1.0))
-        got_fixed = filter_updates(entries, "fixed", tau)
-        if got_fixed == {i for i, s in enumerate(scores) if s > tau}:
+        got_fixed = filter_updates(scores, "fixed", tau).tolist()
+        if got_fixed == [i for i, s in enumerate(scores) if s > tau]:
             fixed_ok += 1
     ok = cluster_ok == 50 and adaptive_ok == 50 and fixed_ok == 50
     verdict(

@@ -290,6 +290,14 @@ def test_oracle_cases_must_be_positive(cases):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_oracle_seed_must_be_a_non_negative_int(seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "coord_median", "--seed", seed])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_oracle_reports_a_broken_rule(monkeypatch, capsys):
     # The shared suite looks rules up on bfl.aggregators, so criteria 4/5
     # would see this replacement too.

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import nn_oracles
 from bfl import defense, nn
+from bfl.config import config_from_dict
 from bfl.data import Dataset
-from bfl.defense import DefenseConfig, ScoreEntry
+from bfl.defense import DefenseConfig
+from bfl.orchestrator import run_experiment
 
 
 def make_classifier(rng, dim=2, classes=3, sharp=True):
@@ -197,13 +200,11 @@ def test_score_updates_keeps_row_order_and_negates_loss():
     cls = make_classifier(rng)
     params = cls.params
     probe = _probe(rng, cls)
-    entries = defense.score_updates(
-        [1, 3, 5], np.stack([params * 0.5, params, params]), cls, probe, "loss"
-    )
-    assert [e.client_id for e in entries] == [1, 3, 5]
-    assert entries[1].raw_metric == defense.eval_update(params, cls, probe, "loss")
-    for e in entries:
-        assert e.score == -e.raw_metric
+    stack = np.stack([params * 0.5, params, params])
+    scores = defense.score_updates(stack, cls, probe, "loss")
+    assert scores.shape == (3,)
+    assert scores[1] == -defense.eval_update(params, cls, probe, "loss")
+    assert scores.tolist() == [-defense.eval_update(row, cls, probe, "loss") for row in stack]
 
 
 @pytest.mark.parametrize("metric", defense.METRIC_KINDS)
@@ -211,9 +212,8 @@ def test_score_updates_scores_a_non_finite_metric_minus_inf(metric, monkeypatch)
     # The fake metric of a candidate row is its first coordinate.
     monkeypatch.setattr(defense, "eval_update", lambda stack, *_: stack[:, 0])
     raws = [0.25, math.nan, math.inf, -math.inf]
-    entries = defense.score_updates(range(4), np.array(raws)[:, None], None, None, metric)
-    assert [e.score for e in entries] == [0.25 if metric == "accuracy" else -0.25] + [-math.inf] * 3
-    assert entries[0].raw_metric == 0.25 and math.isnan(entries[1].raw_metric)
+    scores = defense.score_updates(np.array(raws)[:, None], None, None, metric)
+    assert scores.tolist() == [0.25 if metric == "accuracy" else -0.25] + [-math.inf] * 3
 
 
 def test_score_updates_scores_a_nan_model_minus_inf():
@@ -226,9 +226,9 @@ def test_score_updates_scores_a_nan_model_minus_inf():
         broken = cls.params.copy()
         broken[cls.spans[-1][1]] = bad  # every output bias
         with np.errstate(invalid="ignore"):
-            good, worse = defense.score_updates([0, 1], np.stack([cls.params, broken]), cls, probe, metric)
-        assert math.isnan(worse.raw_metric) and worse.score == -math.inf, (metric, bad)
-        assert math.isfinite(good.score)
+            good, worse = defense.score_updates(np.stack([cls.params, broken]), cls, probe, metric)
+        assert worse == -math.inf, (metric, bad)
+        assert math.isfinite(good)
 
 
 # Stacks of 1-11 candidates, some of them NaN or inf, on probes of 1-40
@@ -265,15 +265,14 @@ def test_kmeans_1d_two_matches_exhaustive_oracle_50_sets():
         values = rng.standard_normal(n) * rng.uniform(0.1, 5.0)
         if case % 3 == 0 and n >= 4:
             values[: n // 2] += 10.0  # force a real gap sometimes
-        points = list(enumerate(values.tolist()))
-        lower, upper = defense.kmeans_1d_two(points)
+        lower, upper = defense.kmeans_1d_two(values)
         ordered = sorted(values.tolist())
         split = len(lower)
         got = _wcss(ordered[:split]) + _wcss(ordered[split:])
         _, oracle_cost = nn_oracles.exhaustive_min_wcss_split(values.tolist())
         assert got == pytest.approx(oracle_cost, abs=1e-9), f"case {case}"
-        assert set(lower) | set(upper) == set(range(n))
-        assert not (set(lower) & set(upper))
+        assert sorted([*lower, *upper]) == list(range(n))
+        assert values[lower].max() <= values[upper].min()
 
 
 def _wcss(chunk):
@@ -284,111 +283,169 @@ def _wcss(chunk):
 
 
 def test_kmeans_1d_two_obvious_gap():
-    points = [(0, 0.1), (1, 0.2), (2, 0.15), (3, 9.0), (4, 9.5)]
-    lower, upper = defense.kmeans_1d_two(points)
-    assert lower == [0, 1, 2]
-    assert upper == [3, 4]
+    lower, upper = defense.kmeans_1d_two(np.array([0.1, 0.2, 0.15, 9.0, 9.5]))
+    assert lower.tolist() == [0, 1, 2]
+    assert upper.tolist() == [3, 4]
 
 
 def test_kmeans_1d_two_all_equal_prefers_large_upper_cluster():
-    # Equal scores rank the lowest id highest, as the cluster filter's best
-    # scorer does, so the lone lower member is the highest id.
-    lower, upper = defense.kmeans_1d_two([(i, 1.0) for i in range(4)])
-    assert (lower, upper) == ([3], [0, 1, 2])
+    # Equal scores rank the lowest row highest, as the cluster filter's
+    # best scorer does, so the lone lower member is the highest row.
+    lower, upper = defense.kmeans_1d_two(np.ones(4))
+    assert (lower.tolist(), upper.tolist()) == ([3], [0, 1, 2])
 
 
 def test_kmeans_1d_two_needs_two_points():
     with pytest.raises(ValueError):
-        defense.kmeans_1d_two([(0, 1.0)])
+        defense.kmeans_1d_two(np.array([1.0]))
 
 
-def entries_from(scores):
-    return [ScoreEntry(i, s, s) for i, s in enumerate(scores)]
+def kept(scores, policy, tau=0.0):
+    rows = defense.filter_updates(np.array(scores, dtype=np.float64), policy, tau)
+    assert rows.dtype.kind == "i"
+    return rows.tolist()
 
 
 def test_filter_fixed_strictly_above_tau():
-    entries = entries_from([0.2, 0.5, 0.8])
-    assert defense.filter_updates(entries, "fixed", 0.5) == {2}
-    assert [e.accepted for e in entries] == [False, False, True]
+    assert kept([0.2, 0.5, 0.8], "fixed", 0.5) == [2]
 
 
 def test_filter_adaptive_strictly_above_mean():
-    entries = entries_from([0.0, 0.5, 1.0])  # mean 0.5
-    assert defense.filter_updates(entries, "adaptive", 0.0) == {2}
+    assert kept([0.0, 0.5, 1.0], "adaptive") == [2]  # mean 0.5
 
 
 @pytest.mark.parametrize("policy", ["adaptive", "cluster"])
 def test_filter_accepts_every_finite_score_when_they_are_all_equal(policy):
     # Accuracy on a small probe is coarse, so honest candidates tie.  The
     # mean equals the tied score, and two-means would split off one of them.
-    entries = entries_from([0.5] * 5)
-    assert defense.filter_updates(entries, policy, 0.0) == set(range(5))
-    entries = entries_from([math.nan, 0.5, -math.inf, 0.5])
-    assert defense.filter_updates(entries, policy, 0.0) == {1, 3}
+    assert kept([0.5] * 5, policy) == list(range(5))
+    assert kept([math.nan, 0.5, -math.inf, 0.5], policy) == [1, 3]
 
 
 def test_filter_fixed_keeps_its_threshold_on_tied_scores():
-    assert defense.filter_updates(entries_from([0.5] * 5), "fixed", 0.5) == set()
+    assert kept([0.5] * 5, "fixed", 0.5) == []
 
 
 def test_filter_adaptive_mean_does_not_overflow():
     # The plain sum of these finite scores is -inf, which every score beats.
-    entries = entries_from([-1e308, -1e308, -0.3, -0.2, -0.25])
-    assert defense.filter_updates(entries, "adaptive", 0.0) == {2, 3, 4}
+    assert kept([-1e308, -1e308, -0.3, -0.2, -0.25], "adaptive") == [2, 3, 4]
 
 
 def test_filter_cluster_keeps_best_scorers_cluster():
-    entries = entries_from([0.1, 0.12, 0.95, 0.9, 0.11])
-    assert defense.filter_updates(entries, "cluster", 0.0) == {2, 3}
+    assert kept([0.1, 0.12, 0.95, 0.9, 0.11], "cluster") == [2, 3]
 
 
 def test_filter_cluster_single_entry_accepts_it():
-    entries = entries_from([0.3])
-    assert defense.filter_updates(entries, "cluster", 0.0) == {0}
+    assert kept([0.3], "cluster") == [0]
 
 
 @pytest.mark.parametrize("policy", defense.FILTER_KINDS)
 def test_filter_rejects_non_finite_scores_and_ignores_them(policy):
     # Over the finite scores alone every policy keeps 0.9 and 0.8: above
     # tau, above their mean 0.6, and the upper of the two clusters.
-    entries = entries_from([0.9, math.nan, 0.8, -math.inf, math.inf, 0.1])
-    assert defense.filter_updates(entries, policy, 0.5) == {0, 2}
-    assert [e.accepted for e in entries] == [True, False, True, False, False, False]
+    assert kept([0.9, math.nan, 0.8, -math.inf, math.inf, 0.1], policy, 0.5) == [0, 2]
 
 
 @pytest.mark.parametrize("policy", ["adaptive", "cluster"])
 def test_filter_keeps_a_lone_finite_score(policy):
-    assert defense.filter_updates(entries_from([math.nan, -0.3, -math.inf]), policy, 0.0) == {1}
-    assert defense.filter_updates(entries_from([-0.3]), policy, 0.0) == {0}
+    assert kept([math.nan, -0.3, -math.inf], policy) == [1]
+    assert kept([-0.3], policy) == [0]
 
 
 @pytest.mark.parametrize("policy", defense.FILTER_KINDS)
 def test_filter_without_a_finite_score_accepts_nobody(policy):
-    entries = entries_from([math.nan, -math.inf, math.inf])
-    assert defense.filter_updates(entries, policy, -1.0) == set()
-    assert not any(e.accepted for e in entries)
+    assert kept([math.nan, -math.inf, math.inf], policy, -1.0) == []
 
 
 def test_filters_match_set_builder_definitions_50_sets():
-    """fixed/adaptive rebuilt as one-line set comprehensions, 50 sets."""
+    """fixed/adaptive rebuilt as one-line list comprehensions, 50 sets."""
     rng = np.random.default_rng(51)
     for _ in range(50):
         n = int(rng.integers(1, 12))
         scores = (rng.random(n) * 2.0 - 0.5).tolist()
         tau = float(rng.random())
-        entries = entries_from(scores)
-        got_fixed = defense.filter_updates(entries, "fixed", tau)
-        assert got_fixed == {i for i, s in enumerate(scores) if s > tau}
-        entries = entries_from(scores)
-        got_adaptive = defense.filter_updates(entries, "adaptive", tau)
+        assert kept(scores, "fixed", tau) == [i for i, s in enumerate(scores) if s > tau]
         mean = sum(scores) / n
-        assert got_adaptive == {i for i, s in enumerate(scores) if s > mean or n == 1}
+        assert kept(scores, "adaptive", tau) == [i for i, s in enumerate(scores) if s > mean or n == 1]
+
+
+# The scores of the one round of OVERFLOW_CLUSTER_CELL below, in row order:
+# rows 0, 4 and 9 are its attackers, clients 0, 6 and 18.
+OVERFLOW_SCORES = [
+    -3.5651224034660396e+177, -0.36280971304210335, -0.37081026352259805,
+    -0.3437851483195149, -1.2972379473605327e+177, -0.3080292231695041,
+    -0.38743130841383183, -0.34073634629081573, -0.3551664967927482,
+    -2.411388954725253e+177,
+]
+
+
+def test_kmeans_1d_two_splits_scores_whose_squares_overflow():
+    # Every split's cost was NaN here once, so the first split, the lowest
+    # score alone, was kept.  The exact split puts rows 0 and 9 below.
+    scores = np.array(OVERFLOW_SCORES)
+    assert not math.isfinite(sum(s * s for s in OVERFLOW_SCORES))
+    lower, upper = defense.kmeans_1d_two(scores)
+    assert lower.tolist() == [0, 9]
+    assert upper.tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
+    got = nn_oracles.exact_wcss(scores[lower].tolist(), scores[upper].tolist())
+    assert got == nn_oracles.exact_min_wcss(OVERFLOW_SCORES)
+    assert defense.filter_updates(scores, "cluster", 0.0).tolist() == upper.tolist()
+
+
+OVERFLOW_CLUSTER_CELL = {
+    "seed": 42, "rounds": 1, "clients": 20, "sampled_per_round": 10, "local_epochs": 5,
+    "hidden_dims": [16, 16], "dataset": {"kind": "toy", "dims": 12},
+    "attack": {"kind": "sign_flip", "epsilon": 0.3, "gamma": 1e60},
+    "defense": {"filter": "cluster", "metric": "loss"},
+}
+
+
+def test_cluster_filter_rejects_the_exact_lower_cluster_of_overflowing_scores():
+    # Client 6's score sits nearer the honest ones than the other two
+    # attackers' in exact arithmetic too, so it stays accepted.
+    report = run_experiment(config_from_dict(OVERFLOW_CLUSTER_CELL))
+    (record,) = report.rounds
+    assert record.malicious_sampled == [0, 6, 18]
+    assert record.rejected == [0, 18]
+    assert record.accepted == [1, 3, 5, 6, 7, 11, 16, 17]
+    assert record.tpr == pytest.approx(2 / 3) and record.tnr == 1.0
+
+
+# Lists of 1-12 scores drawn from a pool of up to six values, so exact
+# repeats are common: small reals, signed zeros, +-1e308, NaN and +-inf.
+SPECIAL_SCORES = [0.0, -0.0, 1e308, -1e308, math.nan, math.inf, -math.inf]
+SCORE_LISTS = st.lists(
+    st.one_of(st.floats(-10.0, 10.0), st.sampled_from(SPECIAL_SCORES)), min_size=1, max_size=6
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+
+
+@settings(max_examples=300)
+@example(scores=OVERFLOW_SCORES, tau=0.0)
+@example(scores=[-1e308, -1e308, 0.5], tau=0.0)
+@example(scores=[0.0, -0.0, 0.0, 1.0], tau=0.0)
+@given(scores=SCORE_LISTS, tau=st.floats(-10.0, 10.0))
+def test_row_filters_match_the_id_keyed_reference(scores, tau):
+    finite = [s for s in scores if math.isfinite(s)]
+    overflows = not math.isfinite(sum(s * s for s in finite))
+    for policy in defense.FILTER_KINDS:
+        got = kept(scores, policy, tau)
+        if policy == "cluster" and overflows and len(set(finite)) > 1:
+            # The reference's costs are NaN here, so the exact split judges.
+            upper = [scores[r] for r in got]
+            lower = [s for r, s in enumerate(scores) if math.isfinite(s) and r not in got]
+            assert lower and max(lower) <= min(upper)
+            top = max(map(abs, finite))
+            excess = nn_oracles.exact_wcss(lower, upper) - nn_oracles.exact_min_wcss(finite)
+            assert excess <= Fraction(1e-9) * Fraction(top) ** 2, (scores, got)
+            continue
+        entries = [nn_oracles.ScoreEntry(i, s, s) for i, s in enumerate(scores)]
+        assert got == sorted(nn_oracles.filter_updates(entries, policy, tau)), (policy, scores)
 
 
 def test_filter_updates_unknown_policy():
     with pytest.raises(ValueError):
-        defense.filter_updates(entries_from([0.1]), "quantile", 0.0)
+        kept([0.1], "quantile")
 
 
 def test_filter_updates_empty_entries():
-    assert defense.filter_updates([], "adaptive", 0.0) == set()
+    assert kept([], "adaptive") == []

@@ -409,9 +409,10 @@ def test_no_nan_scored_attacker_reaches_the_global_model(policy, monkeypatch):
     decisions, weights = [], []
     filter_updates, evaluate_global = defense.filter_updates, orchestrator.evaluate_global
 
-    def spy_filter(entries, *args):
-        decisions.append(entries)
-        return filter_updates(entries, *args)
+    def spy_filter(scores, *args):
+        kept = filter_updates(scores, *args)
+        decisions.append((scores, kept))
+        return kept
 
     def spy_evaluate(params, *args):
         weights.append(params.copy())
@@ -420,11 +421,16 @@ def test_no_nan_scored_attacker_reaches_the_global_model(policy, monkeypatch):
     monkeypatch.setattr(defense, "filter_updates", spy_filter)
     monkeypatch.setattr(orchestrator, "evaluate_global", spy_evaluate)
     cfg = config_from_dict({**OVERFLOW_CELL, "defense": {**OVERFLOW_CELL["defense"], "filter": policy}})
-    report = orchestrator.run_experiment(cfg)
-    nan_scored = [e for entries in decisions for e in entries if math.isnan(e.raw_metric)]
-    attackers = {cid for rec in report.rounds for cid in rec.malicious_sampled}
-    assert nan_scored and {e.client_id for e in nan_scored} <= attackers
-    assert not any(e.accepted for e in nan_scored)
+    schedule = orchestrator.Schedule.build(cfg)
+    report = orchestrator.run_experiment(cfg, schedule)
+    assert len(decisions) == len(report.rounds)
+    nan_scored = 0
+    for (sampled, _), rec, (scores, kept) in zip(schedule.rounds, report.rounds, decisions):
+        bad = np.flatnonzero(~np.isfinite(scores))
+        nan_scored += len(bad)
+        assert {sampled[r] for r in bad} <= set(rec.malicious_sampled)
+        assert not set(bad) & set(kept.tolist())
+    assert nan_scored
     assert all(rec.tpr == 1.0 for rec in report.rounds if rec.malicious_sampled)
     assert len(weights) == 5 and all(np.isfinite(w).all() for w in weights)
 

@@ -171,9 +171,9 @@ def min_updates(cfg: AggregatorConfig) -> int:
 
 
 def _pairwise_sq(mat: np.ndarray) -> np.ndarray:
-    """[i, j]: the squared Euclidean distance between rows i and j."""
-    diffs = mat[:, None, :] - mat[None, :, :]
-    return (diffs * diffs).sum(axis=2)
+    """[i, j]: the squared Euclidean distance between rows i and j, formed
+    one row at a time, in O(n * d) memory."""
+    return np.stack([((row - mat) ** 2).sum(axis=1) for row in mat])
 
 
 def multi_krum_scores(mat: np.ndarray, beta: float) -> List[float]:
@@ -214,7 +214,7 @@ def nnm_mix(mat: np.ndarray, beta: float) -> np.ndarray:
     if neighborhood < 1:
         raise ValueError(f"n={n}, beta={beta} leaves an empty neighborhood")
     nearest = np.argsort(_pairwise_sq(mat), axis=1, kind="stable")[:, :neighborhood]
-    return mat[nearest].mean(axis=1)
+    return np.stack([mat[rows].mean(axis=0) for rows in nearest])
 
 
 def nnm_krum(mat: np.ndarray, beta: float) -> Tuple[Set[int], np.ndarray]:

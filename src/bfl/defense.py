@@ -9,6 +9,8 @@ generator chases whatever regions the classifier currently labels confidently,
 the synthesized samples hug the decision boundaries and expose updates that
 warp them.
 
+The generator is a plain `nn.MlpModel` ending in tanh; `_to_box` maps its
+[-1, 1] output onto the classifier's input box, feature by feature.
 Sampling the trained generator with a balanced label schedule yields the
 synthetic validation set.  Every candidate vector is read as a full model
 (the template's layout over it, without a copy) and scored on that set;
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import collections
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -60,58 +62,26 @@ class DefenseConfig:
             raise ValueError(f"unknown filter {self.filter!r}")
         if self.metric not in METRIC_KINDS:
             raise ValueError(f"unknown metric {self.metric!r}")
+        top = 1.0 if self.metric == "accuracy" else 0.0  # the best score there is
+        if self.filter == "fixed" and self.tau >= top:
+            raise ValueError(
+                f"tau: a fixed threshold of {self.tau:g} rejects every {self.metric} score, "
+                f"none of which exceeds {top:g}"
+            )
         if self.gen_lr <= 0.0 or self.gen_max_iter < 1:
             raise ValueError("bad generator training settings")
         if self.early_stop_loss <= 0.0 or self.early_stop_patience < 1:
             raise ValueError("bad early stopping settings")
 
 
-@dataclass
-class GeneratorModel:
-    """Conditional generator: (noise, onehot label) -> synthetic input.
-
-    The backbone ends in tanh; `out_lo`/`out_hi` rescale its [-1, 1] range
-    onto the classifier's input domain per feature, with slope `half`.
-    """
-
-    backbone: nn.MlpModel
-    noise_dim: int
-    num_classes: int
-    out_lo: np.ndarray
-    out_hi: np.ndarray
-    half: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.out_lo = np.asarray(self.out_lo, dtype=np.float64)
-        self.out_hi = np.asarray(self.out_hi, dtype=np.float64)
-        if self.backbone.input_dim != self.noise_dim + self.num_classes:
-            raise ValueError("backbone input must be noise_dim + num_classes")
-        if self.out_lo.shape != self.out_hi.shape or np.any(self.out_hi <= self.out_lo):
-            raise ValueError("need out_lo < out_hi per feature")
-        self.half = 0.5 * (self.out_hi - self.out_lo)
-
-    def _scale(
-        self, raw: np.ndarray, out: Optional[np.ndarray] = None,
-        half: Optional[np.ndarray] = None, low: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """out_lo + half * (raw + 1.0), written into `out` when given.
-
-        `half` and `low` stand in for `self.half` and `self.out_lo` when a
-        caller has broadcast them to its batch once: the same values, then
-        multiplied and added without broadcasting."""
-        out = np.add(raw, 1.0, out=out)
-        np.multiply(self.half if half is None else half, out, out=out)
-        return np.add(self.out_lo if low is None else low, out, out=out)
-
-
-def new_generator(
-    classifier: nn.MlpModel, cfg: DefenseConfig, rng: np.random.Generator,
-    out_lo: np.ndarray, out_hi: np.ndarray,
-) -> GeneratorModel:
-    num_classes = classifier.output_dim
-    dims = [cfg.noise_dim + num_classes, *GEN_HIDDEN, classifier.input_dim]
-    backbone = nn.init_mlp(dims, "relu", rng, out_activation="tanh")
-    return GeneratorModel(backbone, cfg.noise_dim, num_classes, out_lo, out_hi)
+def _to_box(
+    raw: np.ndarray, lo: np.ndarray, half: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """lo + half * (raw + 1.0): the generator's tanh output in [-1, 1] mapped
+    onto the box [lo, lo + 2 * half], written into `out` when given."""
+    out = np.add(raw, 1.0, out=out)
+    np.multiply(half, out, out=out)
+    return np.add(lo, out, out=out)
 
 
 def train_generator(
@@ -121,11 +91,14 @@ def train_generator(
     round_index: int,
     out_lo: np.ndarray,
     out_hi: np.ndarray,
-) -> Tuple[GeneratorModel, int]:
-    """Fit the generator against the frozen classifier; return it and the
-    number of iterations consumed.
+) -> Tuple[nn.MlpModel, int]:
+    """Fit the conditional generator against the frozen classifier; return
+    it and the number of iterations consumed.
 
-    Each iteration draws a fresh batch of standard-normal noise and uniform
+    The generator is an MLP from [noise, onehot(label)] through GEN_HIDDEN
+    relu layers to a tanh layer of the classifier's input width; `_to_box`
+    maps its output onto the box [out_lo, out_hi], per feature.  Each
+    iteration draws a fresh batch of standard-normal noise and uniform
     labels, pushes it through generator then classifier, and takes one
     momentum SGD step on the generator alone.  Training stops at the first
     of three conditions:
@@ -147,24 +120,25 @@ def train_generator(
 
     Everything an iteration touches is prepared once per fit: the noise,
     conditioning and synthetic batches, the flat index of each row's one-hot
-    entry, the output scaling's constants broadcast to the batch, and one
-    `nn.Trace` per network.  Each trace holds that network's activation,
-    gradient and cross-entropy buffers and its bound layer views.  An
-    iteration writes into these buffers with `out=`; it allocates only the
-    label draw, and it updates the generator's parameter vector and
-    momentum in place.  The classifier trace reads `classifier`'s parameter
-    vector through views and never writes it; the returned generator wraps
-    the vector the fit trained.  Only the gradient with respect to the
+    entry, the box's constants broadcast to the batch, and one `nn.Trace`
+    per network.  Each trace holds that network's activation, gradient and
+    cross-entropy buffers and its layer views.  An iteration writes into
+    these buffers with `out=`; it allocates only the label draw, and it
+    updates the generator's parameter vector and momentum in place.  The
+    classifier trace reads `classifier`'s parameter vector through views
+    and never writes it.  Only the gradient with respect to the
     classifier's input is propagated through it: the classifier's parameter
     gradients are never formed, and neither is the gradient with respect to
     the generator's own input.
     """
-    init_rng = substream(master_seed, GEN_INIT, round_index)
-    train_rng = substream(master_seed, GEN_TRAIN, round_index)
-    gen = new_generator(classifier, cfg, init_rng, out_lo, out_hi)
     num_classes = classifier.output_dim
+    gen = nn.init_mlp(
+        [cfg.noise_dim + num_classes, *GEN_HIDDEN, classifier.input_dim], "relu",
+        substream(master_seed, GEN_INIT, round_index), out_activation="tanh",
+    )
+    train_rng = substream(master_seed, GEN_TRAIN, round_index)
     sgd = nn.SgdConfig(learning_rate=cfg.gen_lr, momentum=0.9, weight_decay=0.0)
-    state = nn.init_momentum(gen.backbone)
+    state = nn.init_momentum(gen)
     window: collections.deque = collections.deque(maxlen=cfg.early_stop_patience)
     noise = np.empty((GEN_BATCH, cfg.noise_dim))
     cond = np.empty((GEN_BATCH, cfg.noise_dim + num_classes))
@@ -174,11 +148,11 @@ def train_generator(
     onehot_base = np.arange(GEN_BATCH) * cond.shape[1] + cfg.noise_dim
     hot, cond_flat = np.empty(GEN_BATCH, dtype=np.intp), cond.reshape(-1)
     synth = np.empty((GEN_BATCH, classifier.input_dim))
-    gen_trace = nn.Trace(gen.backbone, (GEN_BATCH,))
+    gen_trace = nn.Trace(gen, (GEN_BATCH,))
     cls_trace = nn.Trace(classifier, (GEN_BATCH,))
-    # The output scaling's constants, broadcast to a batch once.
-    half = np.broadcast_to(gen.half, synth.shape).copy()
-    low = np.broadcast_to(gen.out_lo, synth.shape).copy()
+    # The box's constants, broadcast to a batch once.
+    half = np.broadcast_to(0.5 * (out_hi - out_lo), synth.shape).copy()
+    low = np.broadcast_to(out_lo, synth.shape).copy()
     best, best_at = np.inf, 0  # the plateau stop's best window mean, and when
     iterations = 0
     for iterations in range(1, cfg.gen_max_iter + 1):
@@ -188,13 +162,13 @@ def train_generator(
         cond_onehot.fill(0.0)
         np.add(onehot_base, labels, out=hot)
         cond_flat[hot] = 1.0
-        gen._scale(gen_trace.forward(cond), synth, half, low)
+        _to_box(gen_trace.forward(cond), low, half, synth)
         cls_trace.forward(synth)
         loss, dlogits = cls_trace.cross_entropy(labels)
         _, dsynth = cls_trace.backward(dlogits, param_grads=False)
         np.multiply(dsynth, half, out=dsynth)
         grads, _ = gen_trace.backward(dsynth, input_grad=False)
-        nn.sgd_step(gen.backbone, grads, sgd, state)
+        nn.sgd_step(gen, grads, sgd, state)
         window.append(loss)
         if len(window) < cfg.early_stop_patience:
             continue
@@ -210,25 +184,31 @@ def train_generator(
 
 
 def synthesize(
-    gen: GeneratorModel, q: int, master_seed: int, round_index: int
+    gen: nn.MlpModel,
+    cfg: DefenseConfig,
+    master_seed: int,
+    round_index: int,
+    out_lo: np.ndarray,
+    out_hi: np.ndarray,
 ) -> Dataset:
-    """Sample a class-balanced probe set: exactly q samples per class.
+    """Sample a class-balanced probe set from a `train_generator` fit:
+    exactly `cfg.q` samples per class, in the box [out_lo, out_hi].
 
     Labels are the conditioning labels, whatever the classifier would say
     about the generated points.  Rows are grouped by class, class 0 first:
     each class's q rows are one generator pass over [noise, onehot(class)],
     where only the noise varies from row to row.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
     rng = substream(master_seed, SYNTH, round_index)
-    classes = gen.num_classes
-    cond = np.zeros((q, gen.noise_dim + classes))
+    q, noise_dim = cfg.q, cfg.noise_dim
+    classes = gen.input_dim - noise_dim
+    half = 0.5 * (out_hi - out_lo)
+    cond = np.zeros((q, gen.input_dim))
     feats = []
     for c in range(classes):
-        cond[:, : gen.noise_dim] = rng.standard_normal((q, gen.noise_dim))
-        cond[:, gen.noise_dim :] = np.arange(classes) == c
-        feats.append(gen._scale(nn.forward(gen.backbone, cond)))
+        cond[:, :noise_dim] = rng.standard_normal((q, noise_dim))
+        cond[:, noise_dim:] = np.arange(classes) == c
+        feats.append(_to_box(nn.forward(gen, cond), out_lo, half))
     return Dataset(np.vstack(feats), np.repeat(np.arange(classes), q), classes)
 
 
@@ -281,10 +261,11 @@ def kmeans_1d_two(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     scan is exhaustive.  Equal scores rank by descending row, so among them
     the lowest row counts as the highest score, as the cluster filter's best
     scorer does.  WCSS ties break toward the first split, which puts more
-    members alongside the highest score (the smaller lower cluster).  When
-    the squares of the scores overflow, the scan runs on the scores divided
-    by their largest magnitude.  Returns (lower rows, upper rows), each
-    ascending.
+    members alongside the highest score (the smaller lower cluster); costs
+    within 1e-12 times the unsplit cost count as tied, so scaling every
+    score by one factor splits them alike.  When the squares of the scores
+    overflow, the scan runs on the scores divided by their largest
+    magnitude.  Returns (lower rows, upper rows), each ascending.
     """
     n = len(values)
     if n < 2:
@@ -305,9 +286,10 @@ def kmeans_1d_two(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return ss - s * s / (hi - lo)
 
     splits = np.arange(1, n)
+    tie = 1e-12 * abs(float(wcss(0, n)))
     best_split, best_cost = 1, math.inf
     for split, cost in zip(splits.tolist(), (wcss(0, splits) + wcss(splits, n)).tolist()):
-        if cost < best_cost - 1e-12:
+        if cost < best_cost - tie:
             best_split, best_cost = split, cost
     return np.sort(order[:best_split]), np.sort(order[best_split:])
 

@@ -38,13 +38,13 @@ Aliasing.  Nothing here copies a parameter vector:
 
 * `MlpModel(...)` and `with_params` wrap the given vector or stack;
   `layers[l].weight` and `.bias` are views into it.
-* A `Trace` owns the buffers of one batch shape and holds views of the
-  layers of the model it last ran; handed another model of the layout, it
-  rebinds to that model's views.  Loops that reuse their traces (the
-  generator fit, local training) allocate buffers once per batch shape.
+* A `Trace` serves one model for life: it owns the buffers of one batch
+  shape and holds views of that model's layers, taken when it is built.
+  Loops that reuse their traces (the generator fit, local training) build
+  one per model and batch shape, and allocate its buffers once.
 * `forward_cached` writes every activation into a `Trace` and returns the
-  last one, a view into that trace; pass the trace back in to reuse its
-  buffers for the next batch of the same size.
+  last one, a view into that trace; pass the trace back in, with the same
+  model, to reuse its buffers for the next batch of the same size.
 * `Trace.cross_entropy` writes the logit gradient into the trace's
   buffers and returns it, a view that the next call overwrites.
 * `backprop_through` writes the parameter gradient into `trace.grads` and the
@@ -178,8 +178,8 @@ def init_mlp(
 
 
 class Trace:
-    """Buffers of one pass of a batch through one model layout, and the
-    layer views of the model it runs.
+    """Buffers of one pass of a batch through one model, and that model's
+    layer views.
 
     `shape` is the batch's shape without its feature axis: (rows,), or
     (m, rows) for m stacked models.  `z[l]` and `a[l]` hold layer l's
@@ -192,9 +192,11 @@ class Trace:
 
     `forward`, `cross_entropy` and `backward` are the unchecked passes that
     `forward_cached`, `softmax_cross_entropy` and `backprop_through` run
-    after their checks.  They read the views that `bind` prepared and
-    write only into the trace's buffers, so a loop that calls them over one
-    trace allocates nothing but what it returns to Python.
+    after their checks.  They read the views prepared when the trace was
+    built and write only into the trace's buffers, so a loop that calls
+    them over one trace allocates nothing but what it returns to Python.
+    The trace serves `model` for life: another model, even one over the
+    same parameters, needs its own trace.
     """
 
     def __init__(self, model: MlpModel, shape: Tuple[int, ...]) -> None:
@@ -207,13 +209,9 @@ class Trace:
         self.dz: List[Optional[np.ndarray]] = []
         self.da: List[np.ndarray] = []
         self.ce: Optional[tuple] = None
-        self.bind(model)
-
-    def bind(self, model: MlpModel) -> None:
-        """Run `model`, of the trace's layout, from now on: prepare each
-        layer's (activation, weight, weight.mT, bias, z, a, input) views,
-        where layer 0's input is None for `batch`."""
         self.model = model
+        # Per layer: (activation, weight, weight.mT, bias, z, a, input),
+        # where layer 0's input is None for `batch`.
         inputs = [None, *self.a[:-1]]
         self.steps = [
             (layer.activation, layer.weight, layer.weight.mT, layer.bias, z, a, x)
@@ -295,10 +293,11 @@ def forward_cached(
 ) -> Tuple[np.ndarray, Trace]:
     """Forward pass that keeps every layer's pre-activation and activation.
 
-    Writes into `trace` when it was built for a batch of this shape, and
-    into a new trace otherwise; returns (output, trace), where the output is
-    the trace's last activation buffer.  The trace feeds `backprop_through`;
-    callers that only need outputs should use `forward`.
+    Writes into `trace` when it was built for this model and a batch of
+    this shape, and into a new trace otherwise; returns (output, trace),
+    where the output is the trace's last activation buffer.  The trace
+    feeds `backprop_through`; callers that only need outputs should use
+    `forward`.
     """
     batch = np.asarray(batch, dtype=np.float64)
     lead = model.params.shape[:-1]
@@ -308,10 +307,8 @@ def forward_cached(
         raise ValueError(
             f"batch dim {batch.shape[-1]} does not match model input {model.input_dim}"
         )
-    if trace is None or trace.shape != batch.shape[:-1]:
+    if trace is None or trace.model is not model or trace.shape != batch.shape[:-1]:
         trace = Trace(model, batch.shape[:-1])
-    elif trace.model is not model:
-        trace.bind(model)
     return trace.forward(batch), trace
 
 
@@ -396,10 +393,11 @@ def backprop_through(
     batch); the input gradient lets a second network (the sample generator)
     sit in front of this one.  Either can be skipped, and is then returned as
     None: a frozen network needs no parameter gradient, and the first
-    network of a chain no input gradient.  Both results live in `trace`.
+    network of a chain no input gradient.  Both results live in `trace`,
+    which must be the trace of `model`'s last forward pass.
     """
     if trace.model is not model:
-        trace.bind(model)
+        raise ValueError("the trace ran another model")
     return trace.backward(dout, param_grads, input_grad)
 
 

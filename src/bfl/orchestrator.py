@@ -155,26 +155,24 @@ def local_training(
     labels = np.concatenate([shards[k].labels for k in plan.rows])
     params = np.tile(global_vector, (len(shards), 1))
     state = nn.init_momentum(template.with_params(params))
-    views: Dict[Tuple[int, int], Tuple[nn.MlpModel, nn.SgdState]] = {}
-    traces: Dict[Tuple[int, ...], nn.Trace] = {}
+    # Per (run, batch width): a trace of the run's view of the stack, and
+    # the run's view of the momentum state.
+    passes: Dict[Tuple[Tuple[int, int], int], Tuple[nn.Trace, nn.SgdState]] = {}
     for runs in plan.steps:
         for run, sel, real in runs:
-            if run not in views:
-                views[run] = (
-                    template.with_params(params[slice(*run)]),
-                    nn.SgdState(state.velocity[slice(*run)], state.scratch[slice(*run)]),
+            key = (run, sel.shape[1])
+            if key not in passes:
+                rows = slice(*run)
+                passes[key] = (
+                    nn.Trace(template.with_params(params[rows]), sel.shape),
+                    nn.SgdState(state.velocity[rows], state.scratch[rows]),
                 )
-            model, sgd = views[run]
-            trace = traces.get(sel.shape)
-            if trace is None:
-                trace = traces[sel.shape] = nn.Trace(model, sel.shape)
-            elif trace.model is not model:
-                trace.bind(model)
+            trace, sgd = passes[key]
             # The plan fixes every shape, so the unchecked passes run.
             trace.forward(feats[sel])
             _, dout = trace.cross_entropy(labels[sel], real)
             grads, _ = trace.backward(dout, input_grad=False)
-            nn.sgd_step(model, grads, sgd_cfg, sgd)
+            nn.sgd_step(trace.model, grads, sgd_cfg, sgd)
     params -= global_vector
     return params[np.argsort(plan.rows)]
 
@@ -409,7 +407,7 @@ def run_experiment(cfg: ExperimentConfig, schedule: Optional[Schedule] = None) -
             gen, gan_iters = defense.train_generator(
                 classifier, cfg.defense, cfg.seed, t, schedule.lo, schedule.hi
             )
-            probe = defense.synthesize(gen, cfg.defense.q, cfg.seed, t)
+            probe = defense.synthesize(gen, cfg.defense, cfg.seed, t, schedule.lo, schedule.hi)
             scores = defense.score_updates(candidates, template, probe, cfg.defense.metric)
             rows = defense.filter_updates(scores, cfg.defense.filter, cfg.defense.tau)
         else:

@@ -121,20 +121,25 @@ def generator_fit(
     round_index: int,
     out_lo: np.ndarray,
     out_hi: np.ndarray,
-) -> Tuple[defense.GeneratorModel, int, List[float]]:
+) -> Tuple[nn.MlpModel, int, List[float]]:
     """`defense.train_generator` composed from the public, checked passes:
-    `forward_cached`, `softmax_cross_entropy`, `backprop_through` twice and
-    `sgd_step`, with the same draws and buffers reused across iterations
-    only through the traces.  The stopping rules are applied to the full
+    a generator built by `init_mlp` from the GEN_INIT stream, then per
+    iteration `forward_cached`, the box mapping written out,
+    `softmax_cross_entropy`, `backprop_through` twice and `sgd_step`, with
+    the same draws and buffers reused across iterations only through the
+    traces.  The stopping rules are applied to the full
     list of losses, which is returned too: the loss stop to its trailing
     window, the plateau stop to the means of its non-overlapping windows
     (`plateau_reached`)."""
     train_rng = substream(master_seed, GEN_TRAIN, round_index)
-    gen = defense.new_generator(
-        classifier, cfg, substream(master_seed, GEN_INIT, round_index), out_lo, out_hi
+    classes = classifier.output_dim
+    gen = nn.init_mlp(
+        [cfg.noise_dim + classes, *defense.GEN_HIDDEN, classifier.input_dim], "relu",
+        substream(master_seed, GEN_INIT, round_index), out_activation="tanh",
     )
+    half = 0.5 * (out_hi - out_lo)
     sgd = nn.SgdConfig(learning_rate=cfg.gen_lr, momentum=0.9, weight_decay=0.0)
-    state = nn.init_momentum(gen.backbone)
+    state = nn.init_momentum(gen)
     patience = cfg.early_stop_patience
     losses = []
     noise = np.empty((defense.GEN_BATCH, cfg.noise_dim))
@@ -142,16 +147,14 @@ def generator_fit(
     iterations = 0
     for iterations in range(1, cfg.gen_max_iter + 1):
         train_rng.standard_normal(out=noise)
-        labels = train_rng.integers(0, classifier.output_dim, size=defense.GEN_BATCH)
-        cond = np.hstack([noise, np.eye(classifier.output_dim)[labels]])
-        raw, gen_trace = nn.forward_cached(gen.backbone, cond, gen_trace)
-        logits, cls_trace = nn.forward_cached(classifier, gen._scale(raw), cls_trace)
+        labels = train_rng.integers(0, classes, size=defense.GEN_BATCH)
+        cond = np.hstack([noise, np.eye(classes)[labels]])
+        raw, gen_trace = nn.forward_cached(gen, cond, gen_trace)
+        logits, cls_trace = nn.forward_cached(classifier, out_lo + half * (raw + 1.0), cls_trace)
         loss, dlogits = nn.softmax_cross_entropy(logits, labels)
         _, dsynth = nn.backprop_through(classifier, cls_trace, dlogits, param_grads=False)
-        grads, _ = nn.backprop_through(
-            gen.backbone, gen_trace, dsynth * gen.half, input_grad=False
-        )
-        nn.sgd_step(gen.backbone, grads, sgd, state)
+        grads, _ = nn.backprop_through(gen, gen_trace, dsynth * half, input_grad=False)
+        nn.sgd_step(gen, grads, sgd, state)
         losses.append(loss)
         if iterations >= patience and sum(losses[-patience:]) / patience < cfg.early_stop_loss:
             break

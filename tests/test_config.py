@@ -322,6 +322,24 @@ def test_non_finite_reals_exit_2_at_load(tmp_path, capsys, value, section, field
     assert not out.exists()
 
 
+@pytest.mark.parametrize("metric, tau", [("loss", 0.5), ("loss", 0.0), ("accuracy", 1.0), ("accuracy", 1.5)])
+def test_fixed_threshold_that_no_score_can_pass_exits_2_at_load(tmp_path, capsys, metric, tau):
+    # Loss scores are at most 0 and accuracies at most 1: such a threshold
+    # would reject every client in every round.
+    message = f"defense: tau: a fixed threshold of {tau:g} rejects every {metric} score, none of which exceeds "
+    cell = {"rounds": 1, "defense": {"filter": "fixed", "metric": metric, "tau": tau}}
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        config_from_dict(cell)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cell))
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: " + message)
+    # Just below the best score, and under the other filters, tau is fine.
+    below = -1e-300 if metric == "loss" else 0.999
+    assert config_from_dict({"defense": {"filter": "fixed", "metric": metric, "tau": below}})
+    assert config_from_dict({"defense": {"filter": "adaptive", "metric": metric, "tau": tau}})
+
+
 def test_non_finite_reals_in_a_list_name_their_index():
     with pytest.raises(ConfigError, match=r"^attack\.gamma_grid\[1\]: expected a finite number, got nan$"):
         config_from_dict({"attack": {"kind": "ipm", "gamma_grid": [1.0, float("nan")]}})

@@ -34,6 +34,12 @@ def sector_classifier():
     return nn.MlpModel((2, 3), ("identity",), np.concatenate([w.ravel(), np.zeros(3)]))
 
 
+def untrained_generator(cls, rng, cfg=DefenseConfig()):
+    """A generator of `train_generator`'s shape for `cls`, drawn from `rng`."""
+    dims = [cfg.noise_dim + cls.output_dim, *defense.GEN_HIDDEN, cls.input_dim]
+    return nn.init_mlp(dims, "relu", rng, out_activation="tanh")
+
+
 def test_defense_config_validation():
     with pytest.raises(ValueError):
         DefenseConfig(q=0)
@@ -52,8 +58,8 @@ def test_generator_output_respects_box():
     cls = make_classifier(rng)
     lo = np.array([-2.0, 0.0])
     hi = np.array([3.0, 1.0])
-    gen = defense.new_generator(cls, DefenseConfig(), rng, lo, hi)
-    probe = defense.synthesize(gen, 100, master_seed=0, round_index=1)
+    gen = untrained_generator(cls, rng)
+    probe = defense.synthesize(gen, DefenseConfig(q=100), 0, 1, lo, hi)
     out = probe.features
     assert out.shape == (300, 2)
     np.testing.assert_array_equal(probe.labels, np.repeat([0, 1, 2], 100))
@@ -65,10 +71,10 @@ def test_generator_scaling_maps_tanh_extremes_to_box_edges():
     cls = make_classifier(rng)
     lo = np.array([-1.0, 2.0])
     hi = np.array([1.0, 6.0])
-    gen = defense.new_generator(cls, DefenseConfig(), rng, lo, hi)
-    np.testing.assert_allclose(gen._scale(np.array([[-1.0, -1.0]])), [[-1.0, 2.0]])
-    np.testing.assert_allclose(gen._scale(np.array([[1.0, 1.0]])), [[1.0, 6.0]])
-    np.testing.assert_allclose(gen._scale(np.array([[0.0, 0.0]])), [[0.0, 4.0]])
+    half = 0.5 * (hi - lo)
+    np.testing.assert_allclose(defense._to_box(np.array([[-1.0, -1.0]]), lo, half), [[-1.0, 2.0]])
+    np.testing.assert_allclose(defense._to_box(np.array([[1.0, 1.0]]), lo, half), [[1.0, 6.0]])
+    np.testing.assert_allclose(defense._to_box(np.array([[0.0, 0.0]]), lo, half), [[0.0, 4.0]])
 
 
 def test_train_generator_converges_on_sharp_classifier():
@@ -79,7 +85,8 @@ def test_train_generator_converges_on_sharp_classifier():
     hi = np.array([4.0, 4.0])
     gen, iters = defense.train_generator(cls, cfg, master_seed=5, round_index=1, out_lo=lo, out_hi=hi)
     assert iters < cfg.gen_max_iter
-    probe = defense.synthesize(gen, 64, master_seed=5, round_index=1)
+    assert isinstance(gen, nn.MlpModel) and gen.activations[-1] == "tanh"
+    probe = defense.synthesize(gen, cfg, 5, 1, lo, hi)
     logits = nn.forward(cls, probe.features)
     agreement = (logits.argmax(axis=1) == probe.labels).mean()
     assert agreement > 0.9
@@ -93,13 +100,9 @@ def test_train_generator_deterministic():
     g1, i1 = defense.train_generator(cls, cfg, 9, 2, lo, hi)
     g2, i2 = defense.train_generator(cls, cfg, 9, 2, lo, hi)
     assert i1 == i2
-    np.testing.assert_array_equal(
-        g1.backbone.params, g2.backbone.params
-    )
+    np.testing.assert_array_equal(g1.params, g2.params)
     g3, _ = defense.train_generator(cls, cfg, 9, 3, lo, hi)
-    assert not np.array_equal(
-        g1.backbone.params, g3.backbone.params
-    )
+    assert not np.array_equal(g1.params, g3.params)
 
 
 @given(
@@ -143,7 +146,7 @@ def test_train_generator_matches_composed_reference_fit(
         gen, iters = defense.train_generator(classifier, cfg, seed, 3, lo, hi)
         ref, ref_iters, _ = nn_oracles.generator_fit(classifier, cfg, seed, 3, lo, hi)
     assert iters == ref_iters
-    assert gen.backbone.params.tobytes() == ref.backbone.params.tobytes()
+    assert gen.params.tobytes() == ref.params.tobytes()
 
 
 def test_train_generator_against_nan_classifier_stops_after_plateau_windows():
@@ -160,15 +163,16 @@ def test_train_generator_against_nan_classifier_stops_after_plateau_windows():
 def test_synthesize_balanced_and_deterministic():
     rng = np.random.default_rng(6)
     cls = make_classifier(rng)
-    gen = defense.new_generator(cls, DefenseConfig(), rng, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    ds = defense.synthesize(gen, 17, master_seed=1, round_index=4)
+    gen = untrained_generator(cls, rng)
+    cfg, lo, hi = DefenseConfig(q=17), np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    ds = defense.synthesize(gen, cfg, 1, 4, lo, hi)
     assert len(ds) == 51
     np.testing.assert_array_equal(np.bincount(ds.labels), [17, 17, 17])
     # class blocks in order
     np.testing.assert_array_equal(ds.labels[:17], 0)
-    again = defense.synthesize(gen, 17, master_seed=1, round_index=4)
+    again = defense.synthesize(gen, cfg, 1, 4, lo, hi)
     np.testing.assert_array_equal(ds.features, again.features)
-    other = defense.synthesize(gen, 17, master_seed=1, round_index=5)
+    other = defense.synthesize(gen, cfg, 1, 5, lo, hi)
     assert not np.array_equal(ds.features, other.features)
 
 
@@ -191,8 +195,8 @@ def test_eval_update_accuracy_and_loss_orientation():
 
 
 def _probe(rng, cls):
-    gen = defense.new_generator(cls, DefenseConfig(), rng, np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
-    return defense.synthesize(gen, 8, master_seed=3, round_index=1)
+    gen = untrained_generator(cls, rng)
+    return defense.synthesize(gen, DefenseConfig(q=8), 3, 1, np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
 
 
 def test_score_updates_keeps_row_order_and_negates_loss():
@@ -293,6 +297,14 @@ def test_kmeans_1d_two_all_equal_prefers_large_upper_cluster():
     # best scorer does, so the lone lower member is the highest row.
     lower, upper = defense.kmeans_1d_two(np.ones(4))
     assert (lower.tolist(), upper.tolist()) == ([3], [0, 1, 2])
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6, 1e150])
+def test_kmeans_1d_two_splits_scaled_scores_alike(scale):
+    # An absolute tie tolerance, 1e-12, would count every split cost as
+    # tied at scale 1e-6 and below, and keep the first split, {0} | rest.
+    lower, upper = defense.kmeans_1d_two(np.array([0.1, 0.11, 0.5, 0.51, 0.52]) * scale)
+    assert (lower.tolist(), upper.tolist()) == ([0, 1], [2, 3, 4])
 
 
 def test_kmeans_1d_two_needs_two_points():
@@ -423,23 +435,39 @@ SCORE_LISTS = st.lists(
 @example(scores=OVERFLOW_SCORES, tau=0.0)
 @example(scores=[-1e308, -1e308, 0.5], tau=0.0)
 @example(scores=[0.0, -0.0, 0.0, 1.0], tau=0.0)
+# The reference's absolute tie tolerance, 1e-12, dwarfs every cost here and
+# keeps its first split, {0} | {0, 2.6e-142}; the split {0, 0} | {2.6e-142}
+# costs nothing.
+@example(scores=[0.0, 0.0, 2.59800187740703e-142], tau=0.0)
 @given(scores=SCORE_LISTS, tau=st.floats(-10.0, 10.0))
 def test_row_filters_match_the_id_keyed_reference(scores, tau):
     finite = [s for s in scores if math.isfinite(s)]
     overflows = not math.isfinite(sum(s * s for s in finite))
     for policy in defense.FILTER_KINDS:
         got = kept(scores, policy, tau)
-        if policy == "cluster" and overflows and len(set(finite)) > 1:
+        split = policy == "cluster" and len(set(finite)) > 1
+        upper = [scores[r] for r in got]
+        lower = [s for r, s in enumerate(scores) if math.isfinite(s) and r not in got]
+        if split and overflows:
             # The reference's costs are NaN here, so the exact split judges.
-            upper = [scores[r] for r in got]
-            lower = [s for r, s in enumerate(scores) if math.isfinite(s) and r not in got]
             assert lower and max(lower) <= min(upper)
             top = max(map(abs, finite))
             excess = nn_oracles.exact_wcss(lower, upper) - nn_oracles.exact_min_wcss(finite)
             assert excess <= Fraction(1e-9) * Fraction(top) ** 2, (scores, got)
             continue
         entries = [nn_oracles.ScoreEntry(i, s, s) for i, s in enumerate(scores)]
-        assert got == sorted(nn_oracles.filter_updates(entries, policy, tau)), (policy, scores)
+        want = sorted(nn_oracles.filter_updates(entries, policy, tau))
+        if split and got != want:
+            # The two tie tolerances differ, one relative and one absolute:
+            # the exact costs judge, and the row filter's split must cost no
+            # more than the reference's.
+            ref_upper = [scores[r] for r in want]
+            ref_lower = [s for r, s in enumerate(scores) if math.isfinite(s) and r not in want]
+            assert lower and max(lower) <= min(upper)
+            assert nn_oracles.exact_wcss(lower, upper) <= nn_oracles.exact_wcss(ref_lower, ref_upper), (
+                scores, got, want)
+            continue
+        assert got == want, (policy, scores)
 
 
 def test_filter_updates_unknown_policy():

@@ -153,14 +153,14 @@ def test_train_generator_bits():
     classifier = template.with_params(vector + delta)
     gen, iters = defense.train_generator(classifier, DefenseConfig(), SEED, 4, lo, hi)
     assert iters == GEN_ITERS
-    assert digest(gen.backbone.params) == GEN_PARAMS
+    assert digest(gen.params) == GEN_PARAMS
 
 
 def test_probe_bits():
     template, vector, delta, lo, hi = _trained_classifier()
     classifier = template.with_params(vector + delta)
     gen, _ = defense.train_generator(classifier, DefenseConfig(), SEED, 4, lo, hi)
-    probe = defense.synthesize(gen, DefenseConfig().q, SEED, 4)
+    probe = defense.synthesize(gen, DefenseConfig(), SEED, 4, lo, hi)
     assert (digest(probe.features), digest(probe.labels, "<i8")) == PROBE
 
 
@@ -178,7 +178,7 @@ def test_capped_generator_fit_bits():
     classifier = template.with_params(vector + delta)
     gen, iters = defense.train_generator(classifier, CAPPED_CFG, SEED, 5, lo, hi)
     assert iters == CAPPED_CFG.gen_max_iter
-    assert digest(gen.backbone.params) == CAPPED_PARAMS
+    assert digest(gen.params) == CAPPED_PARAMS
 
 
 def test_plateau_generator_fit_bits():
@@ -187,7 +187,7 @@ def test_plateau_generator_fit_bits():
     cfg = DefenseConfig()
     gen, iters = defense.train_generator(classifier, cfg, SEED, 4, lo, hi)
     assert iters == PLATEAU_ITERS < cfg.gen_max_iter
-    assert digest(gen.backbone.params) == PLATEAU_PARAMS
+    assert digest(gen.params) == PLATEAU_PARAMS
     # It stopped on the plateau, not on the loss: the last window's mean is
     # still above the loss stop.
     _, _, losses = nn_oracles.generator_fit(classifier, cfg, SEED, 4, lo, hi)

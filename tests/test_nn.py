@@ -49,6 +49,35 @@ def test_forward_cached_agrees_with_forward():
     assert len(trace.z) == 3
 
 
+def test_forward_cached_builds_a_fresh_trace_for_another_model():
+    # A trace serves one model: handed another model's trace, even one of
+    # the same layout over the same vector, forward_cached leaves it alone.
+    rng = np.random.default_rng(12)
+    model = nn.init_mlp([3, 7, 2], "relu", rng)
+    x = rng.standard_normal((6, 3))
+    _, trace = nn.forward_cached(model, x)
+    kept = [a.copy() for a in trace.a]
+    for other in (model.with_params(model.params), model.with_params(model.params * 2.0)):
+        out, fresh = nn.forward_cached(other, x, trace)
+        assert fresh is not trace and fresh.model is other
+        np.testing.assert_array_equal(out, nn.forward(other, x))
+        assert all(np.array_equal(a, b) for a, b in zip(trace.a, kept))
+    assert nn.forward_cached(model, x, trace)[1] is trace
+
+
+def test_backprop_through_rejects_another_models_trace():
+    # Its activations came from the other model's weights.
+    rng = np.random.default_rng(13)
+    model = nn.init_mlp([3, 7, 2], "relu", rng)
+    x = rng.standard_normal((6, 3))
+    out, trace = nn.forward_cached(model, x)
+    _, dout = nn.softmax_cross_entropy(out, rng.integers(0, 2, size=6))
+    with pytest.raises(ValueError, match="another model"):
+        nn.backprop_through(model.with_params(model.params.copy()), trace, dout)
+    grads, _ = nn.backprop_through(model, trace, dout)
+    assert grads.shape == model.params.shape
+
+
 def test_softmax_cross_entropy_matches_logsumexp():
     rng = np.random.default_rng(5)
     logits = rng.standard_normal((8, 4)) * 3.0

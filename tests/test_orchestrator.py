@@ -349,14 +349,22 @@ def test_ipm_cell_with_every_sampled_client_compromised_completes():
     assert len(report.rounds[0].malicious_sampled) == 5
 
 
-def test_reject_all_round_carries_weights_forward():
-    # accuracy scores live in [0, 1], so a fixed threshold of 1.5 rejects
-    # every candidate and the global model must never move
+def test_reject_all_round_carries_weights_forward(monkeypatch):
+    # A filter that keeps no row rejects every candidate, and the global
+    # model must never move.
+    offered = []
+
+    def keep_none(scores, *args):
+        offered.append(len(scores))
+        return np.array([], dtype=np.intp)
+
+    monkeypatch.setattr(defense, "filter_updates", keep_none)
     cfg = small_config(
         rounds=3,
-        defense={"filter": "fixed", "tau": 1.5, "q": 9, "gen_max_iter": 30},
+        defense={"filter": "fixed", "tau": 0.5, "q": 9, "gen_max_iter": 30},
     )
     report = orchestrator.run_experiment(cfg)
+    assert offered == [3, 3, 3]
     accs = [rec.acc for rec in report.rounds]
     for rec in report.rounds:
         assert rec.accepted == []

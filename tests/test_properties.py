@@ -44,7 +44,9 @@ def make_cell(kind, policy, aggregator, metric, seed=0, rounds=2, clients=6, sam
         "dataset": {"per_class": 24},
         "attack": attack,
         "aggregator": {"kind": aggregator},
-        "defense": {"filter": policy, "metric": metric, "q": q, "gen_max_iter": gen_max_iter},
+        # Loss scores are at most 0, so the fixed filter's threshold is below.
+        "defense": {"filter": policy, "metric": metric, "q": q, "gen_max_iter": gen_max_iter,
+                    **({"tau": -1.0} if (policy, metric) == ("fixed", "loss") else {})},
     }
 
 

@@ -21,7 +21,6 @@ rows of the round's update matrix survive to aggregation.
 from __future__ import annotations
 
 import collections
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -252,45 +251,44 @@ def score_updates(
     return np.where(np.isfinite(scores), scores, -np.inf)
 
 
+def _exact(values: np.ndarray) -> list[int]:
+    """The finite `values` as Python ints over one common power-of-two
+    denominator, so that their sums, products and comparisons are exact."""
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    den = max(d for _, d in ratios)
+    return [p * (den // d) for p, d in ratios]
+
+
 def kmeans_1d_two(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact two-cluster split of scalar scores, minimizing within-cluster
-    sum of squares.
+    """Exact two-cluster split of finite scalar scores, minimizing
+    within-cluster sum of squares.
 
     Ranks the scores and scans every split position; with sorted data the
     optimal 2-means partition is always such a prefix/suffix split, so the
     scan is exhaustive.  Equal scores rank by descending row, so among them
     the lowest row counts as the highest score, as the cluster filter's best
-    scorer does.  WCSS ties break toward the first split, which puts more
-    members alongside the highest score (the smaller lower cluster); costs
-    within 1e-12 times the unsplit cost count as tied, so scaling every
-    score by one factor splits them alike.  When the squares of the scores
-    overflow, the scan runs on the scores divided by their largest
-    magnitude.  Returns (lower rows, upper rows), each ascending.
+    scorer does.  Splitting the n ranked scores after the k-th lowers the
+    WCSS by (n * S_k - k * S)**2 / (n * k * (n - k)), with S_k the sum of
+    the k lowest and S the sum of all; the scan compares these terms in
+    integer arithmetic, so no rounding, overflow or cancellation touches
+    the decision and no tolerance is needed.  Exact ties break toward the
+    first split, which puts more members alongside the highest score (the
+    smaller lower cluster).  Returns (lower rows, upper rows), each
+    ascending.
     """
     n = len(values)
     if n < 2:
         raise ValueError("need at least two points to cluster")
     order = np.lexsort((-np.arange(n), values))
-    ranked = values[order]
-    with np.errstate(over="ignore"):
-        prefix_sq = np.concatenate([[0.0], np.cumsum(ranked * ranked)])
-    if not math.isfinite(prefix_sq[-1]):
-        ranked = ranked / np.abs(ranked).max()
-        prefix_sq = np.concatenate([[0.0], np.cumsum(ranked * ranked)])
-    prefix = np.concatenate([[0.0], np.cumsum(ranked)])
-
-    def wcss(lo, hi):
-        # Sum of squared deviations of ranked[lo:hi] around their mean.
-        s = prefix[hi] - prefix[lo]
-        ss = prefix_sq[hi] - prefix_sq[lo]
-        return ss - s * s / (hi - lo)
-
-    splits = np.arange(1, n)
-    tie = 1e-12 * abs(float(wcss(0, n)))
-    best_split, best_cost = 1, math.inf
-    for split, cost in zip(splits.tolist(), (wcss(0, splits) + wcss(splits, n)).tolist()):
-        if cost < best_cost - tie:
-            best_split, best_cost = split, cost
+    ranked = _exact(values[order])
+    total = sum(ranked)
+    best_split, best_num, best_den = 1, -1, 1
+    prefix = 0
+    for k, v in enumerate(ranked[:-1], 1):
+        prefix += v
+        num, den = (n * prefix - k * total) ** 2, k * (n - k)
+        if num * best_den > best_num * den:
+            best_split, best_num, best_den = k, num, den
     return np.sort(order[:best_split]), np.sort(order[best_split:])
 
 
@@ -302,14 +300,16 @@ def filter_updates(scores: np.ndarray, policy: str, tau: float) -> np.ndarray:
     only the finite scores:
 
     fixed:     keep scores strictly above the constant threshold tau.
-    adaptive:  keep scores strictly above their mean (which does not
-               overflow while the scores are finite).
-    cluster:   exact two-means over scores; keep the upper cluster, which
-               holds the best-scoring row (the lowest row among ties).
+    adaptive:  keep scores strictly above their mean, compared in exact
+               integer arithmetic (n * score > sum), so no rounding or
+               overflow moves the threshold.
+    cluster:   exact two-means over scores (`kmeans_1d_two`); keep the upper
+               cluster, which holds the best-scoring row (the lowest row
+               among ties).
     adaptive and cluster keep every finite score when they are all equal
-    (a lone one included).  Any policy rejects everyone when no score is
-    finite; fixed, and adaptive where rounding lifts the mean to the top
-    score, may reject everyone otherwise too.
+    (a lone one included), and otherwise keep at least the best one.  Any
+    policy rejects everyone when no score is finite; fixed may reject
+    everyone otherwise too.
     """
     if policy not in FILTER_KINDS:
         raise ValueError(f"unknown filter {policy!r}")
@@ -320,10 +320,7 @@ def filter_updates(scores: np.ndarray, policy: str, tau: float) -> np.ndarray:
     if np.all(finite == finite[:1]):  # none, or all equal to the first
         return rows
     if policy == "adaptive":
-        # Where the sum of finite scores overflows, the scores divided by the
-        # largest magnitude cannot; elsewhere `top` is 1 and changes no bit.
-        listed = finite.tolist()
-        top = 1.0 if math.isfinite(sum(listed)) else max(map(abs, listed))
-        mean = top * (sum(s / top for s in listed) / len(listed))
-        return rows[finite > mean]
+        exact = _exact(finite)
+        total, n = sum(exact), len(exact)
+        return rows[[n * s > total for s in exact]]
     return rows[kmeans_1d_two(finite)[1]]

@@ -3,22 +3,19 @@ built on it.
 
 Each one favors obviousness over speed: an explicit triple loop, finite
 differences, a closed form, an SGD step one layer at a time, one client
-trained at a time, a generator fit
-composed from the checked public passes, an exhaustive two-means split, an
-exact rational one, the id-keyed filters that the row-indexed ones replaced,
-the IPM line-search objective spelled out.  The aggregation oracles that
-`bfl oracle` replays stay in `bfl.oracles`.
+trained at a time, a generator fit composed from the checked public passes,
+an exhaustive two-means split, an exact rational one, the IPM line-search
+objective spelled out.  The aggregation oracles that `bfl oracle` replays
+stay in `bfl.oracles`.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from bfl import defense, nn
-from bfl.defense import FILTER_KINDS
 from bfl.rng import GEN_INIT, GEN_TRAIN, substream
 
 
@@ -217,100 +214,6 @@ def exact_min_wcss(values: Sequence[float]) -> Fraction:
     """The least `exact_wcss` over every split of the sorted values."""
     ordered = sorted(float(v) for v in values)
     return min(exact_wcss(ordered[:k], ordered[k:]) for k in range(1, len(ordered)))
-
-
-# The id-keyed filters, as `bfl.defense` had them before its filters took
-# and returned rows: `filter_updates` over these entries returns the ids
-# that the row-indexed filter must return as rows.
-
-
-@dataclass
-class ScoreEntry:
-    client_id: int
-    raw_metric: float  # accuracy or mean cross-entropy on the probe set
-    score: float  # oriented so that higher always means more trustworthy
-    accepted: bool = False
-
-
-def kmeans_1d_two(
-    points: Sequence[Tuple[int, float]]
-) -> Tuple[List[int], List[int]]:
-    """Exact two-cluster split of scalar scores, minimizing within-cluster
-    sum of squares.
-
-    Sorts the points and scans every split position; with sorted data the
-    optimal 2-means partition is always such a prefix/suffix split, so the
-    scan is exhaustive.  Equal scores sort by descending id, so among them
-    the lowest id counts as the highest score, as the cluster filter's best
-    scorer does.  WCSS ties break toward the split putting more members
-    alongside the highest score (the smaller lower cluster).
-    Returns (lower ids, upper ids).
-    """
-    if len(points) < 2:
-        raise ValueError("need at least two points to cluster")
-    order = sorted(points, key=lambda p: (p[1], -p[0]))
-    values = np.array([p[1] for p in order], dtype=np.float64)
-    n = len(values)
-    prefix = np.concatenate([[0.0], np.cumsum(values)])
-    prefix_sq = np.concatenate([[0.0], np.cumsum(values * values)])
-
-    def wcss(lo: int, hi: int) -> float:
-        # Sum of squared deviations of values[lo:hi] around their mean.
-        s = prefix[hi] - prefix[lo]
-        ss = prefix_sq[hi] - prefix_sq[lo]
-        return ss - s * s / (hi - lo)
-
-    best_split = 1
-    best_cost = np.inf
-    for split in range(1, n):
-        cost = wcss(0, split) + wcss(split, n)
-        if cost < best_cost - 1e-12 or (
-            abs(cost - best_cost) <= 1e-12 and split < best_split
-        ):
-            best_cost = cost
-            best_split = split
-    lower = sorted(p[0] for p in order[:best_split])
-    upper = sorted(p[0] for p in order[best_split:])
-    return lower, upper
-
-
-def filter_updates(
-    entries: Sequence[ScoreEntry], policy: str, tau: float
-) -> Set[int]:
-    """Decide which client ids survive, marking entries in place.
-
-    A non-finite score is rejected under every policy, and the others see
-    only the finite scores:
-
-    fixed:     keep scores strictly above the constant threshold tau.
-    adaptive:  keep scores strictly above their mean (which does not
-               overflow while the scores are finite).
-    cluster:   exact two-means over scores; keep the upper cluster, which
-               holds the best-scoring client (the lowest id among ties).
-    adaptive and cluster keep every finite score when they are all equal
-    (a lone one included).  Any policy rejects everyone when no score is
-    finite; fixed, and adaptive where rounding lifts the mean to the top
-    score, may reject everyone otherwise too.
-    """
-    if policy not in FILTER_KINDS:
-        raise ValueError(f"unknown filter {policy!r}")
-    finite = [e for e in entries if math.isfinite(e.score)]
-    scores = [e.score for e in finite]
-    if policy == "fixed":
-        accepted = {e.client_id for e in finite if e.score > tau}
-    elif len(set(scores)) < 2:
-        accepted = {e.client_id for e in finite}
-    elif policy == "adaptive":
-        # Where the sum of finite scores overflows, the scores divided by the
-        # largest magnitude cannot; elsewhere `top` is 1 and changes no bit.
-        top = 1.0 if math.isfinite(sum(scores)) else max(map(abs, scores))
-        mean = top * (sum(s / top for s in scores) / len(scores))
-        accepted = {e.client_id for e in finite if e.score > mean}
-    else:
-        accepted = set(kmeans_1d_two([(e.client_id, e.score) for e in finite])[1])
-    for e in entries:
-        e.accepted = e.client_id in accepted
-    return accepted
 
 
 def surrogate_loss_per_gamma(

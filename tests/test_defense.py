@@ -299,11 +299,18 @@ def test_kmeans_1d_two_all_equal_prefers_large_upper_cluster():
     assert (lower.tolist(), upper.tolist()) == ([3], [0, 1, 2])
 
 
-@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6, 1e150])
-def test_kmeans_1d_two_splits_scaled_scores_alike(scale):
+@pytest.mark.parametrize(
+    "scale, shift",
+    [(1e-9, 0.0), (1e-6, 0.0), (1.0, 0.0), (1e6, 0.0), (1e150, 0.0), (1e-9, 2.3), (1e-6, 100.0)],
+    ids=["1e-09", "1e-06", "1.0", "1000000.0", "1e+150", "1e-09+2.3", "1e-06+100"],
+)
+def test_kmeans_1d_two_splits_scaled_scores_alike(scale, shift):
     # An absolute tie tolerance, 1e-12, would count every split cost as
     # tied at scale 1e-6 and below, and keep the first split, {0} | rest.
-    lower, upper = defense.kmeans_1d_two(np.array([0.1, 0.11, 0.5, 0.51, 0.52]) * scale)
+    # Sums of squares of the shifted scores lose the spread's bits to
+    # cancellation, and split them {0} | rest too.
+    scores = np.array([0.1, 0.11, 0.5, 0.51, 0.52]) * scale + shift
+    lower, upper = defense.kmeans_1d_two(scores)
     assert (lower.tolist(), upper.tolist()) == ([0, 1], [2, 3, 4])
 
 
@@ -431,43 +438,53 @@ SCORE_LISTS = st.lists(
 ).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12))
 
 
+def exact_filter(scores, policy, tau):
+    """The rows that `policy` keeps, from its definition in rational
+    arithmetic: nothing rounds, overflows or cancels."""
+    rows = [r for r, s in enumerate(scores) if math.isfinite(s)]
+    exact = {r: Fraction(scores[r]) for r in rows}
+    if policy == "fixed":
+        return [r for r in rows if scores[r] > tau]
+    if len(set(exact.values())) < 2:
+        return rows
+    if policy == "adaptive":
+        total = sum(exact.values())
+        return [r for r in rows if len(rows) * exact[r] > total]
+    # Equal scores rank by descending row; the first split of least WCSS.
+    ranked = sorted(rows, key=lambda r: (exact[r], -r))
+    ordered = [scores[r] for r in ranked]
+    least = nn_oracles.exact_min_wcss(ordered)
+    k = next(k for k in range(1, len(ordered))
+             if nn_oracles.exact_wcss(ordered[:k], ordered[k:]) == least)
+    return sorted(ranked[k:])
+
+
 @settings(max_examples=300)
 @example(scores=OVERFLOW_SCORES, tau=0.0)
 @example(scores=[-1e308, -1e308, 0.5], tau=0.0)
 @example(scores=[0.0, -0.0, 0.0, 1.0], tau=0.0)
-# The reference's absolute tie tolerance, 1e-12, dwarfs every cost here and
-# keeps its first split, {0} | {0, 2.6e-142}; the split {0, 0} | {2.6e-142}
-# costs nothing.
+# An absolute tie tolerance of 1e-12 dwarfs every cost here and keeps the
+# first split, {0} | {0, 2.6e-142}; the split {0, 0} | {2.6e-142} costs
+# nothing.
 @example(scores=[0.0, 0.0, 2.59800187740703e-142], tau=0.0)
+# The float mean of these rounds up to the top score.
+@example(scores=[1.0 - 2.0**-53, 1.0, 1.0], tau=0.0)
 @given(scores=SCORE_LISTS, tau=st.floats(-10.0, 10.0))
-def test_row_filters_match_the_id_keyed_reference(scores, tau):
-    finite = [s for s in scores if math.isfinite(s)]
-    overflows = not math.isfinite(sum(s * s for s in finite))
+def test_row_filters_match_their_exact_definitions(scores, tau):
     for policy in defense.FILTER_KINDS:
-        got = kept(scores, policy, tau)
-        split = policy == "cluster" and len(set(finite)) > 1
-        upper = [scores[r] for r in got]
-        lower = [s for r, s in enumerate(scores) if math.isfinite(s) and r not in got]
-        if split and overflows:
-            # The reference's costs are NaN here, so the exact split judges.
-            assert lower and max(lower) <= min(upper)
-            top = max(map(abs, finite))
-            excess = nn_oracles.exact_wcss(lower, upper) - nn_oracles.exact_min_wcss(finite)
-            assert excess <= Fraction(1e-9) * Fraction(top) ** 2, (scores, got)
-            continue
-        entries = [nn_oracles.ScoreEntry(i, s, s) for i, s in enumerate(scores)]
-        want = sorted(nn_oracles.filter_updates(entries, policy, tau))
-        if split and got != want:
-            # The two tie tolerances differ, one relative and one absolute:
-            # the exact costs judge, and the row filter's split must cost no
-            # more than the reference's.
-            ref_upper = [scores[r] for r in want]
-            ref_lower = [s for r, s in enumerate(scores) if math.isfinite(s) and r not in want]
-            assert lower and max(lower) <= min(upper)
-            assert nn_oracles.exact_wcss(lower, upper) <= nn_oracles.exact_wcss(ref_lower, ref_upper), (
-                scores, got, want)
-            continue
-        assert got == want, (policy, scores)
+        assert kept(scores, policy, tau) == exact_filter(scores, policy, tau), (policy, scores)
+
+
+@settings(max_examples=300)
+@example(scores=OVERFLOW_SCORES)
+@example(scores=[-1e308, -1e308, 0.5])
+# The float mean of these rounds up to the top score, which is then not
+# strictly above it.
+@example(scores=[1.0 - 2.0**-53, 1.0, 1.0])
+@given(scores=SCORE_LISTS)
+def test_a_filter_that_sees_a_finite_score_keeps_a_row(scores):
+    for policy in ("adaptive", "cluster"):
+        assert bool(kept(scores, policy)) == any(map(math.isfinite, scores)), (policy, scores)
 
 
 def test_filter_updates_unknown_policy():

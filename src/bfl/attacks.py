@@ -21,31 +21,26 @@ from .defense import eval_update
 
 ATTACK_KINDS = ("none", "random_noise", "sign_flip", "label_flip", "ipm")
 
-FLIP_GAMMA = {"sign_flip": 5.0, "label_flip": 4.0}  # `gamma` when a config leaves it unset
+DEFAULT_GAMMA = {"random_noise": 0.5, "sign_flip": 5.0, "label_flip": 4.0}  # for an unset `gamma`
+IPM_GAMMAS = (0.5, 1.0, 2.0, 5.0, 10.0)  # ipm's line search when `gamma` is unset
 
 
 @dataclass
 class AttackConfig:
     kind: str = "none"
     epsilon: float = 0.0  # compromised fraction of the client population
-    sigma: float = 0.5  # noise scale for random_noise
-    gamma: Optional[float] = None  # scaling for sign_flip / label_flip
-    gamma_grid: Tuple[float, ...] = (0.5, 1.0, 2.0, 5.0, 10.0)  # ipm's line search
+    gamma: Optional[float] = None  # the scale: noise std, flip amplification or ipm's gamma*
 
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must be in [0, 1)")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
         self.gamma_set = self.gamma is not None  # else it is the kind's, and follows the kind
         if self.gamma is None:
-            self.gamma = FLIP_GAMMA.get(self.kind)
+            self.gamma = DEFAULT_GAMMA.get(self.kind)
         elif self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
-        if self.kind == "ipm" and not self.gamma_grid:
-            raise ValueError("gamma_grid must not be empty")
 
 
 def assign_roles(num_clients: int, epsilon: float, seed_rng: np.random.Generator) -> set:
@@ -124,8 +119,6 @@ def ipm_line_search(
     losses.  Every sampled client may be compromised (m = n): the simulated
     aggregate is then the payload itself.
     """
-    if not gamma_grid:
-        raise ValueError("gamma_grid must not be empty")
     if not 0 < n_malicious <= n_sampled:
         raise ValueError("need 0 < compromised <= sampled clients")
     stack = np.stack([
@@ -148,11 +141,12 @@ def ipm_attack(
 ) -> Tuple[np.ndarray, float]:
     """Payload opposing the estimated benign direction: -gamma* x estimate.
 
-    gamma* comes from the surrogate-loss line search above; a one-point
-    `gamma_grid` fixes it.  All compromised clients submit the identical
-    payload.
+    A set `cfg.gamma` is gamma*; an unset one is picked from IPM_GAMMAS by
+    the surrogate-loss line search above.  All compromised clients submit
+    the identical payload.
     """
+    grid = IPM_GAMMAS if cfg.gamma is None else (cfg.gamma,)
     gamma_star, _ = ipm_line_search(
-        global_vector, template, benign_estimate, proxy, cfg.gamma_grid, n_sampled, n_malicious
+        global_vector, template, benign_estimate, proxy, grid, n_sampled, n_malicious
     )
     return -gamma_star * benign_estimate, gamma_star

@@ -154,8 +154,6 @@ class ExperimentConfig:
             raise ConfigError("batch: must be >= 1")
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
             raise ConfigError("hidden_dims: need positive layer widths")
-        if any(g <= 0.0 for g in self.attack.gamma_grid):
-            raise ConfigError("attack.gamma_grid: entries must be positive")
         if self.clients > self.dataset.train_size:
             raise ConfigError(
                 f"clients: {self.clients} clients but the {self.dataset.kind} dataset has only "
@@ -233,13 +231,15 @@ def config_from_dict(obj: Dict[str, Any]) -> ExperimentConfig:
 
 
 def load_json(path: str) -> Any:
-    """The parsed contents of a JSON file; a missing file or bad JSON raises
-    `ConfigError`."""
+    """The parsed contents of a JSON file; a missing or unreadable file, or
+    one that is not UTF-8 JSON, raises `ConfigError`."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"{path}: no such file") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not UTF-8
+        raise ConfigError(f"{path}: cannot read ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 

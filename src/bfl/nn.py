@@ -19,10 +19,14 @@ momentum buffers carry the same leading axis.  Weight views are then
 (m, out, in) and bias views (m, 1, out), so each bias broadcasts over its own
 model's rows.  `softmax_cross_entropy` takes each model's count of real rows,
 so batches of different lengths can share a stack: the padding rows after
-the count get a zero gradient and stay out of that model's mean.  Each model
-then gets bit for bit the gradient it would get alone, with one exception:
-numpy multiplies a one-row operand with gemv rather than gemm, so a one-row
-batch keeps its bits only in a stack of one-row batches.
+the count get a zero gradient and stay out of that model's mean.  A padded
+model gets bit for bit the gradient it would get alone only where BLAS
+rounds a product's rows alike at either row count.  That holds at the
+tests' toy shapes on OpenBLAS's SkylakeX kernel, but a one-row batch, which
+numpy multiplies with gemv, not gemm, keeps its bits only among one-row
+batches.  It fails on the Haswell kernel (3 rows padded to 4) and at
+[784, 128, 128, 10] on SkylakeX (64 rows padded to 128 round the output
+layer's product otherwise; 96 padded to 107 do not).
 
 A stack takes faster numpy calls than one model where those keep the bits.
 Its cross-entropy shift folds `np.maximum` over the class columns, where one

@@ -145,9 +145,10 @@ def local_training(
     The clients train in lockstep as one stack of models (see `nn`), one
     row per client, walking `plan`, which must have been built for these
     shard sizes, `epochs` and `batch`.  Each run of a step trains in place,
-    on a view of the stack, so each client gets bit for bit the weights it
-    would get training alone.  Returns the (n, P) stack of deltas, row k
-    for shard k: the local weights minus the broadcast vector.
+    on a view of the stack, so a client gets bit for bit the weights it
+    would get alone where padding keeps its bits (see `nn`: toy shapes, not
+    784-D).  Returns the (n, P) stack of deltas, row k for shard k: the
+    local weights minus the broadcast vector.
     """
     if (tuple(len(shard) for shard in shards), epochs, batch) != plan[:3]:
         raise ValueError("the batch plan was built for other shards, epochs or batch")
@@ -182,7 +183,7 @@ def _stacks(lengths: List[int]) -> List[Tuple[int, int]]:
     runs [lo, hi) of consecutive rows.  A run ends where the next batch
     would make its longest more than twice its shortest.  A one-row batch
     runs only with one-row batches, since padding it would change its
-    bits; padding any other batch changes none."""
+    bits; padding any other batch keeps them only where BLAS does (`nn`)."""
     runs: List[Tuple[int, int]] = []
     for r, n in enumerate(lengths):
         if runs and max(longest, n) <= 2 * min(shortest, n) and (n == 1) == (shortest == 1):
@@ -340,7 +341,7 @@ def _apply_attack(
         return
     if acfg.kind == "random_noise":
         noise_rng = rng.substream(cfg.seed, rng.ATTACK, round_index)
-        shared = attacks.draw_shared_noise(global_vector.size, acfg.sigma, noise_rng)
+        shared = attacks.draw_shared_noise(global_vector.size, acfg.gamma, noise_rng)
         deltas[bad_rows] = attacks.random_noise_attack(deltas[bad_rows[0]], shared)
     elif acfg.kind == "sign_flip":
         deltas[bad_rows] = attacks.sign_flip_attack(deltas[bad_rows], acfg.gamma)

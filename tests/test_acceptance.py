@@ -25,7 +25,7 @@ from bfl.orchestrator import compute_tpr_tnr, emit_report, run_experiment
 import nn_oracles
 
 SEED = 42
-GAMMA_GRID = attacks.AttackConfig().gamma_grid
+GAMMA_GRID = attacks.IPM_GAMMAS
 
 
 def acceptance_config(attack="none", filt=None, seed=SEED, alpha=100.0):

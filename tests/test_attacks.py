@@ -6,8 +6,10 @@ from bfl import attacks, data, nn
 
 
 def test_attack_config_defaults_resolve_gamma():
+    assert attacks.AttackConfig(kind="random_noise", epsilon=0.1).gamma == 0.5
     assert attacks.AttackConfig(kind="sign_flip", epsilon=0.1).gamma == 5.0
     assert attacks.AttackConfig(kind="label_flip", epsilon=0.1).gamma == 4.0
+    assert attacks.AttackConfig(kind="ipm", epsilon=0.1).gamma is None  # searches IPM_GAMMAS
     assert attacks.AttackConfig(kind="sign_flip", epsilon=0.1, gamma=2.5).gamma == 2.5
 
 
@@ -96,7 +98,7 @@ def _line_search_case(rng, dim=6, classes=3):
 def test_ipm_line_search_matches_exhaustive_oracle_20_cases():
     """The picked scaling attains the max surrogate loss on every case."""
     rng = np.random.default_rng(77)
-    grid = attacks.AttackConfig().gamma_grid
+    grid = attacks.IPM_GAMMAS
     for case in range(20):
         template, vector, estimate, proxy = _line_search_case(rng)
         n, m = 10, int(rng.integers(1, 5))
@@ -133,21 +135,32 @@ def test_ipm_attack_payload_opposes_estimate():
     payload, gamma_star = attacks.ipm_attack(
         vector, template, estimate, proxy, cfg, 10, 3
     )
-    assert gamma_star in cfg.gamma_grid
+    assert gamma_star in attacks.IPM_GAMMAS
     np.testing.assert_allclose(payload, -gamma_star * estimate)
 
 
 def test_ipm_inner_product_objective_takes_max_grid_point():
-    # The literal most-opposed reading of IPM: a one-point grid at the
-    # default grid's maximum.
+    # The literal most-opposed reading of IPM: gamma set to the default
+    # grid's maximum.
     rng = np.random.default_rng(8)
     template, vector, estimate, proxy = _line_search_case(rng)
-    cfg = attacks.AttackConfig(kind="ipm", epsilon=0.3, gamma_grid=(10.0,))
+    cfg = attacks.AttackConfig(kind="ipm", epsilon=0.3, gamma=10.0)
     payload, gamma_star = attacks.ipm_attack(
         vector, template, estimate, proxy, cfg, 10, 3
     )
-    assert gamma_star == 10.0 == max(attacks.AttackConfig().gamma_grid)
+    assert gamma_star == 10.0 == max(attacks.IPM_GAMMAS)
     assert payload.tobytes() == (-10.0 * estimate).tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.01, 3.7])
+def test_ipm_attack_with_gamma_set_uses_exactly_that_scale(gamma):
+    # Off the default grid, so a search over it could not land there.
+    rng = np.random.default_rng(10)
+    template, vector, estimate, proxy = _line_search_case(rng)
+    cfg = attacks.AttackConfig(kind="ipm", epsilon=0.3, gamma=gamma)
+    payload, gamma_star = attacks.ipm_attack(vector, template, estimate, proxy, cfg, 10, 3)
+    assert gamma_star == gamma
+    assert payload.tobytes() == (-gamma * estimate).tobytes()
 
 
 def test_ipm_line_search_validates_counts():
@@ -160,7 +173,7 @@ def test_ipm_line_search_validates_counts():
     with pytest.raises(ValueError):
         attacks.ipm_line_search(vector, template, estimate, proxy, (), 5, 2)
     # Every sampled client compromised: the aggregate is the payload itself.
-    grid = attacks.AttackConfig().gamma_grid
+    grid = attacks.IPM_GAMMAS
     gamma_star, losses = attacks.ipm_line_search(vector, template, estimate, proxy, grid, 5, 5)
     oracle = nn_oracles.surrogate_loss_per_gamma(
         vector, template, estimate, proxy.features, proxy.labels, grid, 5, 5

@@ -8,7 +8,7 @@ import pytest
 
 from bfl import aggregators, cli, orchestrator
 from bfl.cli import main
-from bfl.attacks import FLIP_GAMMA
+from bfl.attacks import DEFAULT_GAMMA
 from bfl.config import config_from_dict, config_to_dict
 from bfl.orchestrator import emit_report, run_experiment
 
@@ -82,6 +82,12 @@ def test_missing_config_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.json")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    # A directory, and a file that is not UTF-8, are no config either.
+    (tmp_path / "latin1.json").write_bytes('{"rounds": 1, "x": "\u00e9"}'.encode("latin-1"))
+    for path in (tmp_path, tmp_path / "latin1.json"):
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: cannot read (")
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
@@ -235,11 +241,16 @@ def test_sweep_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, grid, mes
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", [None, "{not json"])
+@pytest.mark.parametrize("text", [None, "{not json", "directory", b'{"seed": [1, "\xe9"]}'])
 def test_sweep_unreadable_grid_exits_2_like_an_unreadable_config(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
-    if text is not None:
+    if text == "directory":
+        bad.mkdir()
+    elif isinstance(text, bytes):  # latin-1, not UTF-8
+        bad.write_bytes(text)
+    elif text is not None:
         bad.write_text(text)
+    reason = {None: "no such file", "{not json": "invalid JSON"}.get(text, "cannot read")
     out = tmp_path / "sweep"
     argv = ["--config", str(bad), "--out-dir", str(out)]
     assert main(["run", *argv]) == 2
@@ -248,7 +259,7 @@ def test_sweep_unreadable_grid_exits_2_like_an_unreadable_config(tmp_path, capsy
                  "--out-dir", str(out)]) == 2
     grid_err = capsys.readouterr().err
     assert grid_err == config_err
-    assert ("no such file" if text is None else "invalid JSON") in grid_err
+    assert grid_err.startswith(f"config error: {bad}: {reason}")
     assert not out.exists()
 
 
@@ -358,7 +369,7 @@ def test_path_axes_run_between_epsilon_and_rule_in_file_order(tmp_path):
 
 
 @pytest.mark.parametrize("attack", [{"kind": "sign_flip"}, {"kind": "sign_flip", "gamma": 5.0}])
-@pytest.mark.parametrize("switch", ["label_flip", "ipm", "none"])
+@pytest.mark.parametrize("switch", ["label_flip", "ipm", "none", "random_noise"])
 def test_a_grid_cell_equals_the_config_that_writes_its_fields(tmp_path, attack, switch):
     # An unset gamma is the attack kind's default, so it follows the kind
     # the grid switches to; a gamma the base writes stays.
@@ -366,7 +377,7 @@ def test_a_grid_cell_equals_the_config_that_writes_its_fields(tmp_path, attack, 
     [(_, cell)] = cli._grid_cells(cli.load_config(write_config(tmp_path, **base)), {"attack": [switch]})
     written = config_from_dict({**base, "attack": {**base["attack"], "kind": switch}})
     assert config_to_dict(cell) == config_to_dict(written)
-    assert cell.attack.gamma == attack.get("gamma", FLIP_GAMMA.get(switch))
+    assert cell.attack.gamma == attack.get("gamma", DEFAULT_GAMMA.get(switch))
 
 
 def test_alpha_by_seed_sweep_writes_one_report_per_cell(tmp_path, capsys):

@@ -338,6 +338,18 @@ def test_run_attack_without_defense_keeps_everything():
     assert saw_malicious
 
 
+@pytest.mark.parametrize("attack, std", [({}, 0.5), ({"gamma": 0.02}, 0.02)], ids=["default", "set"])
+def test_random_noise_payload_has_standard_deviation_gamma(attack, std):
+    # Zero honest deltas: every compromised row is the round's shared noise.
+    cfg = small_config(attack={"kind": "random_noise", "epsilon": 0.4, **attack})
+    deltas = np.zeros((3, 100_000))
+    orchestrator._apply_attack(cfg, 2, [0, 2], deltas, [], None, np.zeros(100_000))
+    want = attacks.draw_shared_noise(100_000, std, rng.substream(cfg.seed, rng.ATTACK, 2))
+    assert deltas[0].tobytes() == deltas[2].tobytes() == want.tobytes()
+    assert not deltas[1].any()  # the honest row is untouched
+    assert abs(deltas[0].std() / std - 1.0) < 0.01
+
+
 def test_ipm_cell_with_every_sampled_client_compromised_completes():
     # 9 of 10 clients are compromised; at seed 0 round 1 samples only them.
     cfg = small_config(

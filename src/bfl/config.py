@@ -4,25 +4,22 @@ The JSON config mirrors `ExperimentConfig` field for field: the dataclasses
 are the schema, and each default is stated once, in its field.  Loading is
 strict: unknown keys, wrong types, and out-of-range values all raise
 `ConfigError` with the dotted path of the offending field, which the CLI
-turns into an exit code of 2.
+turns into an exit code of 2.  The dataset kinds' specs, with their load
+checks, live in `data`.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import NoneType
-from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Any, Dict, Optional, Tuple, get_args, get_origin, get_type_hints
 
 from .aggregators import AggregatorConfig, min_updates
 from .attacks import AttackConfig
-from .data import (
-    IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, IdxFormatError, idx_count, load_idx_labels,
-    stratified_test_count,
-)
+from .data import DATASET_KINDS, DatasetSpec, IdxDatasetSpec, ToyDatasetSpec  # noqa: F401 (re-exported)
 from .defense import DefenseConfig
 from .nn import SgdConfig
 
@@ -32,95 +29,12 @@ class ConfigError(Exception):
 
 
 @dataclass
-class ToyDatasetSpec:
-    num_classes: int = 3
-    per_class: int = 300
-    radius: float = 3.0
-    spread: float = 0.6
-    dims: int = 2
-    test_fraction: float = 1.0 / 3.0
-
-    kind = "toy"
-
-    def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if self.per_class < 1:
-            raise ValueError("per_class must be >= 1")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
-        if stratified_test_count(self.per_class, self.test_fraction) < 1:
-            raise ValueError(
-                f"test_fraction: {self.test_fraction:g} of {self.per_class} rows per class "
-                "leaves no test rows"
-            )
-        if self.radius <= 0.0 or self.spread <= 0.0:
-            raise ValueError("radius and spread must be positive")
-        if self.dims < 2:
-            raise ValueError("dims must be >= 2")
-
-    @property
-    def train_size(self) -> int:
-        """Training rows after the stratified split."""
-        test = stratified_test_count(self.per_class, self.test_fraction)
-        return self.num_classes * (self.per_class - test)
-
-
-@dataclass
-class IdxDatasetSpec:
-    train_images: str
-    train_labels: str
-    test_images: str
-    test_labels: str
-
-    kind = "idx"
-
-    def __post_init__(self) -> None:
-        """Checks every file's header and size, so a cell never starts on an
-        IDX set that `data.load_idx` would refuse, that there is a test
-        image, and that no test label lies beyond the training labels, which
-        set the classifier's output width."""
-        paths = {f.name: getattr(self, f.name) for f in fields(self)}
-        for name, path in paths.items():
-            if not os.path.isfile(path):
-                raise ValueError(f"{name}: no such file {path!r}")
-        counts = {}
-        for name, path in paths.items():
-            magic = IDX_IMAGE_MAGIC if name.endswith("images") else IDX_LABEL_MAGIC
-            try:
-                counts[name] = idx_count(path, magic)
-            except IdxFormatError as exc:
-                raise ValueError(f"{name}: {exc}") from exc
-        if counts["test_images"] < 1:
-            raise ValueError("test_images: holds no images to test on")
-        for split in ("train", "test"):
-            images, labels = counts[f"{split}_images"], counts[f"{split}_labels"]
-            if images != labels:
-                raise ValueError(f"{split}_labels: {labels} labels for {images} {split}_images")
-        top = {split: int(load_idx_labels(paths[f"{split}_labels"]).max(initial=-1))
-               for split in ("train", "test")}
-        if top["test"] > top["train"]:
-            raise ValueError(
-                f"test_labels: label {top['test']} is beyond the training labels, "
-                f"which reach {top['train']}"
-            )
-        self.train_size = counts["train_images"]  # training rows
-
-
-DATASET_KINDS = {"toy": ToyDatasetSpec, "idx": IdxDatasetSpec}
-DatasetSpec = Union[ToyDatasetSpec, IdxDatasetSpec]  # picked by the "kind" key
-
-
-@dataclass
 class PartitionSpec:
     alpha: float = 100.0
-    seed: Optional[int] = None  # derived from the master seed when omitted
 
     def __post_init__(self) -> None:
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass

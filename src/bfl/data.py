@@ -1,4 +1,5 @@
-"""Datasets: synthetic Gaussian blobs, IDX file ingestion, client partitioning.
+"""Datasets: synthetic Gaussian blobs, IDX file ingestion, client partitioning,
+and the config's dataset specs with their load checks.
 
 Features are float64 matrices of shape (n, dim) and labels are int64 vectors
 with values in [0, num_classes).  A partition gives each client a sorted
@@ -11,12 +12,12 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, fields
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .rng import PARTITION, substream
+from .rng import DATASET, PARTITION, SPLIT, subseed, substream
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -200,46 +201,28 @@ def dirichlet_partition(
     return [np.sort(shard) for shard in shards]
 
 
-def _read_exact(fh, count: int, path: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise IdxTruncatedError(f"{path}: expected {count} more bytes, got {len(buf)}")
-    return buf
 
 
-def _read_header(fh, path: str, magic: int, sizes: int) -> List[int]:
-    """The `sizes` big-endian dimensions that follow an IDX file's magic."""
-    got, *dims = struct.unpack(f">{sizes + 1}I", _read_exact(fh, 4 * (sizes + 1), path))
-    if got != magic:
-        raise IdxBadMagicError(f"{path}: magic 0x{got:08x}, expected 0x{magic:08x}")
-    return dims
+
+def _check_size(path: str, need: int, left: int) -> None:
+    if left < need:
+        raise IdxTruncatedError(f"{path}: expected {need} more bytes, got {left}")
 
 
-def idx_count(path: str, magic: int) -> int:
-    """The item count in an IDX file's header, once the file size shows that
-    every item the header declares is there.  Reads the header alone."""
+def read_idx(path: str, magic: int, body: bool = True) -> Tuple[List[int], Optional[np.ndarray]]:
+    """An IDX file's header dimensions and, when `body`, its items as one
+    flat uint8 array.  The file must start with `magic` and be long enough
+    for every item its header declares, which the file size shows, so
+    without `body` only the header is read."""
+    head = 4 * ((magic & 0xFF) + 1)  # the magic's low byte counts the dimensions
     with open(path, "rb") as fh:
-        dims = _read_header(fh, path, magic, magic & 0xFF)  # the low byte counts the dims
-        size, need = os.fstat(fh.fileno()).st_size - fh.tell(), math.prod(dims)
-    if size < need:
-        raise IdxTruncatedError(f"{path}: expected {need} more bytes, got {size}")
-    return dims[0]
-
-
-def _load_idx_images(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        count, rows, cols = _read_header(fh, path, IDX_IMAGE_MAGIC, 3)
-        raw = _read_exact(fh, count * rows * cols, path)
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    return pixels.astype(np.float64) / 255.0
-
-
-def load_idx_labels(path: str) -> np.ndarray:
-    """The labels of an IDX label file, as int64."""
-    with open(path, "rb") as fh:
-        (count,) = _read_header(fh, path, IDX_LABEL_MAGIC, 1)
-        raw = _read_exact(fh, count, path)
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+        left = os.fstat(fh.fileno()).st_size
+        _check_size(path, head, left)
+        got, *dims = struct.unpack(f">{head // 4}I", fh.read(head))
+        if got != magic:
+            raise IdxBadMagicError(f"{path}: magic 0x{got:08x}, expected 0x{magic:08x}")
+        _check_size(path, math.prod(dims), left - head)
+        return dims, np.frombuffer(fh.read(math.prod(dims)), dtype=np.uint8) if body else None
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
@@ -248,13 +231,137 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     Pixels are scaled from [0, 255] to [0.0, 1.0].  Raises IdxBadMagicError,
     IdxTruncatedError, or IdxCountMismatchError for the respective defects.
     """
-    images = _load_idx_images(images_path)
-    labels = load_idx_labels(labels_path)
-    if images.shape[0] != labels.shape[0]:
+    (count, rows, cols), pixels = read_idx(images_path, IDX_IMAGE_MAGIC)
+    (labelled,), labels = read_idx(labels_path, IDX_LABEL_MAGIC)
+    if count != labelled:
         raise IdxCountMismatchError(
-            f"{images_path} has {images.shape[0]} images but "
-            f"{labels_path} has {labels.shape[0]} labels"
+            f"{images_path} has {count} images but {labels_path} has {labelled} labels"
         )
     num_classes = int(labels.max()) + 1 if labels.size else 1
+    images = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
     return Dataset(images, labels, num_classes)
 
+
+@dataclass
+class ToyDatasetSpec:
+    num_classes: int = 3
+    per_class: int = 300
+    radius: float = 3.0
+    spread: float = 0.6
+    dims: int = 2
+    test_fraction: float = 1.0 / 3.0
+
+    kind = "toy"
+
+    def __post_init__(self) -> None:
+        if self.num_classes < 2:
+            raise ValueError("num_classes must be >= 2")
+        if self.per_class < 1:
+            raise ValueError("per_class must be >= 1")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError("test_fraction must be in (0, 1)")
+        if stratified_test_count(self.per_class, self.test_fraction) < 1:
+            raise ValueError(
+                f"test_fraction: {self.test_fraction:g} of {self.per_class} rows per class "
+                "leaves no test rows"
+            )
+        if self.radius <= 0.0 or self.spread <= 0.0:
+            raise ValueError("radius and spread must be positive")
+        if self.dims < 2:
+            raise ValueError("dims must be >= 2")
+
+    @property
+    def train_size(self) -> int:
+        """Training rows after the stratified split."""
+        test = stratified_test_count(self.per_class, self.test_fraction)
+        return self.num_classes * (self.per_class - test)
+
+
+@dataclass
+class IdxDatasetSpec:
+    train_images: str
+    train_labels: str
+    test_images: str
+    test_labels: str
+
+    kind = "idx"
+
+    def __post_init__(self) -> None:
+        """Checks every file's header and size, so a cell never starts on an
+        IDX set that `load_idx` would refuse; that the training images have
+        pixels and the test images the same shape; that there is a test
+        image; and that no test label lies beyond the training labels,
+        which set the classifier's output width."""
+        paths = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, path in paths.items():
+            if not os.path.isfile(path):
+                raise ValueError(f"{name}: no such file {path!r}")
+        dims, labels = {}, {}
+        for name, path in paths.items():
+            header_only = name.endswith("images")  # the labels are read whole
+            try:
+                dims[name], labels[name] = read_idx(
+                    path, IDX_IMAGE_MAGIC if header_only else IDX_LABEL_MAGIC, body=not header_only
+                )
+            except IdxFormatError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+        (count, *shape), (tests, *test_shape) = dims["train_images"], dims["test_images"]
+        if 0 in shape:
+            raise ValueError(f"train_images: {shape[0]}x{shape[1]} images have no pixels")
+        if test_shape != shape:
+            raise ValueError(
+                f"test_images: {test_shape[0]}x{test_shape[1]} images, but the train_images "
+                f"are {shape[0]}x{shape[1]}"
+            )
+        if tests < 1:
+            raise ValueError("test_images: holds no images to test on")
+        for split in ("train", "test"):
+            images, labelled = dims[f"{split}_images"][0], dims[f"{split}_labels"][0]
+            if images != labelled:
+                raise ValueError(f"{split}_labels: {labelled} labels for {images} {split}_images")
+        top = {split: max(labels[f"{split}_labels"].tolist(), default=-1)
+               for split in ("train", "test")}
+        if top["test"] > top["train"]:
+            raise ValueError(
+                f"test_labels: label {top['test']} is beyond the training labels, "
+                f"which reach {top['train']}"
+            )
+        self.train_size = count  # training rows
+
+
+DATASET_KINDS = {"toy": ToyDatasetSpec, "idx": IdxDatasetSpec}
+DatasetSpec = Union[ToyDatasetSpec, IdxDatasetSpec]  # picked by the "kind" key
+
+
+def build_datasets(cfg) -> Tuple[Dataset, Dataset, np.ndarray, np.ndarray]:
+    """Materialize an `ExperimentConfig`'s train/test sets plus the
+    per-feature input range.
+
+    The range bounds the classifier's input domain and calibrates the
+    generator's output scaling: [0, 1] for image data, the blob bounding box
+    (centers plus two spreads) for the synthetic task.  Both come from the
+    dataset spec alone, never from client samples.  Keeping the box close to
+    the data matters: with a loose box the generator drifts into regions no
+    training sample constrains, and probe scores there say little about a
+    candidate update.
+    """
+    spec = cfg.dataset
+    if isinstance(spec, IdxDatasetSpec):
+        train = load_idx(spec.train_images, spec.train_labels)
+        test = load_idx(spec.test_images, spec.test_labels)
+        return train, test, np.zeros(train.dim), np.ones(train.dim)
+    full = make_toy_blobs(
+        subseed(cfg.seed, DATASET),
+        spec.num_classes,
+        spec.per_class,
+        polygon_centers(spec.num_classes, spec.radius),
+        spec.spread,
+        spec.dims,
+    )
+    train, test = train_test_split(full, spec.test_fraction, subseed(cfg.seed, SPLIT))
+    margin = 2.0 * spec.spread
+    lo = np.full(spec.dims, -(spec.radius + margin))
+    hi = np.full(spec.dims, spec.radius + margin)
+    lo[2:] = -margin
+    hi[2:] = margin
+    return train, test, lo, hi

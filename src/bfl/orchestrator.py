@@ -42,15 +42,8 @@ import numpy as np
 
 from . import attacks, defense, nn, rng
 from .aggregators import AggregatorConfig, aggregate, min_updates
-from .config import ExperimentConfig, IdxDatasetSpec, config_to_dict
-from .data import (
-    Dataset,
-    dirichlet_partition,
-    load_idx,
-    make_toy_blobs,
-    polygon_centers,
-    train_test_split,
-)
+from .config import ExperimentConfig, config_to_dict
+from .data import Dataset, build_datasets, dirichlet_partition
 
 log = logging.getLogger(__name__)
 
@@ -225,41 +218,6 @@ def evaluate_global(
     return float((logits.argmax(axis=1) == dataset.labels).mean())
 
 
-def build_datasets(cfg: ExperimentConfig) -> Tuple[Dataset, Dataset, np.ndarray, np.ndarray]:
-    """Materialize train/test sets plus the per-feature input range.
-
-    The range bounds the classifier's input domain and calibrates the
-    generator's output scaling: [0, 1] for image data, the blob bounding box
-    (centers plus two spreads) for the synthetic task.  Both come from the
-    dataset spec alone, never from client samples.  Keeping the box close to
-    the data matters: with a loose box the generator drifts into regions no
-    training sample constrains, and probe scores there say little about a
-    candidate update.
-    """
-    spec = cfg.dataset
-    if isinstance(spec, IdxDatasetSpec):
-        train = load_idx(spec.train_images, spec.train_labels)
-        test = load_idx(spec.test_images, spec.test_labels)
-        return train, test, np.zeros(train.dim), np.ones(train.dim)
-    full = make_toy_blobs(
-        rng.subseed(cfg.seed, rng.DATASET),
-        spec.num_classes,
-        spec.per_class,
-        polygon_centers(spec.num_classes, spec.radius),
-        spec.spread,
-        spec.dims,
-    )
-    train, test = train_test_split(
-        full, spec.test_fraction, rng.subseed(cfg.seed, rng.SPLIT)
-    )
-    margin = 2.0 * spec.spread
-    lo = np.full(spec.dims, -(spec.radius + margin))
-    hi = np.full(spec.dims, spec.radius + margin)
-    lo[2:] = -margin
-    hi[2:] = margin
-    return train, test, lo, hi
-
-
 SCHEDULE_FREE = ("attack", "aggregator", "defense", "sgd")  # config fields a Schedule ignores
 
 
@@ -291,11 +249,7 @@ class Schedule:
     @classmethod
     def build(cls, cfg: ExperimentConfig) -> "Schedule":
         train, test, lo, hi = build_datasets(cfg)
-        part_seed = (
-            cfg.partition.seed
-            if cfg.partition.seed is not None
-            else rng.subseed(cfg.seed, rng.PARTITION)
-        )
+        part_seed = rng.subseed(cfg.seed, rng.PARTITION)
         shards = tuple(
             Dataset(train.features[idx], train.labels[idx], train.num_classes)
             for idx in dirichlet_partition(train, cfg.clients, cfg.partition.alpha, part_seed)

@@ -448,7 +448,6 @@ def test_sweep_and_run_print_the_same_summary(tmp_path, capsys):
     "overrides, argv, message",
     [
         ({"seed": -1}, [], "seed: must be >= 0"),
-        ({"partition": {"seed": -3}}, [], "partition: seed must be >= 0"),
         ({}, ["--seed", "-5"], "seed: must be >= 0"),
     ],
 )

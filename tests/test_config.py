@@ -52,7 +52,7 @@ def test_full_roundtrip_through_dict():
         "sgd": {"learning_rate": 0.05, "momentum": 0.8, "weight_decay": 0.001},
         "dataset": {"kind": "toy", "num_classes": 4, "per_class": 50,
                     "radius": 2.0, "spread": 0.3, "dims": 6, "test_fraction": 0.25},
-        "partition": {"alpha": 0.5, "seed": 9},
+        "partition": {"alpha": 0.5},
         "attack": {"kind": "sign_flip", "epsilon": 0.25, "gamma": 3.0},
         "aggregator": {"kind": "trimmed_mean", "beta": 0.2},
         "defense": {"filter": "cluster", "metric": "loss", "q": 30},
@@ -70,13 +70,13 @@ def test_explicit_nulls_for_optional_fields():
     """The echoed dict writes null for unset optional fields; reparsing it
     has to work because sweeps mutate and reload that echo."""
     cfg = config_from_dict({
-        "partition": {"alpha": 1.0, "seed": None},
         "attack": {"kind": "none", "gamma": None},
+        "defense": None,
     })
-    assert cfg.partition.seed is None
     assert cfg.attack.gamma is None
+    assert cfg.defense is None
     echoed = config_to_dict(config_from_dict({}))
-    assert echoed["partition"]["seed"] is None
+    assert echoed["attack"]["gamma"] is None and echoed["defense"] is None
     config_from_dict(echoed)
 
 
@@ -172,7 +172,7 @@ def test_a_split_with_no_test_rows_is_rejected_at_load():
 @pytest.mark.parametrize(
     "path",
     ["attack.ipm_objective", "aggregator.weiszfeld_tol", "aggregator.weiszfeld_max_iter",
-     "attack.sigma", "attack.gamma_grid"],
+     "attack.sigma", "attack.gamma_grid", "partition.seed"],
 )
 def test_removed_options_are_unknown_fields(tmp_path, capsys, path):
     section, name = path.split(".")
@@ -203,13 +203,14 @@ def test_dataset_bad_kind():
         config_from_dict({"dataset": {"kind": "mnist"}})
 
 
-def write_idx_files(directory, train_rows, image_magic=0x00000803):
-    """Four IDX files of 2x2 images, `train_rows` of them to train on."""
+def write_idx_files(directory, train_rows, image_magic=0x00000803, shapes=((2, 2), (2, 2))):
+    """Four IDX files of images of `shapes` (train, test), 2x2 by default,
+    `train_rows` of them to train on."""
     paths = {}
-    for split, rows in (("train", train_rows), ("test", 3)):
+    for split, rows, (height, width) in (("train", train_rows, shapes[0]), ("test", 3, shapes[1])):
         paths[f"{split}_images"] = directory / f"{split}_images"
         paths[f"{split}_images"].write_bytes(
-            struct.pack(">IIII", image_magic, rows, 2, 2) + bytes(4 * rows)
+            struct.pack(">IIII", image_magic, rows, height, width) + bytes(height * width * rows)
         )
         paths[f"{split}_labels"] = directory / f"{split}_labels"
         paths[f"{split}_labels"].write_bytes(struct.pack(">II", 0x00000801, rows) + bytes(rows))
@@ -238,6 +239,15 @@ def test_idx_training_rows_are_read_at_load(tmp_path):
     Path(dataset["train_images"]).write_bytes(b"")
     with pytest.raises(ConfigError, match=r"^dataset: train_images: .*expected 16 more bytes"):
         config_from_dict({"dataset": dataset, "clients": 1, "sampled_per_round": 1})
+    # Images of no pixels, or test images of another shape, once passed the
+    # load and died in round 1.
+    for shapes, message in [
+        (((28, 0), (28, 0)), "train_images: 28x0 images have no pixels"),
+        (((4, 4), (2, 2)), "test_images: 2x2 images, but the train_images are 4x4"),
+    ]:
+        odd = {"kind": "idx", **write_idx_files(tmp_path, 12, shapes=shapes)}
+        with pytest.raises(ConfigError, match=f"^dataset: {re.escape(message)}$"):
+            config_from_dict({"dataset": odd, "clients": 1, "sampled_per_round": 1})
 
 
 def test_idx_files_short_of_their_header_are_rejected_at_load(tmp_path):
@@ -359,9 +369,7 @@ def test_attack_gamma_must_be_positive_at_load(kind, gamma):
 def test_seeds_must_be_non_negative_at_load():
     with pytest.raises(ConfigError, match=r"^seed: must be >= 0$"):
         config_from_dict({"seed": -1})
-    with pytest.raises(ConfigError, match=r"^partition: seed must be >= 0$"):
-        config_from_dict({"partition": {"seed": -3}})
-    assert config_from_dict({"seed": 0, "partition": {"seed": 0}}).partition.seed == 0
+    assert config_from_dict({"seed": 0}).seed == 0
 
 
 def test_defense_null_versus_object():

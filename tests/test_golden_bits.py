@@ -43,16 +43,16 @@ PLATEAU_PARAMS = "edbc721c30d54b98c13c6aed6c8b9393df99f6f89c270cb6b2de358ecdfcc6
 REPORTS = {
     "ipm_cluster": (
         "a163a54d445d12e336b1ddb4fb64fee6bc6ec32dc5c4e889423859d2741dcf6f",
-        "0f2ff27b37d2524ebdcc204c398d27d5cc2df35df829c8fa16b617ef523073eb",
+        "2ee56c2560bd90c4a260d3da89c516f45cd58b0b4d9cfcc3c0cb40c1b89e399d",
     ),
     "sign_flip_overflow": (
         "7b50004d42612cd013bf907b8f562c716dc745cbb51b62af02c65668c6a67ebf",
-        "20f6a028dfa221ea95344ce03f82f3afbe9a716b965dd5506f062d23704afa5c",
+        "433a65da51b06ec17f68c13c982959292d3808e83bb3a6f0c76605a92f90acf8",
     ),
 }
 RAGGED_REPORT = (
     "710b50ca807052df6b7344dcf11ce6c686728be48e46de3e8840549db01458fa",
-    "1cf3b163e366f5ecc739096fbc6e3e34791e564e6aec10b9f23876acd210c0ec",
+    "55fe9bb7f50f92d98a0302147d86745fd9301201e57c7306db0ad17b33383da4",
 )
 # The client shards of RAGGED_CELL (seed 42, alpha 0.05), their index arrays
 # concatenated in client order as int64.
@@ -62,7 +62,7 @@ RAGGED_PARTITION = "067824876676b8c6d958eae043e47303957eaab6fe82a8e80f069239ea92
 PLANS = "8c310fb4765ef0f919f62d067b6a4fb5718f7246215689655117540b1ce09fa2"
 FALLBACK_REPORT = (
     "1c88e7fe9de3a1623c8c68a902ea3a47f40bb08d75f4a734a2e82eedaf121b07",
-    "4566fb35fd38e5de700fdcbf30bec9af9ce552f1ed0ee2263cd75f928da3cf8f",
+    "1fd2531bf2340a179368bdfe45ff0db40c2a6827422373f9ea4182cc15c4a478",
 )
 
 CELLS = {

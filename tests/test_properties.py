@@ -2,16 +2,21 @@
 
 Each example is a cell of at most 3 rounds and 8 clients, with at most 30
 generator iterations and 9 probe samples per class, drawn over every
-attack x filter x aggregator x metric.  A sign flip or label flip may
-scale by 1e200, which overflows the logits.  Every run must complete,
-accept only sampled clients, never accept a candidate whose score is not
-finite, keep a finite global vector, and emit the same bytes when it runs
-again.  Under the adaptive and cluster filters a round with no attacker
-sampled accepts someone; the fixed filter's constant threshold may reject
-honest candidates too.
+attack x filter x aggregator x metric.  Any attack may take `gamma` 1e200:
+a sign flip or label flip by 1e200 overflows the logits, random_noise's
+noise has that standard deviation, and ipm's payload that scale.  Every
+run must complete, accept only sampled clients, never accept a candidate
+whose score is not finite, keep a finite global vector, and emit the same
+bytes when it runs again.  Under the adaptive and cluster filters a round
+with no attacker sampled accepts someone; the fixed filter's constant
+threshold may reject honest candidates too.
+
+A second test writes small IDX sets, some of them broken, and checks that
+each one is either refused at load or runs a defended round.
 """
 
 import itertools
+import struct
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -22,7 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 from bfl import defense, orchestrator
 from bfl.aggregators import AGGREGATOR_KINDS, AggregatorConfig, min_updates
 from bfl.attacks import ATTACK_KINDS
-from bfl.config import config_from_dict
+from bfl.config import ConfigError, config_from_dict
 from bfl.defense import FILTER_KINDS, METRIC_KINDS
 
 COMBOS = list(itertools.product(ATTACK_KINDS, FILTER_KINDS, AGGREGATOR_KINDS, METRIC_KINDS))
@@ -31,7 +36,7 @@ COMBOS = list(itertools.product(ATTACK_KINDS, FILTER_KINDS, AGGREGATOR_KINDS, ME
 def make_cell(kind, policy, aggregator, metric, seed=0, rounds=2, clients=6, sampled=None,
               epochs=1, batch=8, epsilon=0.3, gamma=None, q=5, gen_max_iter=20):
     attack = {"kind": kind, "epsilon": epsilon}
-    if gamma is not None and kind in ("sign_flip", "label_flip"):
+    if gamma is not None and kind != "none":
         attack["gamma"] = gamma
     return {
         "seed": seed,
@@ -71,7 +76,7 @@ def cells(draw):
 
 def every_combo(test):
     """Run `test` on one cell of every combination first, one in two of
-    them with a sign or label flip by 1e200."""
+    them with `gamma` 1e200 (but for the attack `none`)."""
     for k, combo in enumerate(COMBOS):
         test = example(cell=make_cell(*combo, seed=k, gamma=1e200 if k % 2 else None))(test)
     return test
@@ -119,3 +124,73 @@ def test_small_defended_cells(cell):
         assert _emitted_bytes(report, first) == _emitted_bytes(
             orchestrator.run_experiment(cfg), again
         )
+
+
+IDX_MAGIC = {"images": 0x00000803, "labels": 0x00000801}
+IDX_NAMES = ("train_images", "train_labels", "test_images", "test_labels")
+
+
+def idx_files(train, test):
+    """The four files of an IDX set as bytes, from `train` and `test`, each
+    (images, rows, cols, labels)."""
+    files = {}
+    for split, (count, rows, cols, labels) in (("train", train), ("test", test)):
+        pixels = bytes(7 * i % 256 for i in range(count * rows * cols))
+        files[f"{split}_images"] = struct.pack(">IIII", IDX_MAGIC["images"], count, rows, cols) + pixels
+        files[f"{split}_labels"] = struct.pack(">II", IDX_MAGIC["labels"], len(labels)) + bytes(labels)
+    return files
+
+
+@st.composite
+def idx_sets(draw):
+    """An IDX set of 0-12 images of 0-4 x 0-4 pixels a split, labelled 0-4,
+    and at most one fault: test images of a drawn shape, a label file of a
+    drawn count, a file cut short or one with the other kind's magic."""
+    side = st.integers(0, 4) | st.integers(1, 4)  # a side of 0 in one draw of ten
+    shape = (draw(side), draw(side))
+    splits = []
+    for _ in ("train", "test"):
+        count = draw(st.integers(0, 12))
+        splits.append([count, *shape, draw(st.lists(st.integers(0, 4), min_size=count, max_size=count))])
+    fault = draw(st.sampled_from([None, None, None, "shape", "labels", "truncated", "magic"]))
+    name = draw(st.sampled_from(IDX_NAMES))
+    split = splits[name.startswith("test")]
+    if fault == "shape":
+        split[1:3] = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    elif fault == "labels":
+        split[3] = draw(st.lists(st.integers(0, 4), max_size=12))
+    files = idx_files(*splits)
+    if fault == "truncated":
+        files[name] = files[name][: -draw(st.integers(1, len(files[name])))]
+    elif fault == "magic":
+        other = IDX_MAGIC["labels" if name.endswith("images") else "images"]
+        files[name] = struct.pack(">I", other) + files[name][4:]
+    return files
+
+
+def idx_cell(clients, policy):
+    return {"rounds": 1, "clients": clients, "sampled_per_round": clients, "local_epochs": 1,
+            "batch": 8, "hidden_dims": [4], "defense": {"filter": policy, "q": 2, "gen_max_iter": 5}}
+
+
+@settings(max_examples=100)
+# Images of 0 columns, and test images of another shape: both once passed
+# the load and then died in round 1.
+@example(files=idx_files((12, 28, 0, [0, 1, 2] * 4), (6, 28, 0, [0, 1, 2] * 2)),
+         cell=idx_cell(4, "adaptive"))
+@example(files=idx_files((12, 4, 4, [0, 1, 2] * 4), (6, 2, 2, [0, 1, 2] * 2)),
+         cell=idx_cell(4, "cluster"))
+@given(files=idx_sets(), cell=st.builds(idx_cell, st.integers(1, 3), st.sampled_from(FILTER_KINDS)))
+def test_every_idx_set_that_loads_runs(files, cell):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, blob in files.items():
+            Path(tmp, name).write_bytes(blob)
+        cell = {**cell, "dataset": {"kind": "idx", **{name: str(Path(tmp, name)) for name in files}}}
+        try:
+            cfg = config_from_dict(cell)
+        except ConfigError:
+            return
+        report = orchestrator.run_experiment(cfg)
+        assert len(report.rounds) == 1
+        for path in orchestrator.emit_report(report, tmp, "cell"):
+            assert Path(path).stat().st_size

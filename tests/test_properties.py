@@ -28,6 +28,7 @@ from bfl import defense, orchestrator
 from bfl.aggregators import AGGREGATOR_KINDS, AggregatorConfig, min_updates
 from bfl.attacks import ATTACK_KINDS
 from bfl.config import ConfigError, config_from_dict
+from bfl.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
 from bfl.defense import FILTER_KINDS, METRIC_KINDS
 
 COMBOS = list(itertools.product(ATTACK_KINDS, FILTER_KINDS, AGGREGATOR_KINDS, METRIC_KINDS))
@@ -126,7 +127,7 @@ def test_small_defended_cells(cell):
         )
 
 
-IDX_MAGIC = {"images": 0x00000803, "labels": 0x00000801}
+IDX_MAGIC = {"images": IDX_IMAGE_MAGIC, "labels": IDX_LABEL_MAGIC}
 IDX_NAMES = ("train_images", "train_labels", "test_images", "test_labels")
 
 
@@ -149,7 +150,7 @@ def idx_sets(draw):
     side = st.integers(0, 4) | st.integers(1, 4)  # a side of 0 in one draw of ten
     shape = (draw(side), draw(side))
     splits = []
-    for _ in ("train", "test"):
+    for _ in range(2):  # train, test
         count = draw(st.integers(0, 12))
         splits.append([count, *shape, draw(st.lists(st.integers(0, 4), min_size=count, max_size=count))])
     fault = draw(st.sampled_from([None, None, None, "shape", "labels", "truncated", "magic"]))

@@ -5,7 +5,8 @@
     bfl oracle <rule|all> [--cases N] [--seed S]
 
 `run` executes one experiment and writes <config-stem>.csv/.json into the
-output directory (--out-dir, else $BFL_OUT_DIR, else the working directory).
+output directory (--out-dir, else $BFL_OUT_DIR, else the working directory),
+made once the config (and a sweep's grid) has loaded, before any cell runs.
 `sweep` runs the base config once per cell of a cartesian grid whose keys
 are dotted config paths (`attack` and `epsilon` stand for `attack.kind` and
 `attack.epsilon`) plus `rule`, a list of named aggregator/defense overlays.
@@ -21,7 +22,9 @@ grid order, so the output is the same for every job count.
 acceptance criteria 4 and 5 run, for one robust aggregation rule or all of
 them (--cases N, at least 1; geometric_median runs at most 20; --seed S,
 at least 0).
-Exit codes: 0 on success, 1 on an oracle mismatch, 2 on a config problem.
+Exit codes: 0 on success, 1 on an oracle mismatch, 2 on a config problem,
+such as an output directory that cannot be made or a cell name that holds
+a path separator.
 """
 
 from __future__ import annotations
@@ -49,7 +52,14 @@ SCHEDULES: Dict[str, Schedule] = {}  # a sweep's schedules by key, emptied when 
 
 
 def _out_dir(flag: Optional[str]) -> str:
-    return flag or os.environ.get("BFL_OUT_DIR") or "."
+    """The output directory, made now: one that cannot be made is a config
+    problem, found before any cell runs."""
+    path = flag or os.environ.get("BFL_OUT_DIR") or "."
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot make the output directory ({exc.strerror})") from exc
+    return path
 
 
 def _override(base: ExperimentConfig, settings: List[Tuple[str, Any]]) -> ExperimentConfig:
@@ -77,9 +87,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = _override(cfg, [("seed", args.seed)])
+    out_dir = _out_dir(args.out_dir)
     report = run_experiment(cfg)
     name = os.path.splitext(os.path.basename(args.config))[0]
-    csv_path, json_path = emit_report(report, _out_dir(args.out_dir), name)
+    csv_path, json_path = emit_report(report, out_dir, name)
     print(SUMMARY.format(report))
     print(f"wrote {csv_path} and {json_path}")
     return 0
@@ -89,7 +100,8 @@ def _grid_cells(base: ExperimentConfig, grid: Any) -> List[Tuple[str, Experiment
     """Every (name, config) cell, validated, over `attack`, then `epsilon`,
     then the other keys in file order, then `rule`.  A rule lays down its
     objects, filled out with defaults, before the other keys write into them.
-    Names are unique, so no cell's report overwrites another's."""
+    Names are unique file names, so no cell's report overwrites another's or
+    lands outside the output directory."""
     if not isinstance(grid, dict):
         raise ConfigError("grid: expected a JSON object")
     keys = sorted(grid, key=lambda k: (k != "attack", k != "epsilon", k == "rule"))
@@ -109,11 +121,14 @@ def _grid_cells(base: ExperimentConfig, grid: Any) -> List[Tuple[str, Experiment
             if key == "rule":
                 settings[:0] = [(k, {**config_to_dict(cls()), **value[k]} if isinstance(value[k], dict)
                                  else value[k]) for k, cls in RULE_OBJECTS.items() if k in value]
-                suffix += f"_{value['name']}"
+                label = value["name"]
+                suffix += f"_{label}"
             else:
                 settings.append((ALIASES.get(key, key), value))
                 label = format(value, "g") if isinstance(value, float) else value
                 suffix += "" if key in ALIASES else f"_{key.rsplit('.', 1)[-1]}{label}"
+            if any(c and c in f"{label}" for c in (os.sep, os.altsep, "\0")):
+                raise ConfigError(f"grid.{key}: {label!r} cannot be part of a file name")
         cfg = _override(base, settings)
         name = f"{cfg.attack.kind}_eps{cfg.attack.epsilon:g}{suffix}"
         if name in cells:

@@ -88,20 +88,7 @@ def make_toy_blobs(
     which buries the class signal in a low-dimensional subspace and leaves
     the remaining axes as pure noise.  Same seed, same bytes.
     """
-    if num_classes < 2:
-        raise ValueError("need at least two classes")
-    if per_class < 1:
-        raise ValueError("per_class must be >= 1")
-    if spread <= 0.0:
-        raise ValueError("spread must be positive")
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.shape[0] != num_classes:
-        raise ValueError("one center per class required")
-    if dims < centers.shape[1]:
-        raise ValueError("dims must be at least the center dimension")
-    if dims > centers.shape[1]:
-        pad = np.zeros((num_classes, dims - centers.shape[1]))
-        centers = np.hstack([centers, pad])
+    centers = np.hstack([centers, np.zeros((num_classes, dims - centers.shape[1]))])
     rng = substream(seed)
     feats = []
     labels = []
@@ -120,8 +107,6 @@ def train_test_split(
     dataset: Dataset, test_fraction: float, seed: int
 ) -> Tuple[Dataset, Dataset]:
     """Stratified split: each class contributes its own test_fraction share."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
     rng = substream(seed)
     test_idx = []
     train_idx = []
@@ -166,12 +151,6 @@ def dirichlet_partition(
     Clients left empty are re-dealt one sample from the largest client.
     Returns each client's sorted int64 indices into `dataset`.
     """
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if num_clients > len(dataset):
-        raise ValueError("more clients than samples")
     rng = substream(seed, PARTITION)
     per_client: List[List[np.ndarray]] = [[] for _ in range(num_clients)]
     for c in range(dataset.num_classes):
@@ -199,9 +178,6 @@ def dirichlet_partition(
             shards[j] = shards[donor][-1:]
             shards[donor] = shards[donor][:-1]
     return [np.sort(shard) for shard in shards]
-
-
-
 
 
 def _check_size(path: str, need: int, left: int) -> None:

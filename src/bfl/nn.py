@@ -28,15 +28,13 @@ batches.  It fails on the Haswell kernel (3 rows padded to 4) and at
 [784, 128, 128, 10] on SkylakeX (64 rows padded to 128 round the output
 layer's product otherwise; 96 padded to 107 do not).
 
-A stack takes faster numpy calls than one model where those keep the bits.
-Its cross-entropy shift folds `np.maximum` over the class columns, where one
-model takes `maximum.reduce`.  The two may pick a different one of +0 and
--0, which changes no gradient bit (exp(+0) = exp(-0)), or a different NaN,
-whose row's gradient is NaN either way.  Its bias gradients are summed with einsum, except at layers of
-width 1, where einsum sums in another order than `add.reduce`.  Weight decay,
-for one model or a stack, is one multiply and one add over the whole
-vector, with -0.0 in place of each bias's decay term, so a bias, even an
-infinite one, never decays.
+The cross-entropy shift folds `np.maximum` over the class columns, for one
+model and a stack alike.  A stack takes faster numpy calls than one model
+where those keep the bits: its bias gradients are summed with einsum,
+except at layers of width 1, where einsum sums in another order than
+`add.reduce`.  Weight decay, for one model or a stack, is one multiply and
+one add over the whole vector, with -0.0 in place of each bias's decay
+term, so a bias, even an infinite one, never decays.
 
 Aliasing.  Nothing here copies a parameter vector:
 
@@ -46,9 +44,9 @@ Aliasing.  Nothing here copies a parameter vector:
   shape and holds views of that model's layers, taken when it is built.
   Loops that reuse their traces (the generator fit, local training) build
   one per model and batch shape, and allocate its buffers once.
-* `forward_cached` writes every activation into a `Trace` and returns the
-  last one, a view into that trace; pass the trace back in, with the same
-  model, to reuse its buffers for the next batch of the same size.
+* `forward_cached` writes every activation into a new `Trace` and returns
+  the last one, a view into that trace; the trace's own `forward` reuses
+  those buffers for the next batch of the same size.
 * `Trace.cross_entropy` writes the logit gradient into the trace's
   buffers and returns it, a view that the next call overwrites.
 * `backprop_through` writes the parameter gradient into `trace.grads` and the
@@ -165,14 +163,10 @@ def init_mlp(
     Hidden layers use He-style scaling (sqrt(2/fan_in)), the output layer
     Xavier-style (sqrt(1/fan_in)); biases start at zero.
     """
-    if len(dims) < 2:
-        raise ValueError("need at least input and output dims")
-    if any(d < 1 for d in dims):
-        raise ValueError("layer widths must be positive")
     last = len(dims) - 2
     acts = [out_activation if i == last else hidden_activation for i in range(last + 1)]
-    size = _spans(dims)[-1][1].stop  # the last bias ends the vector
-    model = MlpModel(dims, acts, np.zeros(size))
+    size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(dims, dims[1:]))
+    model = MlpModel(dims, acts, np.zeros(size))  # which checks the dims
     for i, layer in enumerate(model.layers):
         fan_in = dims[i]
         scale = np.sqrt(1.0 / fan_in) if i == last else np.sqrt(2.0 / fan_in)
@@ -292,16 +286,12 @@ def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward_cached(
-    model: MlpModel, batch: np.ndarray, trace: Optional[Trace] = None
-) -> Tuple[np.ndarray, Trace]:
+def forward_cached(model: MlpModel, batch: np.ndarray) -> Tuple[np.ndarray, Trace]:
     """Forward pass that keeps every layer's pre-activation and activation.
 
-    Writes into `trace` when it was built for this model and a batch of
-    this shape, and into a new trace otherwise; returns (output, trace),
-    where the output is the trace's last activation buffer.  The trace
-    feeds `backprop_through`; callers that only need outputs should use
-    `forward`.
+    Returns (output, trace) for a new trace, where the output is the trace's
+    last activation buffer.  The trace feeds `backprop_through`; callers
+    that only need outputs should use `forward`.
     """
     batch = np.asarray(batch, dtype=np.float64)
     lead = model.params.shape[:-1]
@@ -311,8 +301,7 @@ def forward_cached(
         raise ValueError(
             f"batch dim {batch.shape[-1]} does not match model input {model.input_dim}"
         )
-    if trace is None or trace.model is not model or trace.shape != batch.shape[:-1]:
-        trace = Trace(model, batch.shape[:-1])
+    trace = Trace(model, batch.shape[:-1])
     return trace.forward(batch), trace
 
 
@@ -333,12 +322,9 @@ def _cross_entropy(
     """The arithmetic of `softmax_cross_entropy`, in the given buffers."""
     shifted, column, dlogits, flat, offsets, picks, picked = buffers
     n = labels.shape[-1]
-    if logits.ndim == 2:
-        np.maximum.reduce(logits, axis=-1, keepdims=True, out=column)
-    else:  # a stacked maximum.reduce is several times slower than this fold
-        np.maximum(logits[..., :1], logits[..., -1:], out=column)
-        for c in range(1, logits.shape[-1] - 1):
-            np.maximum(column, logits[..., c:c + 1], out=column)
+    np.maximum(logits[..., :1], logits[..., -1:], out=column)  # the shift, folded
+    for c in range(1, logits.shape[-1] - 1):
+        np.maximum(column, logits[..., c:c + 1], out=column)
     np.subtract(logits, column, out=shifted)
     np.exp(shifted, out=dlogits)
     np.add.reduce(dlogits, axis=-1, keepdims=True, out=column)

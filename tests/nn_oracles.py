@@ -123,11 +123,10 @@ def generator_fit(
     a generator built by `init_mlp` from the GEN_INIT stream, then per
     iteration `forward_cached`, the box mapping written out,
     `softmax_cross_entropy`, `backprop_through` twice and `sgd_step`, with
-    the same draws and buffers reused across iterations only through the
-    traces.  The stopping rules are applied to the full
-    list of losses, which is returned too: the loss stop to its trailing
-    window, the plateau stop to the means of its non-overlapping windows
-    (`plateau_reached`)."""
+    the same draws and fresh traces every iteration.  The stopping rules are
+    applied to the full list of losses, which is returned too: the loss stop
+    to its trailing window, the plateau stop to the means of its
+    non-overlapping windows (`plateau_reached`)."""
     train_rng = substream(master_seed, GEN_TRAIN, round_index)
     classes = classifier.output_dim
     gen = nn.init_mlp(
@@ -140,14 +139,13 @@ def generator_fit(
     patience = cfg.early_stop_patience
     losses = []
     noise = np.empty((defense.GEN_BATCH, cfg.noise_dim))
-    gen_trace = cls_trace = None
     iterations = 0
     for iterations in range(1, cfg.gen_max_iter + 1):
         train_rng.standard_normal(out=noise)
         labels = train_rng.integers(0, classes, size=defense.GEN_BATCH)
         cond = np.hstack([noise, np.eye(classes)[labels]])
-        raw, gen_trace = nn.forward_cached(gen, cond, gen_trace)
-        logits, cls_trace = nn.forward_cached(classifier, out_lo + half * (raw + 1.0), cls_trace)
+        raw, gen_trace = nn.forward_cached(gen, cond)
+        logits, cls_trace = nn.forward_cached(classifier, out_lo + half * (raw + 1.0))
         loss, dlogits = nn.softmax_cross_entropy(logits, labels)
         _, dsynth = nn.backprop_through(classifier, cls_trace, dlogits, param_grads=False)
         grads, _ = nn.backprop_through(gen, gen_trace, dsynth * half, input_grad=False)

@@ -232,6 +232,19 @@ def test_sweep_stops_at_the_first_failing_cell(tmp_path, monkeypatch, capsys, jo
         ({"seed": [1, -1]}, "config error: seed: must be >= 0"),
         ({"partition.alpha": [0.5, 0.0]}, "config error: partition: alpha must be positive"),
         ({"seed": [1, 1.0]}, "config error: seed: expected int, got float"),
+        ({"dataset.num_classes": [3, 1]}, "config error: dataset: num_classes must be >= 2"),
+        ({"dataset.per_class": [0]}, "config error: dataset: per_class must be >= 1"),
+        ({"dataset.dims": [1]}, "config error: dataset: dims must be >= 2"),
+        ({"dataset.spread": [0.0]}, "config error: dataset: radius and spread must be positive"),
+        ({"dataset.test_fraction": [1.0]}, "config error: dataset: test_fraction must be in (0, 1)"),
+        ({"clients": [0]}, "config error: clients: must be >= 1"),
+        ({"clients": [49]}, "config error: clients: 49 clients but the toy dataset has only 48 "),
+        ({"epsilon": [-0.1]}, "config error: attack: epsilon must be in [0, 1)"),
+        ({"attack.gamma": [-1.0]}, "config error: attack: gamma must be positive"),
+        ({"rule": [{"name": "a/b"}, {"name": "ok"}]},
+         "config error: grid.rule: 'a/b' cannot be part of a file name"),
+        ({"rule": [{"name": "ok"}, {"name": "a\0b"}]},
+         "config error: grid.rule: 'a\\x00b' cannot be part of a file name"),
     ],
 )
 def test_sweep_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, grid, message):
@@ -239,6 +252,24 @@ def test_sweep_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, grid, mes
     assert run_sweep(tmp_path, grid, out) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_out_dir_that_cannot_be_made_exits_2_before_any_cell_runs(
+    tmp_path, monkeypatch, capsys, command
+):
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: ran.append(args))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"seed": [1, 2]}))
+    extra = ["--grid", str(grid), "--jobs", "1"] if command == "sweep" else []
+    for out in (taken, taken / "sub"):
+        assert main([command, "--config", write_config(tmp_path), "--out-dir", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {out}: cannot make the output directory (")
+    assert ran == []
 
 
 @pytest.mark.parametrize("text", [None, "{not json", "directory", b'{"seed": [1, "\xe9"]}'])

@@ -56,17 +56,6 @@ def test_make_toy_blobs_extra_dims_are_centered_noise():
         assert np.linalg.norm(mean - centers[c]) < 0.2
 
 
-def test_make_toy_blobs_validation():
-    with pytest.raises(ValueError):
-        blobs(seed=0, num_classes=1, per_class=5)
-    with pytest.raises(ValueError):
-        blobs(seed=0, num_classes=3, per_class=0)
-    with pytest.raises(ValueError):
-        blobs(seed=0, num_classes=3, per_class=5, spread=-1.0)
-    with pytest.raises(ValueError):
-        blobs(seed=0, num_classes=3, per_class=5, dims=1)
-
-
 def test_train_test_split_stratified():
     ds = blobs(seed=2, num_classes=3, per_class=300)
     train, test = data.train_test_split(ds, 1.0 / 3.0, seed=7)
@@ -142,13 +131,6 @@ def test_dirichlet_partition_deterministic():
     b = data.dirichlet_partition(ds, 5, 1.0, seed=9)
     for ca, cb in zip(a, b):
         np.testing.assert_array_equal(ca, cb)
-
-
-@pytest.mark.parametrize("num_clients, alpha", [(0, 1.0), (3, 0.0), (61, 1.0)])
-def test_dirichlet_partition_rejects_bad_arguments(num_clients, alpha):
-    ds = blobs(seed=10, num_classes=3, per_class=20)
-    with pytest.raises(ValueError):
-        data.dirichlet_partition(ds, num_clients, alpha, seed=9)
 
 
 def test_dataset_validation():

@@ -50,19 +50,18 @@ def test_forward_cached_agrees_with_forward():
 
 
 def test_forward_cached_builds_a_fresh_trace_for_another_model():
-    # A trace serves one model: handed another model's trace, even one of
-    # the same layout over the same vector, forward_cached leaves it alone.
+    # A trace serves one model: another model, even one of the same layout
+    # over the same vector, gets its own and leaves the first alone.
     rng = np.random.default_rng(12)
     model = nn.init_mlp([3, 7, 2], "relu", rng)
     x = rng.standard_normal((6, 3))
     _, trace = nn.forward_cached(model, x)
     kept = [a.copy() for a in trace.a]
     for other in (model.with_params(model.params), model.with_params(model.params * 2.0)):
-        out, fresh = nn.forward_cached(other, x, trace)
+        out, fresh = nn.forward_cached(other, x)
         assert fresh is not trace and fresh.model is other
         np.testing.assert_array_equal(out, nn.forward(other, x))
         assert all(np.array_equal(a, b) for a, b in zip(trace.a, kept))
-    assert nn.forward_cached(model, x, trace)[1] is trace
 
 
 def test_backprop_through_rejects_another_models_trace():
@@ -351,10 +350,9 @@ def test_stacked_step_matches_each_model_alone_at_narrow_widths(hidden, classes,
 
 
 def test_stacked_cross_entropy_gradient_keeps_its_bits_on_ties_and_non_finite_logits():
-    # The stacked shift folds np.maximum over the class columns; it may
-    # pick the other of +0 and -0, or another NaN, than maximum.reduce, but
-    # no finite loss and no gradient bit changes, apart from which NaN a
-    # NaN row carries.
+    # A stacked row gets the finite loss and every gradient bit it gets
+    # alone, on tied zeros of either sign and on non-finite logits too,
+    # apart from which NaN a NaN row carries.
     rng = np.random.default_rng(41)
     specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308])
     for classes in range(1, 11):

@@ -23,8 +23,8 @@ acceptance criteria 4 and 5 run, for one robust aggregation rule or all of
 them (--cases N, at least 1; geometric_median runs at most 20; --seed S,
 at least 0).
 Exit codes: 0 on success, 1 on an oracle mismatch, 2 on a config problem,
-such as an output directory that cannot be made or a cell name that holds
-a path separator.
+such as an output directory that cannot be made or a report name that
+holds a path separator or is too long for it.
 """
 
 from __future__ import annotations
@@ -51,14 +51,21 @@ RULE_OBJECTS = {"aggregator": AggregatorConfig, "defense": DefenseConfig}
 SCHEDULES: Dict[str, Schedule] = {}  # a sweep's schedules by key, emptied when it ends
 
 
-def _out_dir(flag: Optional[str]) -> str:
-    """The output directory, made now: one that cannot be made is a config
-    problem, found before any cell runs."""
+def _out_dir(flag: Optional[str], names: List[str]) -> str:
+    """The output directory, made now, for the reports `names`: a directory
+    that cannot be made, or a report name longer than its file system
+    allows, is a config problem, found before any cell runs."""
     path = flag or os.environ.get("BFL_OUT_DIR") or "."
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot make the output directory ({exc.strerror})") from exc
+    limit = os.pathconf(path, "PC_NAME_MAX")
+    for name in names:
+        longest = len(os.fsencode(f"{name}.json"))  # .json is longer than .csv
+        if 0 <= limit < longest:
+            raise ConfigError(f"{name}.json: a file name of {longest} bytes, longer than the "
+                              f"{limit} that {path} allows")
     return path
 
 
@@ -87,9 +94,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = _override(cfg, [("seed", args.seed)])
-    out_dir = _out_dir(args.out_dir)
-    report = run_experiment(cfg)
     name = os.path.splitext(os.path.basename(args.config))[0]
+    out_dir = _out_dir(args.out_dir, [name])
+    report = run_experiment(cfg)
     csv_path, json_path = emit_report(report, out_dir, name)
     print(SUMMARY.format(report))
     print(f"wrote {csv_path} and {json_path}")
@@ -177,7 +184,7 @@ def _cell_mapper(jobs: int) -> Iterator[Callable]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cells = _grid_cells(load_config(args.config), load_json(args.grid))
-    out_dir = _out_dir(args.out_dir)
+    out_dir = _out_dir(args.out_dir, [name for name, _ in cells])
     jobs = min(args.jobs or _usable_cpus(), len(cells))
     try:
         with _cell_mapper(jobs) as cell_map:

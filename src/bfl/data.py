@@ -21,6 +21,7 @@ from .rng import DATASET, PARTITION, SPLIT, subseed, substream
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+TEST_FRACTION = 1.0 / 3.0  # each toy class's share held out to test on
 
 
 class IdxFormatError(Exception):
@@ -98,22 +99,20 @@ def make_toy_blobs(
     return Dataset(np.vstack(feats), np.concatenate(labels), num_classes)
 
 
-def stratified_test_count(class_size: int, test_fraction: float) -> int:
+def stratified_test_count(class_size: int) -> int:
     """Rows of one class that `train_test_split` puts in the test set."""
-    return int(round(test_fraction * class_size))
+    return int(round(TEST_FRACTION * class_size))
 
 
-def train_test_split(
-    dataset: Dataset, test_fraction: float, seed: int
-) -> Tuple[Dataset, Dataset]:
-    """Stratified split: each class contributes its own test_fraction share."""
+def train_test_split(dataset: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
+    """Stratified split: each class contributes its own TEST_FRACTION share."""
     rng = substream(seed)
     test_idx = []
     train_idx = []
     for c in range(dataset.num_classes):
         idx = np.flatnonzero(dataset.labels == c)
         idx = rng.permutation(idx)
-        n_test = stratified_test_count(idx.size, test_fraction)
+        n_test = stratified_test_count(idx.size)
         test_idx.append(idx[:n_test])
         train_idx.append(idx[n_test:])
     train = np.sort(np.concatenate(train_idx))
@@ -225,22 +224,14 @@ class ToyDatasetSpec:
     radius: float = 3.0
     spread: float = 0.6
     dims: int = 2
-    test_fraction: float = 1.0 / 3.0
 
     kind = "toy"
 
     def __post_init__(self) -> None:
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        if self.per_class < 1:
-            raise ValueError("per_class must be >= 1")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
-        if stratified_test_count(self.per_class, self.test_fraction) < 1:
-            raise ValueError(
-                f"test_fraction: {self.test_fraction:g} of {self.per_class} rows per class "
-                "leaves no test rows"
-            )
+        if stratified_test_count(self.per_class) < 1:  # per_class < 2
+            raise ValueError("per_class must be >= 2, so that each class has a test row")
         if self.radius <= 0.0 or self.spread <= 0.0:
             raise ValueError("radius and spread must be positive")
         if self.dims < 2:
@@ -249,8 +240,7 @@ class ToyDatasetSpec:
     @property
     def train_size(self) -> int:
         """Training rows after the stratified split."""
-        test = stratified_test_count(self.per_class, self.test_fraction)
-        return self.num_classes * (self.per_class - test)
+        return self.num_classes * (self.per_class - stratified_test_count(self.per_class))
 
 
 @dataclass
@@ -334,7 +324,7 @@ def build_datasets(cfg) -> Tuple[Dataset, Dataset, np.ndarray, np.ndarray]:
         spec.spread,
         spec.dims,
     )
-    train, test = train_test_split(full, spec.test_fraction, subseed(cfg.seed, SPLIT))
+    train, test = train_test_split(full, subseed(cfg.seed, SPLIT))
     margin = 2.0 * spec.spread
     lo = np.full(spec.dims, -(spec.radius + margin))
     hi = np.full(spec.dims, spec.radius + margin)

@@ -35,28 +35,34 @@ METRIC_KINDS = ("accuracy", "loss")
 
 GEN_HIDDEN = (64, 64)
 GEN_BATCH = 64
-# The plateau stop: a fit ends once this many windows of
-# `early_stop_patience` iterations have passed without the window-mean loss
-# falling below (1 - PLATEAU_REL_DELTA) times its best value so far.
+GEN_SGD = nn.SgdConfig(learning_rate=0.01, momentum=0.9, weight_decay=0.0)
+# The loss stop: a fit ends once the mean loss over the last WINDOW
+# iterations falls below STOP_LOSS.
+STOP_LOSS = 0.1
+WINDOW = 50
+# The plateau stop: a fit ends once this many windows of WINDOW iterations
+# have passed without the window-mean loss falling below
+# (1 - PLATEAU_REL_DELTA) times its best value so far.
 PLATEAU_WINDOWS = 4
 PLATEAU_REL_DELTA = 0.01
 
 
 @dataclass
 class DefenseConfig:
+    """The defense's settings.  The generator's recipe besides its noise
+    width and iteration cap is fixed: GEN_HIDDEN, GEN_BATCH, GEN_SGD and
+    the two stop rules' constants above."""
+
     noise_dim: int = 16
     q: int = 64  # synthetic samples per class
     filter: str = "adaptive"
     tau: float = 0.5  # only read by the fixed policy
     metric: str = "accuracy"
-    gen_lr: float = 0.01
     gen_max_iter: int = 2000
-    early_stop_loss: float = 0.1
-    early_stop_patience: int = 50
 
     def __post_init__(self) -> None:
-        if self.noise_dim < 1 or self.q < 1:
-            raise ValueError("noise_dim and q must be >= 1")
+        if min(self.noise_dim, self.q, self.gen_max_iter) < 1:
+            raise ValueError("noise_dim, q and gen_max_iter must be >= 1")
         if self.filter not in FILTER_KINDS:
             raise ValueError(f"unknown filter {self.filter!r}")
         if self.metric not in METRIC_KINDS:
@@ -67,10 +73,6 @@ class DefenseConfig:
                 f"tau: a fixed threshold of {self.tau:g} rejects every {self.metric} score, "
                 f"none of which exceeds {top:g}"
             )
-        if self.gen_lr <= 0.0 or self.gen_max_iter < 1:
-            raise ValueError("bad generator training settings")
-        if self.early_stop_loss <= 0.0 or self.early_stop_patience < 1:
-            raise ValueError("bad early stopping settings")
 
 
 def _to_box(
@@ -99,16 +101,15 @@ def train_generator(
     maps its output onto the box [out_lo, out_hi], per feature.  Each
     iteration draws a fresh batch of standard-normal noise and uniform
     labels, pushes it through generator then classifier, and takes one
-    momentum SGD step on the generator alone.  Training stops at the first
-    of three conditions:
+    GEN_SGD step on the generator alone.  Training stops at the first of
+    three conditions:
 
-    - the mean cross-entropy over the last `early_stop_patience` iterations
-      (the window mean) drops below `early_stop_loss`;
+    - the mean cross-entropy over the last WINDOW iterations (the window
+      mean) drops below STOP_LOSS;
     - the loss has plateaued: at the end of each non-overlapping window of
-      `early_stop_patience` iterations, a window mean below
-      (1 - PLATEAU_REL_DELTA) times the best so far becomes the new best,
-      and the fit stops once PLATEAU_WINDOWS windows have passed since the
-      last new best;
+      WINDOW iterations, a window mean below (1 - PLATEAU_REL_DELTA) times
+      the best so far becomes the new best, and the fit stops once
+      PLATEAU_WINDOWS windows have passed since the last new best;
     - `gen_max_iter` iterations have run.
 
     A non-finite window mean is never a new best, so a fit against a
@@ -136,9 +137,8 @@ def train_generator(
         substream(master_seed, GEN_INIT, round_index), out_activation="tanh",
     )
     train_rng = substream(master_seed, GEN_TRAIN, round_index)
-    sgd = nn.SgdConfig(learning_rate=cfg.gen_lr, momentum=0.9, weight_decay=0.0)
     state = nn.init_momentum(gen)
-    window: collections.deque = collections.deque(maxlen=cfg.early_stop_patience)
+    window: collections.deque = collections.deque(maxlen=WINDOW)
     noise = np.empty((GEN_BATCH, cfg.noise_dim))
     cond = np.empty((GEN_BATCH, cfg.noise_dim + num_classes))
     cond_noise, cond_onehot = cond[:, : cfg.noise_dim], cond[:, cfg.noise_dim :]
@@ -167,17 +167,17 @@ def train_generator(
         _, dsynth = cls_trace.backward(dlogits, param_grads=False)
         np.multiply(dsynth, half, out=dsynth)
         grads, _ = gen_trace.backward(dsynth, input_grad=False)
-        nn.sgd_step(gen, grads, sgd, state)
+        nn.sgd_step(gen, grads, GEN_SGD, state)
         window.append(loss)
-        if len(window) < cfg.early_stop_patience:
+        if len(window) < WINDOW:
             continue
         mean = sum(window) / len(window)
-        if mean < cfg.early_stop_loss:
+        if mean < STOP_LOSS:
             break
-        if iterations % cfg.early_stop_patience == 0:
+        if iterations % WINDOW == 0:
             if mean < best * (1.0 - PLATEAU_REL_DELTA):
                 best, best_at = mean, iterations
-            elif iterations - best_at >= PLATEAU_WINDOWS * cfg.early_stop_patience:
+            elif iterations - best_at >= PLATEAU_WINDOWS * WINDOW:
                 break
     return gen, iterations
 

@@ -134,9 +134,8 @@ def generator_fit(
         substream(master_seed, GEN_INIT, round_index), out_activation="tanh",
     )
     half = 0.5 * (out_hi - out_lo)
-    sgd = nn.SgdConfig(learning_rate=cfg.gen_lr, momentum=0.9, weight_decay=0.0)
     state = nn.init_momentum(gen)
-    patience = cfg.early_stop_patience
+    patience = defense.WINDOW
     losses = []
     noise = np.empty((defense.GEN_BATCH, cfg.noise_dim))
     iterations = 0
@@ -149,9 +148,9 @@ def generator_fit(
         loss, dlogits = nn.softmax_cross_entropy(logits, labels)
         _, dsynth = nn.backprop_through(classifier, cls_trace, dlogits, param_grads=False)
         grads, _ = nn.backprop_through(gen, gen_trace, dsynth * half, input_grad=False)
-        nn.sgd_step(gen, grads, sgd, state)
+        nn.sgd_step(gen, grads, defense.GEN_SGD, state)
         losses.append(loss)
-        if iterations >= patience and sum(losses[-patience:]) / patience < cfg.early_stop_loss:
+        if iterations >= patience and sum(losses[-patience:]) / patience < defense.STOP_LOSS:
             break
         if iterations % patience == 0 and plateau_reached(
             [sum(losses[end - patience : end]) / patience

@@ -233,10 +233,10 @@ def test_sweep_stops_at_the_first_failing_cell(tmp_path, monkeypatch, capsys, jo
         ({"partition.alpha": [0.5, 0.0]}, "config error: partition: alpha must be positive"),
         ({"seed": [1, 1.0]}, "config error: seed: expected int, got float"),
         ({"dataset.num_classes": [3, 1]}, "config error: dataset: num_classes must be >= 2"),
-        ({"dataset.per_class": [0]}, "config error: dataset: per_class must be >= 1"),
+        ({"dataset.per_class": [1]}, "config error: dataset: per_class must be >= 2"),
         ({"dataset.dims": [1]}, "config error: dataset: dims must be >= 2"),
         ({"dataset.spread": [0.0]}, "config error: dataset: radius and spread must be positive"),
-        ({"dataset.test_fraction": [1.0]}, "config error: dataset: test_fraction must be in (0, 1)"),
+        ({"dataset.test_fraction": [0.5]}, "config error: grid.dataset.test_fraction: unknown field"),
         ({"clients": [0]}, "config error: clients: must be >= 1"),
         ({"clients": [49]}, "config error: clients: 49 clients but the toy dataset has only 48 "),
         ({"epsilon": [-0.1]}, "config error: attack: epsilon must be in [0, 1)"),
@@ -270,6 +270,44 @@ def test_an_out_dir_that_cannot_be_made_exits_2_before_any_cell_runs(
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {out}: cannot make the output directory (")
     assert ran == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_report_name_too_long_for_the_out_dir_exits_2_before_any_cell_runs(
+    tmp_path, monkeypatch, capsys, command
+):
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: ran.append(args))
+    out = tmp_path / "out"
+    if command == "run":  # 252 bytes of stem and ".json" come to 257
+        name = "x" * 252
+        argv = ["run", "--config", write_config(tmp_path, name=name)]
+    else:
+        name = "none_eps0_" + "x" * 300
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"rule": [{"name": "x" * 300}]}))
+        argv = ["sweep", "--config", write_config(tmp_path), "--grid", str(grid), "--jobs", "1"]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    limit = os.pathconf(out, "PC_NAME_MAX")
+    assert capsys.readouterr().err == (
+        f"config error: {name}.json: a file name of {len(name) + 5} bytes, longer than the "
+        f"{limit} that {out} allows\n"
+    )
+    assert ran == [] and os.listdir(out) == []
+
+
+def test_the_shipped_configs_load_and_the_grids_expand_over_toy_benign():
+    configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+    names = sorted(os.listdir(configs))
+    grids = [name for name in names if name.startswith("grid_")]
+    assert grids == ["grid_attacks.json", "grid_heterogeneity.json"]
+    for name in names:
+        if name not in grids:
+            cli.load_config(os.path.join(configs, name))
+    base = cli.load_config(os.path.join(configs, "toy_benign.json"))
+    cells = {name: len(cli._grid_cells(base, cli.load_json(os.path.join(configs, name))))
+             for name in grids}
+    assert cells == {"grid_attacks.json": 16, "grid_heterogeneity.json": 280}
 
 
 @pytest.mark.parametrize("text", [None, "{not json", "directory", b'{"seed": [1, "\xe9"]}'])
@@ -451,14 +489,14 @@ def test_a_path_axis_writes_into_each_rules_defense(tmp_path):
         "rule": [{"name": "adaptive", "defense": {"metric": "loss"}},
                  {"name": "cluster", "defense": {"filter": "cluster"}}],
     }
-    base = cli.load_config(write_config(tmp_path, defense={"gen_lr": 0.05}))
+    base = cli.load_config(write_config(tmp_path, defense={"gen_max_iter": 30}))
     cells = dict(cli._grid_cells(base, grid))
     assert list(cells) == ["none_eps0_q9_adaptive", "none_eps0_q9_cluster",
                            "none_eps0_q12_adaptive", "none_eps0_q12_cluster"]
     for name, cfg in cells.items():
         assert cfg.defense.q == int(name.split("_q")[1].split("_")[0])
         # The fields a rule leaves out keep their defaults, not the base's.
-        assert cfg.defense.gen_lr == 0.01
+        assert cfg.defense.gen_max_iter == 2000
         assert (cfg.defense.filter, cfg.defense.metric) == (
             ("adaptive", "loss") if name.endswith("adaptive") else ("cluster", "accuracy"))
 

@@ -51,7 +51,7 @@ def test_full_roundtrip_through_dict():
         "hidden_dims": [8, 8],
         "sgd": {"learning_rate": 0.05, "momentum": 0.8, "weight_decay": 0.001},
         "dataset": {"kind": "toy", "num_classes": 4, "per_class": 50,
-                    "radius": 2.0, "spread": 0.3, "dims": 6, "test_fraction": 0.25},
+                    "radius": 2.0, "spread": 0.3, "dims": 6},
         "partition": {"alpha": 0.5},
         "attack": {"kind": "sign_flip", "epsilon": 0.25, "gamma": 3.0},
         "aggregator": {"kind": "trimmed_mean", "beta": 0.2},
@@ -147,32 +147,30 @@ def test_clients_must_not_outnumber_training_samples():
         config_from_dict({"clients": 601, "sampled_per_round": 10, "rounds": 1})
     cfg = config_from_dict({"clients": 600, "rounds": 1, "local_epochs": 1})
     assert len(run_experiment(cfg).rounds) == 1
-    # the split rounds per class: round(0.5 * 5) = 2 test rows, 3 train rows each
-    small = {"num_classes": 2, "per_class": 5, "test_fraction": 0.5}
+    # the split rounds per class: round(5 / 3) = 2 test rows, 3 train rows each
+    small = {"num_classes": 2, "per_class": 5}
     assert config_from_dict({"clients": 6, "sampled_per_round": 1, "dataset": small})
     with pytest.raises(ConfigError, match="clients"):
         config_from_dict({"clients": 7, "sampled_per_round": 1, "dataset": small})
 
 
 def test_a_split_with_no_test_rows_is_rejected_at_load():
-    # round(0.2 * 2) = 0 test rows per class: every round's accuracy would
-    # be the mean of an empty slice.
-    small = {"per_class": 2, "test_fraction": 0.2}
+    # round(1 / 3) = 0 test rows per class: every round's accuracy would be
+    # the mean of an empty slice.
+    small = {"per_class": 1}
     with pytest.raises(
-        ConfigError, match=r"^dataset: test_fraction: 0.2 of 2 rows per class leaves no test rows$"
+        ConfigError, match=r"^dataset: per_class must be >= 2, so that each class has a test row$"
     ):
         config_from_dict({"dataset": small, "clients": 2, "sampled_per_round": 1})
-    small["test_fraction"] = 0.25  # round(0.5) = 0 too
-    with pytest.raises(ConfigError, match=r"^dataset: test_fraction: "):
-        config_from_dict({"dataset": small, "clients": 2, "sampled_per_round": 1})
-    small["test_fraction"] = 0.3  # round(0.6) = 1
+    small["per_class"] = 2  # round(2 / 3) = 1
     assert config_from_dict({"dataset": small, "clients": 2, "sampled_per_round": 1})
 
 
 @pytest.mark.parametrize(
     "path",
     ["attack.ipm_objective", "aggregator.weiszfeld_tol", "aggregator.weiszfeld_max_iter",
-     "attack.sigma", "attack.gamma_grid", "partition.seed"],
+     "attack.sigma", "attack.gamma_grid", "partition.seed", "defense.gen_lr",
+     "defense.early_stop_loss", "defense.early_stop_patience", "dataset.test_fraction"],
 )
 def test_removed_options_are_unknown_fields(tmp_path, capsys, path):
     section, name = path.split(".")

@@ -58,7 +58,7 @@ def test_make_toy_blobs_extra_dims_are_centered_noise():
 
 def test_train_test_split_stratified():
     ds = blobs(seed=2, num_classes=3, per_class=300)
-    train, test = data.train_test_split(ds, 1.0 / 3.0, seed=7)
+    train, test = data.train_test_split(ds, seed=7)
     assert len(train) == 600 and len(test) == 300
     np.testing.assert_array_equal(np.bincount(train.labels), [200, 200, 200])
     np.testing.assert_array_equal(np.bincount(test.labels), [100, 100, 100])
@@ -69,8 +69,8 @@ def test_train_test_split_stratified():
 
 def test_train_test_split_deterministic():
     ds = blobs(seed=2, num_classes=3, per_class=50)
-    a1, b1 = data.train_test_split(ds, 0.2, seed=3)
-    a2, b2 = data.train_test_split(ds, 0.2, seed=3)
+    a1, b1 = data.train_test_split(ds, seed=3)
+    a2, b2 = data.train_test_split(ds, seed=3)
     np.testing.assert_array_equal(a1.features, a2.features)
     np.testing.assert_array_equal(b1.labels, b2.labels)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -48,9 +49,7 @@ def test_defense_config_validation():
     with pytest.raises(ValueError):
         DefenseConfig(metric="f1")
     with pytest.raises(ValueError):
-        DefenseConfig(gen_lr=0.0)
-    with pytest.raises(ValueError):
-        DefenseConfig(early_stop_patience=0)
+        DefenseConfig(gen_max_iter=0)
 
 
 def test_generator_output_respects_box():
@@ -140,9 +139,9 @@ def test_train_generator_matches_composed_reference_fit(
         classifier.params[rng.integers(0, classifier.params.size, size=3)] = poison
     lo = -0.5 - rng.random(input_dim)
     hi = 0.5 + rng.random(input_dim)
-    cfg = DefenseConfig(noise_dim=noise_dim, gen_max_iter=max_iter,
-                        early_stop_loss=stop_loss, early_stop_patience=patience)
-    with np.errstate(all="ignore"):
+    cfg = DefenseConfig(noise_dim=noise_dim, gen_max_iter=max_iter)
+    with np.errstate(all="ignore"), patch.object(defense, "STOP_LOSS", stop_loss), \
+            patch.object(defense, "WINDOW", patience):
         gen, iters = defense.train_generator(classifier, cfg, seed, 3, lo, hi)
         ref, ref_iters, _ = nn_oracles.generator_fit(classifier, cfg, seed, 3, lo, hi)
     assert iters == ref_iters
@@ -157,7 +156,7 @@ def test_train_generator_against_nan_classifier_stops_after_plateau_windows():
     cfg = DefenseConfig()
     with np.errstate(all="ignore"):
         _, iters = defense.train_generator(classifier, cfg, 0, 1, -np.ones(12), np.ones(12))
-    assert iters == defense.PLATEAU_WINDOWS * cfg.early_stop_patience == 200
+    assert iters == defense.PLATEAU_WINDOWS * defense.WINDOW == 200
 
 
 def test_synthesize_balanced_and_deterministic():

@@ -14,6 +14,7 @@ CHANGES.md.
 """
 
 import hashlib
+from unittest.mock import patch
 
 import numpy as np
 
@@ -33,26 +34,28 @@ PROBE = (
     "f2b946b50efaef28ed9e347999822264838f03f9bab011623ee2f9c35dbe0437",
     "c28e6bc011fe0164f4d8356fff2317883832038a7abfff9caa57b2407fa1e240",
 )
-# An 8-D noise fit whose loss never drops below 1e-4: it stops at the cap.
-CAPPED_CFG = DefenseConfig(noise_dim=8, gen_max_iter=150, early_stop_loss=1e-4)
+# An 8-D noise fit whose loss never drops below a loss stop of 1e-4: it
+# stops at the cap.
+CAPPED_CFG = DefenseConfig(noise_dim=8, gen_max_iter=150)
+CAPPED_STOP_LOSS = 1e-4
 CAPPED_PARAMS = "0ddc18a7095f7fc9c3bab7e5d081c95224b2421e4748004be9ee39477fdd7a5d"
 # The untrained broadcast model at default settings: the window-mean loss
-# levels off just above `early_stop_loss`, and the plateau stop ends the fit.
+# levels off just above `defense.STOP_LOSS`, and the plateau stop ends the fit.
 PLATEAU_ITERS = 900
 PLATEAU_PARAMS = "edbc721c30d54b98c13c6aed6c8b9393df99f6f89c270cb6b2de358ecdfcc670"
 REPORTS = {
     "ipm_cluster": (
         "a163a54d445d12e336b1ddb4fb64fee6bc6ec32dc5c4e889423859d2741dcf6f",
-        "2ee56c2560bd90c4a260d3da89c516f45cd58b0b4d9cfcc3c0cb40c1b89e399d",
+        "811a8270738ee664402cd9d39a82dfcb764acfb90d04d650bb9791bcf252c87a",
     ),
     "sign_flip_overflow": (
         "7b50004d42612cd013bf907b8f562c716dc745cbb51b62af02c65668c6a67ebf",
-        "433a65da51b06ec17f68c13c982959292d3808e83bb3a6f0c76605a92f90acf8",
+        "fa20280c5c81d5ef72da6f4b7fd707691146756017d74c7d05e7796e2b12ed3a",
     ),
 }
 RAGGED_REPORT = (
     "710b50ca807052df6b7344dcf11ce6c686728be48e46de3e8840549db01458fa",
-    "55fe9bb7f50f92d98a0302147d86745fd9301201e57c7306db0ad17b33383da4",
+    "150353c78cc8a1eac80e111a6fdad81d70a7e51ddc2556ae1a2e40f5ced3761d",
 )
 # The client shards of RAGGED_CELL (seed 42, alpha 0.05), their index arrays
 # concatenated in client order as int64.
@@ -62,7 +65,7 @@ RAGGED_PARTITION = "067824876676b8c6d958eae043e47303957eaab6fe82a8e80f069239ea92
 PLANS = "8c310fb4765ef0f919f62d067b6a4fb5718f7246215689655117540b1ce09fa2"
 FALLBACK_REPORT = (
     "1c88e7fe9de3a1623c8c68a902ea3a47f40bb08d75f4a734a2e82eedaf121b07",
-    "1fd2531bf2340a179368bdfe45ff0db40c2a6827422373f9ea4182cc15c4a478",
+    "e67fdce0591aa1b8142d89f3c6228410bcbaa9bd50c3fcc2c712b97a143a6080",
 )
 
 CELLS = {
@@ -176,7 +179,8 @@ def test_ragged_partition_bits():
 def test_capped_generator_fit_bits():
     template, vector, delta, lo, hi = _trained_classifier()
     classifier = template.with_params(vector + delta)
-    gen, iters = defense.train_generator(classifier, CAPPED_CFG, SEED, 5, lo, hi)
+    with patch.object(defense, "STOP_LOSS", CAPPED_STOP_LOSS):
+        gen, iters = defense.train_generator(classifier, CAPPED_CFG, SEED, 5, lo, hi)
     assert iters == CAPPED_CFG.gen_max_iter
     assert digest(gen.params) == CAPPED_PARAMS
 
@@ -191,8 +195,8 @@ def test_plateau_generator_fit_bits():
     # It stopped on the plateau, not on the loss: the last window's mean is
     # still above the loss stop.
     _, _, losses = nn_oracles.generator_fit(classifier, cfg, SEED, 4, lo, hi)
-    window = losses[-cfg.early_stop_patience:]
-    assert len(losses) == iters and sum(window) / len(window) >= cfg.early_stop_loss
+    window = losses[-defense.WINDOW:]
+    assert len(losses) == iters and sum(window) / len(window) >= defense.STOP_LOSS
 
 
 def test_batch_plan_bits():

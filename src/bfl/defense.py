@@ -14,8 +14,9 @@ The generator is a plain `nn.MlpModel` ending in tanh; `_to_box` maps its
 Sampling the trained generator with a balanced label schedule yields the
 synthetic validation set.  Every candidate vector is read as a full model
 (the template's layout over it, without a copy) and scored on that set;
-fixed-threshold, population-mean, or two-cluster policies then decide which
-rows of the round's update matrix survive to aggregation.
+a population-mean or a two-cluster policy, neither with a threshold to set,
+then decides which rows of the round's update matrix survive to
+aggregation.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import nn
 from .data import Dataset
 from .rng import GEN_INIT, GEN_TRAIN, SYNTH, substream
 
-FILTER_KINDS = ("fixed", "adaptive", "cluster")
+FILTER_KINDS = ("adaptive", "cluster")
 METRIC_KINDS = ("accuracy", "loss")
 
 GEN_HIDDEN = (64, 64)
@@ -56,8 +57,7 @@ class DefenseConfig:
     noise_dim: int = 16
     q: int = 64  # synthetic samples per class
     filter: str = "adaptive"
-    tau: float = 0.5  # only read by the fixed policy
-    metric: str = "accuracy"
+    metric: str = "loss"
     gen_max_iter: int = 2000
 
     def __post_init__(self) -> None:
@@ -67,12 +67,6 @@ class DefenseConfig:
             raise ValueError(f"unknown filter {self.filter!r}")
         if self.metric not in METRIC_KINDS:
             raise ValueError(f"unknown metric {self.metric!r}")
-        top = 1.0 if self.metric == "accuracy" else 0.0  # the best score there is
-        if self.filter == "fixed" and self.tau >= top:
-            raise ValueError(
-                f"tau: a fixed threshold of {self.tau:g} rejects every {self.metric} score, "
-                f"none of which exceeds {top:g}"
-            )
 
 
 def _to_box(
@@ -292,31 +286,27 @@ def kmeans_1d_two(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.sort(order[:best_split]), np.sort(order[best_split:])
 
 
-def filter_updates(scores: np.ndarray, policy: str, tau: float) -> np.ndarray:
+def filter_updates(scores: np.ndarray, policy: str) -> np.ndarray:
     """Decide which rows of the (m,) `scores` survive; returns them in
     ascending order.
 
-    A non-finite score is rejected under every policy, and the others see
-    only the finite scores:
+    A non-finite score is rejected under both policies, which see only the
+    finite scores:
 
-    fixed:     keep scores strictly above the constant threshold tau.
     adaptive:  keep scores strictly above their mean, compared in exact
                integer arithmetic (n * score > sum), so no rounding or
                overflow moves the threshold.
     cluster:   exact two-means over scores (`kmeans_1d_two`); keep the upper
                cluster, which holds the best-scoring row (the lowest row
                among ties).
-    adaptive and cluster keep every finite score when they are all equal
-    (a lone one included), and otherwise keep at least the best one.  Any
-    policy rejects everyone when no score is finite; fixed may reject
-    everyone otherwise too.
+    Both keep every finite score when they are all equal (a lone one
+    included), and otherwise keep at least the best one; neither has a
+    threshold to set.  Both reject everyone only when no score is finite.
     """
     if policy not in FILTER_KINDS:
         raise ValueError(f"unknown filter {policy!r}")
     rows = np.flatnonzero(np.isfinite(scores))
     finite = scores[rows]
-    if policy == "fixed":
-        return rows[finite > tau]
     if np.all(finite == finite[:1]):  # none, or all equal to the first
         return rows
     if policy == "adaptive":

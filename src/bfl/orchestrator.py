@@ -364,7 +364,7 @@ def run_experiment(cfg: ExperimentConfig, schedule: Optional[Schedule] = None) -
             )
             probe = defense.synthesize(gen, cfg.defense, cfg.seed, t, schedule.lo, schedule.hi)
             scores = defense.score_updates(candidates, template, probe, cfg.defense.metric)
-            rows = defense.filter_updates(scores, cfg.defense.filter, cfg.defense.tau)
+            rows = defense.filter_updates(scores, cfg.defense.filter)
         else:
             rows = np.arange(len(sampled))
         fallback = None

@@ -125,7 +125,7 @@ def test_sweep_rule_axis_swaps_aggregator(tmp_path):
         "epsilon": [0.4],
         "rule": [
             {"name": "median", "aggregator": {"kind": "coord_median"}},
-            {"name": "gan", "defense": {"q": 9, "gen_max_iter": 30, "metric": "loss"}},
+            {"name": "gan", "defense": {"q": 9, "gen_max_iter": 30}},
         ],
     }))
     out = tmp_path / "sweep"
@@ -159,7 +159,7 @@ POOL_GRID = {
     "epsilon": [0.4],
     "rule": [
         {"name": "fedavg"},
-        {"name": "gan", "defense": {"q": 9, "gen_max_iter": 30, "metric": "loss"}},
+        {"name": "gan", "defense": {"q": 9, "gen_max_iter": 30}},
         {"name": "median", "aggregator": {"kind": "coord_median"}},
     ],
 }
@@ -300,14 +300,14 @@ def test_the_shipped_configs_load_and_the_grids_expand_over_toy_benign():
     configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
     names = sorted(os.listdir(configs))
     grids = [name for name in names if name.startswith("grid_")]
-    assert grids == ["grid_attacks.json", "grid_heterogeneity.json"]
+    assert grids == ["grid_attacks.json", "grid_heterogeneity.json", "grid_metric.json"]
     for name in names:
         if name not in grids:
             cli.load_config(os.path.join(configs, name))
     base = cli.load_config(os.path.join(configs, "toy_benign.json"))
     cells = {name: len(cli._grid_cells(base, cli.load_json(os.path.join(configs, name))))
              for name in grids}
-    assert cells == {"grid_attacks.json": 16, "grid_heterogeneity.json": 280}
+    assert cells == {"grid_attacks.json": 16, "grid_heterogeneity.json": 280, "grid_metric.json": 720}
 
 
 @pytest.mark.parametrize("text", [None, "{not json", "directory", b'{"seed": [1, "\xe9"]}'])
@@ -405,7 +405,7 @@ def test_sweep_with_a_defended_krum_cell_completes(tmp_path, capsys):
         "rule": [
             {"name": "fedavg"},
             {"name": "krum_gan", "aggregator": {"kind": "multi_krum"},
-             "defense": {"filter": "cluster", "metric": "loss", "q": 9, "gen_max_iter": 30}},
+             "defense": {"filter": "cluster", "q": 9, "gen_max_iter": 30}},
         ],
     }))
     out = tmp_path / "sweep"
@@ -467,7 +467,7 @@ def test_a_path_axis_writes_into_each_rules_aggregator(tmp_path):
         "rule": [
             {"name": "krum", "aggregator": {"kind": "multi_krum"}},
             {"name": "nnm", "aggregator": {"kind": "nnm_krum"}},
-            {"name": "gan", "defense": {"metric": "loss"}},
+            {"name": "gan", "defense": {}},
         ],
         "defense.q": [9],
     }
@@ -486,7 +486,7 @@ def test_a_path_axis_writes_into_each_rules_aggregator(tmp_path):
 def test_a_path_axis_writes_into_each_rules_defense(tmp_path):
     grid = {
         "defense.q": [9, 12],
-        "rule": [{"name": "adaptive", "defense": {"metric": "loss"}},
+        "rule": [{"name": "adaptive", "defense": {"metric": "accuracy"}},
                  {"name": "cluster", "defense": {"filter": "cluster"}}],
     }
     base = cli.load_config(write_config(tmp_path, defense={"gen_max_iter": 30}))
@@ -498,7 +498,7 @@ def test_a_path_axis_writes_into_each_rules_defense(tmp_path):
         # The fields a rule leaves out keep their defaults, not the base's.
         assert cfg.defense.gen_max_iter == 2000
         assert (cfg.defense.filter, cfg.defense.metric) == (
-            ("adaptive", "loss") if name.endswith("adaptive") else ("cluster", "accuracy"))
+            ("adaptive", "accuracy") if name.endswith("adaptive") else ("cluster", "loss"))
 
 
 def test_sweep_and_run_print_the_same_summary(tmp_path, capsys):

@@ -55,7 +55,7 @@ def test_full_roundtrip_through_dict():
         "partition": {"alpha": 0.5},
         "attack": {"kind": "sign_flip", "epsilon": 0.25, "gamma": 3.0},
         "aggregator": {"kind": "trimmed_mean", "beta": 0.2},
-        "defense": {"filter": "cluster", "metric": "loss", "q": 30},
+        "defense": {"filter": "cluster", "metric": "accuracy", "q": 30},
     }
     cfg = config_from_dict(obj)
     assert cfg.dataset.dims == 6
@@ -170,7 +170,8 @@ def test_a_split_with_no_test_rows_is_rejected_at_load():
     "path",
     ["attack.ipm_objective", "aggregator.weiszfeld_tol", "aggregator.weiszfeld_max_iter",
      "attack.sigma", "attack.gamma_grid", "partition.seed", "defense.gen_lr",
-     "defense.early_stop_loss", "defense.early_stop_patience", "dataset.test_fraction"],
+     "defense.early_stop_loss", "defense.early_stop_patience", "dataset.test_fraction",
+     "defense.tau"],
 )
 def test_removed_options_are_unknown_fields(tmp_path, capsys, path):
     section, name = path.split(".")
@@ -320,7 +321,7 @@ def test_attack_validation_surfaces_as_config_error():
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
 @pytest.mark.parametrize(
     "section, field",
-    [("partition", "alpha"), ("dataset", "spread"), ("sgd", "learning_rate"), ("defense", "tau")],
+    [("partition", "alpha"), ("dataset", "spread"), ("sgd", "learning_rate"), ("attack", "epsilon")],
 )
 def test_non_finite_reals_exit_2_at_load(tmp_path, capsys, value, section, field):
     # Python's JSON reader takes NaN and the infinities; a 401-digit int
@@ -334,22 +335,15 @@ def test_non_finite_reals_exit_2_at_load(tmp_path, capsys, value, section, field
     assert not out.exists()
 
 
-@pytest.mark.parametrize("metric, tau", [("loss", 0.5), ("loss", 0.0), ("accuracy", 1.0), ("accuracy", 1.5)])
-def test_fixed_threshold_that_no_score_can_pass_exits_2_at_load(tmp_path, capsys, metric, tau):
-    # Loss scores are at most 0 and accuracies at most 1: such a threshold
-    # would reject every client in every round.
-    message = f"defense: tau: a fixed threshold of {tau:g} rejects every {metric} score, none of which exceeds "
-    cell = {"rounds": 1, "defense": {"filter": "fixed", "metric": metric, "tau": tau}}
-    with pytest.raises(ConfigError, match="^" + re.escape(message)):
-        config_from_dict(cell)
+def test_a_fixed_threshold_filter_exits_2_at_load(tmp_path, capsys):
+    # Both filters set their own cut from the round's scores; there is no
+    # constant threshold to choose.
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cell))
-    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("config error: " + message)
-    # Just below the best score, and under the other filters, tau is fine.
-    below = -1e-300 if metric == "loss" else 0.999
-    assert config_from_dict({"defense": {"filter": "fixed", "metric": metric, "tau": below}})
-    assert config_from_dict({"defense": {"filter": "adaptive", "metric": metric, "tau": tau}})
+    path.write_text(json.dumps({"rounds": 1, "defense": {"filter": "fixed"}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: defense: unknown filter 'fixed'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -376,7 +370,7 @@ def test_defense_null_versus_object():
         config_from_dict({"defense": "adaptive"})
     cfg = config_from_dict({"defense": {}})
     assert cfg.defense is not None
-    assert cfg.defense.filter == "adaptive"
+    assert (cfg.defense.filter, cfg.defense.metric) == ("adaptive", "loss")
 
 
 def test_defense_bad_metric():

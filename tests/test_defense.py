@@ -318,30 +318,22 @@ def test_kmeans_1d_two_needs_two_points():
         defense.kmeans_1d_two(np.array([1.0]))
 
 
-def kept(scores, policy, tau=0.0):
-    rows = defense.filter_updates(np.array(scores, dtype=np.float64), policy, tau)
+def kept(scores, policy):
+    rows = defense.filter_updates(np.array(scores, dtype=np.float64), policy)
     assert rows.dtype.kind == "i"
     return rows.tolist()
-
-
-def test_filter_fixed_strictly_above_tau():
-    assert kept([0.2, 0.5, 0.8], "fixed", 0.5) == [2]
 
 
 def test_filter_adaptive_strictly_above_mean():
     assert kept([0.0, 0.5, 1.0], "adaptive") == [2]  # mean 0.5
 
 
-@pytest.mark.parametrize("policy", ["adaptive", "cluster"])
+@pytest.mark.parametrize("policy", defense.FILTER_KINDS)
 def test_filter_accepts_every_finite_score_when_they_are_all_equal(policy):
     # Accuracy on a small probe is coarse, so honest candidates tie.  The
     # mean equals the tied score, and two-means would split off one of them.
     assert kept([0.5] * 5, policy) == list(range(5))
     assert kept([math.nan, 0.5, -math.inf, 0.5], policy) == [1, 3]
-
-
-def test_filter_fixed_keeps_its_threshold_on_tied_scores():
-    assert kept([0.5] * 5, "fixed", 0.5) == []
 
 
 def test_filter_adaptive_mean_does_not_overflow():
@@ -359,12 +351,12 @@ def test_filter_cluster_single_entry_accepts_it():
 
 @pytest.mark.parametrize("policy", defense.FILTER_KINDS)
 def test_filter_rejects_non_finite_scores_and_ignores_them(policy):
-    # Over the finite scores alone every policy keeps 0.9 and 0.8: above
-    # tau, above their mean 0.6, and the upper of the two clusters.
-    assert kept([0.9, math.nan, 0.8, -math.inf, math.inf, 0.1], policy, 0.5) == [0, 2]
+    # Over the finite scores alone both policies keep 0.9 and 0.8: above
+    # their mean 0.6, and the upper of the two clusters.
+    assert kept([0.9, math.nan, 0.8, -math.inf, math.inf, 0.1], policy) == [0, 2]
 
 
-@pytest.mark.parametrize("policy", ["adaptive", "cluster"])
+@pytest.mark.parametrize("policy", defense.FILTER_KINDS)
 def test_filter_keeps_a_lone_finite_score(policy):
     assert kept([math.nan, -0.3, -math.inf], policy) == [1]
     assert kept([-0.3], policy) == [0]
@@ -372,19 +364,17 @@ def test_filter_keeps_a_lone_finite_score(policy):
 
 @pytest.mark.parametrize("policy", defense.FILTER_KINDS)
 def test_filter_without_a_finite_score_accepts_nobody(policy):
-    assert kept([math.nan, -math.inf, math.inf], policy, -1.0) == []
+    assert kept([math.nan, -math.inf, math.inf], policy) == []
 
 
 def test_filters_match_set_builder_definitions_50_sets():
-    """fixed/adaptive rebuilt as one-line list comprehensions, 50 sets."""
+    """adaptive rebuilt as a one-line list comprehension, 50 sets."""
     rng = np.random.default_rng(51)
     for _ in range(50):
         n = int(rng.integers(1, 12))
         scores = (rng.random(n) * 2.0 - 0.5).tolist()
-        tau = float(rng.random())
-        assert kept(scores, "fixed", tau) == [i for i, s in enumerate(scores) if s > tau]
         mean = sum(scores) / n
-        assert kept(scores, "adaptive", tau) == [i for i, s in enumerate(scores) if s > mean or n == 1]
+        assert kept(scores, "adaptive") == [i for i, s in enumerate(scores) if s > mean or n == 1]
 
 
 # The scores of the one round of OVERFLOW_CLUSTER_CELL below, in row order:
@@ -407,7 +397,7 @@ def test_kmeans_1d_two_splits_scores_whose_squares_overflow():
     assert upper.tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
     got = nn_oracles.exact_wcss(scores[lower].tolist(), scores[upper].tolist())
     assert got == nn_oracles.exact_min_wcss(OVERFLOW_SCORES)
-    assert defense.filter_updates(scores, "cluster", 0.0).tolist() == upper.tolist()
+    assert defense.filter_updates(scores, "cluster").tolist() == upper.tolist()
 
 
 OVERFLOW_CLUSTER_CELL = {
@@ -437,13 +427,11 @@ SCORE_LISTS = st.lists(
 ).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12))
 
 
-def exact_filter(scores, policy, tau):
+def exact_filter(scores, policy):
     """The rows that `policy` keeps, from its definition in rational
     arithmetic: nothing rounds, overflows or cancels."""
     rows = [r for r, s in enumerate(scores) if math.isfinite(s)]
     exact = {r: Fraction(scores[r]) for r in rows}
-    if policy == "fixed":
-        return [r for r in rows if scores[r] > tau]
     if len(set(exact.values())) < 2:
         return rows
     if policy == "adaptive":
@@ -459,19 +447,19 @@ def exact_filter(scores, policy, tau):
 
 
 @settings(max_examples=300)
-@example(scores=OVERFLOW_SCORES, tau=0.0)
-@example(scores=[-1e308, -1e308, 0.5], tau=0.0)
-@example(scores=[0.0, -0.0, 0.0, 1.0], tau=0.0)
+@example(scores=OVERFLOW_SCORES)
+@example(scores=[-1e308, -1e308, 0.5])
+@example(scores=[0.0, -0.0, 0.0, 1.0])
 # An absolute tie tolerance of 1e-12 dwarfs every cost here and keeps the
 # first split, {0} | {0, 2.6e-142}; the split {0, 0} | {2.6e-142} costs
 # nothing.
-@example(scores=[0.0, 0.0, 2.59800187740703e-142], tau=0.0)
+@example(scores=[0.0, 0.0, 2.59800187740703e-142])
 # The float mean of these rounds up to the top score.
-@example(scores=[1.0 - 2.0**-53, 1.0, 1.0], tau=0.0)
-@given(scores=SCORE_LISTS, tau=st.floats(-10.0, 10.0))
-def test_row_filters_match_their_exact_definitions(scores, tau):
+@example(scores=[1.0 - 2.0**-53, 1.0, 1.0])
+@given(scores=SCORE_LISTS)
+def test_row_filters_match_their_exact_definitions(scores):
     for policy in defense.FILTER_KINDS:
-        assert kept(scores, policy, tau) == exact_filter(scores, policy, tau), (policy, scores)
+        assert kept(scores, policy) == exact_filter(scores, policy), (policy, scores)
 
 
 @settings(max_examples=300)
@@ -482,7 +470,7 @@ def test_row_filters_match_their_exact_definitions(scores, tau):
 @example(scores=[1.0 - 2.0**-53, 1.0, 1.0])
 @given(scores=SCORE_LISTS)
 def test_a_filter_that_sees_a_finite_score_keeps_a_row(scores):
-    for policy in ("adaptive", "cluster"):
+    for policy in defense.FILTER_KINDS:
         assert bool(kept(scores, policy)) == any(map(math.isfinite, scores)), (policy, scores)
 
 

@@ -46,11 +46,11 @@ PLATEAU_PARAMS = "edbc721c30d54b98c13c6aed6c8b9393df99f6f89c270cb6b2de358ecdfcc6
 REPORTS = {
     "ipm_cluster": (
         "a163a54d445d12e336b1ddb4fb64fee6bc6ec32dc5c4e889423859d2741dcf6f",
-        "811a8270738ee664402cd9d39a82dfcb764acfb90d04d650bb9791bcf252c87a",
+        "d3d449eb60d5295601957315ed5c1d2100f630c240549a5113046e9eeac59ed1",
     ),
     "sign_flip_overflow": (
         "7b50004d42612cd013bf907b8f562c716dc745cbb51b62af02c65668c6a67ebf",
-        "fa20280c5c81d5ef72da6f4b7fd707691146756017d74c7d05e7796e2b12ed3a",
+        "909d77d5e0313d1cad5249a3b9938a29ab4079a355ff2c5ce1e8ececfcf3ad8e",
     ),
 }
 RAGGED_REPORT = (
@@ -65,7 +65,7 @@ RAGGED_PARTITION = "067824876676b8c6d958eae043e47303957eaab6fe82a8e80f069239ea92
 PLANS = "8c310fb4765ef0f919f62d067b6a4fb5718f7246215689655117540b1ce09fa2"
 FALLBACK_REPORT = (
     "1c88e7fe9de3a1623c8c68a902ea3a47f40bb08d75f4a734a2e82eedaf121b07",
-    "e67fdce0591aa1b8142d89f3c6228410bcbaa9bd50c3fcc2c712b97a143a6080",
+    "dd41c21570788a334abef43a5c3513f0139457ac4a87d144eab710736129b7ff",
 )
 
 CELLS = {
@@ -76,7 +76,7 @@ CELLS = {
         "local_epochs": 5,
         "dataset": {"dims": 12},
         "attack": {"kind": "ipm", "epsilon": 0.3},
-        "defense": {"filter": "cluster", "metric": "loss", "gen_max_iter": 400},
+        "defense": {"filter": "cluster", "gen_max_iter": 400},
     },
     # A sign flip that overflows the logits: its candidates score NaN, which
     # the filter rejects, so the pins cover the non-finite scores too.
@@ -85,7 +85,7 @@ CELLS = {
         "local_epochs": 5,
         "dataset": {"dims": 12},
         "attack": {"kind": "sign_flip", "epsilon": 0.3, "gamma": 1e200},
-        "defense": {"filter": "cluster", "metric": "loss", "gen_max_iter": 200},
+        "defense": {"filter": "cluster", "gen_max_iter": 200},
     },
 }
 # Skewed shards at seed 42: ten one-row clients, others of 2-30 rows and
@@ -103,7 +103,7 @@ FALLBACK_CELL = {
     **KRUM_CELL,
     "aggregator": {"kind": "multi_krum"},
     "attack": {"kind": "sign_flip", "epsilon": 0.9},
-    "defense": {"filter": "adaptive", "q": 9, "gen_max_iter": 30},
+    "defense": {"filter": "adaptive", "metric": "accuracy", "q": 9, "gen_max_iter": 30},
 }
 
 

@@ -312,7 +312,7 @@ def test_run_is_deterministic():
         "hidden_dims": [8],
         "dataset": {"kind": "toy", "per_class": 24},
         "attack": {"kind": "sign_flip", "epsilon": 0.4},
-        "defense": {"q": 9, "gen_max_iter": 30, "metric": "loss"},
+        "defense": {"q": 9, "gen_max_iter": 30},
     }
     a = orchestrator.run_experiment(config_from_dict(cfg_dict))
     b = orchestrator.run_experiment(config_from_dict(cfg_dict))
@@ -373,7 +373,7 @@ def test_reject_all_round_carries_weights_forward(monkeypatch):
     monkeypatch.setattr(defense, "filter_updates", keep_none)
     cfg = small_config(
         rounds=3,
-        defense={"filter": "fixed", "tau": 0.5, "q": 9, "gen_max_iter": 30},
+        defense={"filter": "adaptive", "q": 9, "gen_max_iter": 30},
     )
     report = orchestrator.run_experiment(cfg)
     assert offered == [3, 3, 3]
@@ -395,7 +395,7 @@ def test_defended_run_mixes_accept_and_reject():
     cfg = small_config(
         clients=6,
         sampled_per_round=4,
-        defense={"filter": "adaptive", "metric": "loss", "q": 9, "gen_max_iter": 30},
+        defense={"filter": "adaptive", "q": 9, "gen_max_iter": 30},
     )
     report = orchestrator.run_experiment(cfg)
     for rec in report.rounds:
@@ -420,7 +420,7 @@ def test_mnist_shaped_config_runs_a_round():
 OVERFLOW_CELL = {
     "seed": 0, "rounds": 5, "clients": 10, "sampled_per_round": 5, "local_epochs": 2,
     "attack": {"kind": "sign_flip", "epsilon": 0.3, "gamma": 1e200},
-    "defense": {"metric": "loss", "gen_max_iter": 100},
+    "defense": {"gen_max_iter": 100},
 }
 
 
@@ -468,7 +468,7 @@ def test_emit_report_byte_identical_across_runs(tmp_path):
         "hidden_dims": [8],
         "dataset": {"kind": "toy", "per_class": 24},
         "attack": {"kind": "random_noise", "epsilon": 0.4},
-        "defense": {"q": 9, "gen_max_iter": 30, "metric": "loss"},
+        "defense": {"q": 9, "gen_max_iter": 30},
     }
     paths = []
     for tag in ("one", "two"):
@@ -500,7 +500,7 @@ def test_json_report_recomputes_detection_rates(tmp_path):
         clients=6,
         sampled_per_round=4,
         attack={"kind": "sign_flip", "epsilon": 0.34},
-        defense={"filter": "adaptive", "metric": "loss", "q": 9, "gen_max_iter": 30},
+        defense={"filter": "adaptive", "q": 9, "gen_max_iter": 30},
     )
     report = orchestrator.run_experiment(cfg)
     _, json_path = orchestrator.emit_report(report, str(tmp_path), "run")

@@ -7,9 +7,8 @@ a sign flip or label flip by 1e200 overflows the logits, random_noise's
 noise has that standard deviation, and ipm's payload that scale.  Every
 run must complete, accept only sampled clients, never accept a candidate
 whose score is not finite, keep a finite global vector, and emit the same
-bytes when it runs again.  Under the adaptive and cluster filters a round
-with no attacker sampled accepts someone; the fixed filter's constant
-threshold may reject honest candidates too.
+bytes when it runs again, and a round with no attacker sampled must
+accept someone.
 
 A second test writes small IDX sets, some of them broken, and checks that
 each one is either refused at load or runs a defended round.
@@ -50,9 +49,7 @@ def make_cell(kind, policy, aggregator, metric, seed=0, rounds=2, clients=6, sam
         "dataset": {"per_class": 24},
         "attack": attack,
         "aggregator": {"kind": aggregator},
-        # Loss scores are at most 0, so the fixed filter's threshold is below.
-        "defense": {"filter": policy, "metric": metric, "q": q, "gen_max_iter": gen_max_iter,
-                    **({"tau": -1.0} if (policy, metric) == ("fixed", "loss") else {})},
+        "defense": {"filter": policy, "metric": metric, "q": q, "gen_max_iter": gen_max_iter},
     }
 
 
@@ -119,7 +116,7 @@ def test_small_defended_cells(cell):
         assert rec.accepted == [sampled[r] for r in kept]
         assert sorted(rec.accepted + rec.rejected) == list(sampled)
         assert np.isfinite(scores[kept]).all()
-        if cfg.defense.filter != "fixed" and not rec.malicious_sampled:
+        if not rec.malicious_sampled:
             assert len(kept)
     with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as again:
         assert _emitted_bytes(report, first) == _emitted_bytes(

@@ -1,23 +1,26 @@
-"""Poisoned-update constructions for compromised clients.
+"""Every attack decision: who is compromised, what it trains on and submits.
 
 All payloads are delta vectors (local weights minus the broadcast global
 weights).  Honest training happens first; the attack then transforms the
 honest delta (label flipping additionally corrupts the training data before
-the honest pass).  The round driver decides which sampled clients are
-compromised and hands the coordinated pieces (shared noise, benign-mean
-estimate) to these functions.
+the honest pass).  The round driver calls `compromised_clients` once per
+run and `training_shards` and `apply_attack` once per round; `none`
+compromises no client at any epsilon.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from . import nn
+from . import nn, rng
 from .data import Dataset
 from .defense import eval_update
+
+log = logging.getLogger(__name__)
 
 ATTACK_KINDS = ("none", "random_noise", "sign_flip", "label_flip", "ipm")
 
@@ -29,17 +32,16 @@ IPM_GAMMAS = (0.5, 1.0, 2.0, 5.0, 10.0)  # ipm's line search when `gamma` is uns
 class AttackConfig:
     kind: str = "none"
     epsilon: float = 0.0  # compromised fraction of the client population
-    gamma: Optional[float] = None  # the scale: noise std, flip amplification or ipm's gamma*
+    # The scale: noise std, flip amplification or ipm's gamma*.  Unset, it is
+    # the kind's DEFAULT_GAMMA when the payload is built (ipm: the line search).
+    gamma: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must be in [0, 1)")
-        self.gamma_set = self.gamma is not None  # else it is the kind's, and follows the kind
-        if self.gamma is None:
-            self.gamma = DEFAULT_GAMMA.get(self.kind)
-        elif self.gamma <= 0.0:
+        if self.gamma is not None and self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
 
 
@@ -144,3 +146,46 @@ def ipm_attack(
         global_vector, template, benign_estimate, proxy, grid, n_sampled, n_malicious
     )
     return -gamma_star * benign_estimate, gamma_star
+
+
+def compromised_clients(cfg: AttackConfig, num_clients: int, seed: int) -> Set[int]:
+    """The run's compromised client ids, from the master seed's attack
+    stream; none for `none`, whose clients all train honestly, at any epsilon."""
+    if cfg.kind == "none" or cfg.epsilon == 0.0:
+        return set()
+    return assign_roles(num_clients, cfg.epsilon, rng.substream(seed, rng.ATTACK))
+
+
+def training_shards(cfg: AttackConfig, shards: Sequence[Dataset], sampled: Sequence[int],
+                    malicious: Set[int]) -> List[Dataset]:
+    """The shard each sampled client trains on this round, in `sampled`
+    order: a label_flip attacker's own with rotated labels, else its own."""
+    flip = cfg.kind == "label_flip"
+    return [rotate_labels(shards[c]) if flip and c in malicious else shards[c] for c in sampled]
+
+
+def apply_attack(
+    cfg: AttackConfig, seed: int, round_index: int, bad_rows: List[int], deltas: np.ndarray,
+    shards: Sequence[Dataset], template: nn.MlpModel, global_vector: np.ndarray,
+) -> None:
+    """Overwrite the compromised rows of the round's (n, P) delta stack with
+    their payloads; `shards[r]` is the shard row r trained on."""
+    if not bad_rows:
+        return
+    gamma = DEFAULT_GAMMA.get(cfg.kind) if cfg.gamma is None else cfg.gamma
+    if cfg.kind == "random_noise":
+        stream = rng.substream(seed, rng.ATTACK, round_index)
+        noise = draw_shared_noise(global_vector.size, gamma, stream)
+        deltas[bad_rows] = random_noise_attack(deltas[bad_rows[0]], noise)
+    elif cfg.kind == "sign_flip":
+        deltas[bad_rows] = sign_flip_attack(deltas[bad_rows], gamma)
+    elif cfg.kind == "label_flip":
+        deltas[bad_rows] = scale_delta(deltas[bad_rows], gamma)
+    elif cfg.kind == "ipm":
+        bad = [shards[r] for r in bad_rows]
+        proxy = Dataset(np.vstack([shard.features for shard in bad]),
+                        np.concatenate([shard.labels for shard in bad]), bad[0].num_classes)
+        payload, gamma_star = ipm_attack(global_vector, template, deltas[bad_rows].mean(axis=0),
+                                         proxy, cfg, len(deltas), len(bad_rows))
+        log.debug("round %d ipm gamma*=%g", round_index, gamma_star)
+        deltas[bad_rows] = payload

@@ -71,12 +71,9 @@ def _out_dir(flag: Optional[str], names: List[str]) -> str:
 
 def _override(base: ExperimentConfig, settings: List[Tuple[str, Any]]) -> ExperimentConfig:
     """`base` with the field at each dotted path set in turn, validated afresh: the config of
-    a file that writes those fields into `base`'s, so a gamma that `base` left unset stays
-    the default of the cell's attack kind.  An unknown field or a non-object parent
+    a file that writes those fields into `base`'s.  An unknown field or a non-object parent
     (`defense.q` with no defense) names the grid key."""
     cell = config_to_dict(base)
-    if not base.attack.gamma_set:
-        cell["attack"]["gamma"] = None
     for path, value in settings:
         *parents, leaf = path.split(".")
         node = cell

@@ -279,43 +279,6 @@ class Schedule:
         return cls(schedule_key(cfg), test, lo, hi, shards, template, tuple(rounds))
 
 
-def _apply_attack(
-    cfg: ExperimentConfig,
-    round_index: int,
-    bad_rows: List[int],
-    deltas: np.ndarray,
-    shards: Sequence[Dataset],
-    template: nn.MlpModel,
-    global_vector: np.ndarray,
-) -> None:
-    """Overwrite the compromised rows of the round's delta stack with their
-    attack payloads; `shards[r]` is the shard row r trained on."""
-    acfg = cfg.attack
-    if not bad_rows or acfg.kind == "none":
-        return
-    if acfg.kind == "random_noise":
-        noise_rng = rng.substream(cfg.seed, rng.ATTACK, round_index)
-        shared = attacks.draw_shared_noise(global_vector.size, acfg.gamma, noise_rng)
-        deltas[bad_rows] = attacks.random_noise_attack(deltas[bad_rows[0]], shared)
-    elif acfg.kind == "sign_flip":
-        deltas[bad_rows] = attacks.sign_flip_attack(deltas[bad_rows], acfg.gamma)
-    elif acfg.kind == "label_flip":
-        deltas[bad_rows] = attacks.scale_delta(deltas[bad_rows], acfg.gamma)
-    elif acfg.kind == "ipm":
-        bad = [shards[r] for r in bad_rows]
-        proxy = Dataset(
-            np.vstack([shard.features for shard in bad]),
-            np.concatenate([shard.labels for shard in bad]),
-            bad[0].num_classes,
-        )
-        payload, gamma_star = attacks.ipm_attack(
-            global_vector, template, deltas[bad_rows].mean(axis=0), proxy, acfg,
-            len(deltas), len(bad_rows),
-        )
-        log.debug("round %d ipm gamma*=%g", round_index, gamma_star)
-        deltas[bad_rows] = payload
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_experiment(cfg: ExperimentConfig, schedule: Optional[Schedule] = None) -> RunReport:
     """Execute the full simulation and return the per-round report.
@@ -334,27 +297,21 @@ def run_experiment(cfg: ExperimentConfig, schedule: Optional[Schedule] = None) -
         raise ValueError("the schedule was built for a config with other schedule fields")
     template, shards = schedule.template, schedule.shards
     global_vector = template.params
-    malicious: Set[int] = set()
-    if cfg.attack.epsilon > 0.0:
-        malicious = attacks.assign_roles(
-            cfg.clients, cfg.attack.epsilon, rng.substream(cfg.seed, rng.ATTACK)
-        )
+    malicious = attacks.compromised_clients(cfg.attack, cfg.clients, cfg.seed)
     report = RunReport(config=config_to_dict(cfg))
     fewest = min_updates(cfg.aggregator)
-    flip = cfg.attack.kind == "label_flip"
     for t, (sampled, plan) in enumerate(schedule.rounds, 1):
         started = time.perf_counter()
         bad_rows = [r for r, cid in enumerate(sampled) if cid in malicious]
         bad_sampled = [sampled[r] for r in bad_rows]
-        round_shards = [
-            attacks.rotate_labels(shards[cid]) if flip and cid in malicious else shards[cid]
-            for cid in sampled
-        ]
+        round_shards = attacks.training_shards(cfg.attack, shards, sampled, malicious)
         # Positional: a caller may wrap `local_training` and read its arguments.
         deltas = local_training(
             round_shards, template, global_vector, cfg.sgd, cfg.local_epochs, cfg.batch, plan
         )
-        _apply_attack(cfg, t, bad_rows, deltas, round_shards, template, global_vector)
+        attacks.apply_attack(
+            cfg.attack, cfg.seed, t, bad_rows, deltas, round_shards, template, global_vector
+        )
         candidates = np.add(deltas, global_vector, out=deltas)
         gan_iters = 0
         if cfg.defense is not None:

@@ -154,6 +154,16 @@ def test_geometric_median_of_coincident_points_is_that_point():
     assert out.tolist() == point
 
 
+def test_geometric_median_from_a_mean_on_an_unflagged_input_point():
+    # The mean, 0, is an input point whose pull (1) does not fall below its
+    # weight (1), so Weiszfeld starts on it and steps off it by 0, and the
+    # Newton polish stops there too.  Every point of [0, 1] is optimal.
+    mat = matrix([[-3.0], [0.0], [1.0], [2.0]])
+    out = agg.geometric_median(mat)
+    assert out.shape == (1,) and np.isfinite(out).all()
+    assert agg.geometric_objective(out, mat) == 6.0
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_geometric_median_of_a_non_finite_input_is_not_finite(bad):
     out = geometric_median([[0.0, 1.0], [bad, 2.0], [3.0, 0.5]])

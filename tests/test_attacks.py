@@ -6,11 +6,29 @@ from bfl import attacks, data, nn
 
 
 def test_attack_config_defaults_resolve_gamma():
-    assert attacks.AttackConfig(kind="random_noise", epsilon=0.1).gamma == 0.5
-    assert attacks.AttackConfig(kind="sign_flip", epsilon=0.1).gamma == 5.0
-    assert attacks.AttackConfig(kind="label_flip", epsilon=0.1).gamma == 4.0
+    # An unset gamma stays unset in the config and is the kind's default
+    # where the payload is built.
+    assert attacks.DEFAULT_GAMMA == {"random_noise": 0.5, "sign_flip": 5.0, "label_flip": 4.0}
+    honest = np.random.default_rng(2).standard_normal((3, 40))
+    for kind, gamma in attacks.DEFAULT_GAMMA.items():
+        assert attacks.AttackConfig(kind=kind, epsilon=0.1).gamma is None
+        assert attacks.AttackConfig(kind=kind, epsilon=0.1, gamma=2.5).gamma == 2.5
+        unset, written = honest.copy(), honest.copy()
+        attacks.apply_attack(attacks.AttackConfig(kind, 0.1), 7, 1, [0, 2], unset, [], None, honest[0])
+        attacks.apply_attack(attacks.AttackConfig(kind, 0.1, gamma), 7, 1, [0, 2], written, [], None,
+                             honest[0])
+        assert unset.tobytes() == written.tobytes(), kind
+        assert unset[1].tobytes() == honest[1].tobytes()  # the honest row is untouched
+        assert unset[0].tobytes() != honest[0].tobytes()
     assert attacks.AttackConfig(kind="ipm", epsilon=0.1).gamma is None  # searches IPM_GAMMAS
-    assert attacks.AttackConfig(kind="sign_flip", epsilon=0.1, gamma=2.5).gamma == 2.5
+
+
+def test_none_compromises_no_client_at_any_epsilon():
+    none = attacks.AttackConfig(kind="none", epsilon=0.3)
+    assert attacks.compromised_clients(none, 20, 42) == set()
+    flip = attacks.AttackConfig(kind="sign_flip", epsilon=0.3)
+    assert len(attacks.compromised_clients(flip, 20, 42)) == 6
+    assert attacks.compromised_clients(attacks.AttackConfig(kind="sign_flip"), 20, 42) == set()
 
 
 def test_attack_config_rejects_garbage():
@@ -54,7 +72,7 @@ def test_draw_shared_noise_scale():
 
 def test_sign_flip_is_negated_and_amplified():
     delta = np.array([1.0, -2.0, 0.5])
-    gamma = attacks.AttackConfig(kind="sign_flip").gamma
+    gamma = attacks.DEFAULT_GAMMA["sign_flip"]
     np.testing.assert_array_equal(attacks.sign_flip_attack(delta, gamma), [-5.0, 10.0, -2.5])
     np.testing.assert_array_equal(
         attacks.sign_flip_attack(delta, gamma=2.0), [-2.0, 4.0, -1.0]
@@ -71,7 +89,7 @@ def test_rotate_labels_cycles_classes():
 
 def test_scale_delta():
     delta = np.array([0.5, -1.0])
-    gamma = attacks.AttackConfig(kind="label_flip").gamma
+    gamma = attacks.DEFAULT_GAMMA["label_flip"]
     np.testing.assert_array_equal(attacks.scale_delta(delta, gamma), [2.0, -4.0])
 
 

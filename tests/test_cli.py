@@ -1,12 +1,13 @@
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from bfl import aggregators, cli, orchestrator
+from bfl import aggregators, attacks, cli, orchestrator
 from bfl.cli import main
 from bfl.attacks import DEFAULT_GAMMA
 from bfl.config import config_from_dict, config_to_dict
@@ -439,14 +440,28 @@ def test_path_axes_run_between_epsilon_and_rule_in_file_order(tmp_path):
 
 @pytest.mark.parametrize("attack", [{"kind": "sign_flip"}, {"kind": "sign_flip", "gamma": 5.0}])
 @pytest.mark.parametrize("switch", ["label_flip", "ipm", "none", "random_noise"])
-def test_a_grid_cell_equals_the_config_that_writes_its_fields(tmp_path, attack, switch):
-    # An unset gamma is the attack kind's default, so it follows the kind
-    # the grid switches to; a gamma the base writes stays.
+def test_a_grid_cell_equals_the_config_that_writes_its_fields(tmp_path, monkeypatch, attack, switch):
+    # A gamma the base writes stays; an unset one stays unset, and the
+    # payload is built with the default of the kind the grid switches to.
     base = {**TINY, "attack": {**attack, "epsilon": 0.3}}
     [(_, cell)] = cli._grid_cells(cli.load_config(write_config(tmp_path, **base)), {"attack": [switch]})
     written = config_from_dict({**base, "attack": {**base["attack"], "kind": switch}})
     assert config_to_dict(cell) == config_to_dict(written)
-    assert cell.attack.gamma == attack.get("gamma", DEFAULT_GAMMA.get(switch))
+    assert cell.attack.gamma == attack.get("gamma")
+    gamma = attack.get("gamma", DEFAULT_GAMMA.get(switch))
+    stated = config_from_dict({**base, "attack": {**base["attack"], "kind": switch, "gamma": gamma}})
+    stacks, apply = [], attacks.apply_attack
+
+    def keep(acfg, seed, t, bad_rows, deltas, *rest):
+        apply(acfg, seed, t, bad_rows, deltas, *rest)
+        stacks.append((bool(bad_rows), deltas.tobytes()))
+
+    monkeypatch.setattr(attacks, "apply_attack", keep)
+    run_experiment(cell)
+    run_experiment(stated)
+    ran = stacks[:TINY["rounds"]]
+    assert ran == stacks[TINY["rounds"]:]  # the attacked delta stacks, round by round
+    assert any(bad for bad, _ in ran) == (switch != "none")
 
 
 def test_alpha_by_seed_sweep_writes_one_report_per_cell(tmp_path, capsys):
@@ -526,6 +541,42 @@ def test_negative_seeds_exit_2_at_load(tmp_path, capsys, overrides, argv, messag
     assert main(["run", "--config", cfg, "--out-dir", str(out), *argv]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, grid, message",
+    [
+        ("run", {**TINY, "batch": 0}, None, "batch: must be >= 1"),
+        ("run", [TINY], None, "top level: expected a JSON object"),
+        ("sweep", TINY, [{"seed": [1]}], "grid: expected a JSON object"),
+    ],
+    ids=["batch-0", "config-list", "grid-list"],
+)
+def test_load_time_refusals_exit_2_with_no_output_directory(
+    tmp_path, capsys, command, config, grid, message
+):
+    (tmp_path / "exp.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(tmp_path / "exp.json"), "--out-dir", str(out)]
+    if grid is not None:
+        (tmp_path / "grid.json").write_text(json.dumps(grid))
+        argv += ["--grid", str(tmp_path / "grid.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["-v"], []], ids=["verbose", "quiet"])
+def test_verbose_logs_one_info_line_per_round(tmp_path, flags):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = [sys.executable, "-m", "bfl.cli", *flags, "run", "--config", write_config(tmp_path),
+            "--out-dir", str(tmp_path / "out")]
+    done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60, check=True)
+    lines = done.stderr.splitlines()
+    assert len(lines) == (TINY["rounds"] if flags else 0)
+    for t, line in enumerate(lines, 1):
+        assert re.fullmatch(rf"INFO bfl\.orchestrator: round {t} acc=\S+ .* gan_iters=\d+ \(\d+ ms\)", line)
 
 
 # Cells of one seed and alpha share a schedule: two attacks, an undefended

@@ -65,7 +65,7 @@ RAGGED_PARTITION = "067824876676b8c6d958eae043e47303957eaab6fe82a8e80f069239ea92
 PLANS = "8c310fb4765ef0f919f62d067b6a4fb5718f7246215689655117540b1ce09fa2"
 FALLBACK_REPORT = (
     "1c88e7fe9de3a1623c8c68a902ea3a47f40bb08d75f4a734a2e82eedaf121b07",
-    "dd41c21570788a334abef43a5c3513f0139457ac4a87d144eab710736129b7ff",
+    "85220c8434869d7f4fc7bb5d5cebe53843a4caa4a78a5a587eb13dfd562c0804",
 )
 
 CELLS = {

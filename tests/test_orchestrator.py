@@ -338,12 +338,27 @@ def test_run_attack_without_defense_keeps_everything():
     assert saw_malicious
 
 
+def test_a_none_attack_at_positive_epsilon_compromises_nobody():
+    # `none` draws no roles, so its epsilon changes no decision and no
+    # round counts an attacker.
+    defended = {"filter": "adaptive", "q": 9, "gen_max_iter": 30}
+    report = orchestrator.run_experiment(
+        small_config(attack={"kind": "none", "epsilon": 0.6}, defense=defended)
+    )
+    clean = orchestrator.run_experiment(small_config(defense=defended))
+    assert report.rounds == clean.rounds
+    for rec in report.rounds:
+        assert rec.malicious_sampled == [] and rec.tpr == 0.0
+        assert rec.tnr == len(rec.accepted) / (len(rec.accepted) + len(rec.rejected))
+    assert (report.mean_tpr, report.mean_tnr) == (0.0, 1.0)
+
+
 @pytest.mark.parametrize("attack, std", [({}, 0.5), ({"gamma": 0.02}, 0.02)], ids=["default", "set"])
 def test_random_noise_payload_has_standard_deviation_gamma(attack, std):
     # Zero honest deltas: every compromised row is the round's shared noise.
     cfg = small_config(attack={"kind": "random_noise", "epsilon": 0.4, **attack})
     deltas = np.zeros((3, 100_000))
-    orchestrator._apply_attack(cfg, 2, [0, 2], deltas, [], None, np.zeros(100_000))
+    attacks.apply_attack(cfg.attack, cfg.seed, 2, [0, 2], deltas, [], None, np.zeros(100_000))
     want = attacks.draw_shared_noise(100_000, std, rng.substream(cfg.seed, rng.ATTACK, 2))
     assert deltas[0].tobytes() == deltas[2].tobytes() == want.tobytes()
     assert not deltas[1].any()  # the honest row is untouched
